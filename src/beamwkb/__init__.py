@@ -7,23 +7,9 @@ admissible parameter sequence, and validates everything against a direct
 finite-element eigensolver of the unexpanded problem.
 """
 
-from .model import (CoefficientSet, ConfigError, RunSpec, config_from_dict,
-                    config_to_dict, eval_coefficient, load_config,
-                    save_config, taylor_at_zero)
-from .outer import (CorrectionTerm, OuterMode, SolvabilityError,
-                    ThreePointMultiplicityError, boundary_data,
-                    compute_lambda1, correction_residual, solvability_lambda,
-                    solve_correction, solve_three_point_eigen, solve_v1)
-from .inner import (GuardBandError, InnerCoefficient, MissingDataError,
-                    PhaseData, QuantizedSequence, assemble_chi,
-                    beta0_closed_form, compute_phase, det_g_closed_form,
-                    evaluate_inner, g_delta_matrix, g_matrix,
-                    interface_quantities, quantize, solve_f0,
-                    transport_sigma, transport_solve, transport_solve_full)
-from .oracle import (DiscreteProblem, MeshResolutionError, ModeCaptureError,
-                     SpectralResult, assemble, normalize_weighted, solve_near)
-from .harness import (CSV_HEADER, ExpansionArtifact, ExpansionError,
-                      ValidationReport, build_expansion, emit_report,
-                      fit_rate, load_artifact, run_convergence, save_artifact)
+from . import cli, harness, hermite, inner, model, oracle, outer
+from .harness import (CSV_HEADER, build_expansion, emit_report, fit_rate,
+                      load_artifact, run_convergence, save_artifact)
+from .model import CoefficientSet, ConfigError, RunSpec
 
 __version__ = "0.1.0"

@@ -66,6 +66,13 @@ def cmd_expand(args):
     harness.save_artifact(art, args.out)
     print(f"artifact written to {args.out}: orders 0..{art.n_max}, "
           f"{len(art.f_beta)} inner terms, l0={art.l0}")
+    diag = art.diagnostics
+    if diag["degenerate_right"]:
+        print(f"warning: degenerate configuration: lambda0 lies within "
+              f"{diag['gap_right']:.3g} of the right-interval clamped spectrum "
+              "(multiple three-point eigenvalue, outside the theory)")
+    for key, note in diag["notes"].items():
+        print(f"note: {key}: {note}")
     return EXIT_OK
 
 

@@ -302,13 +302,6 @@ def drop_one_spread(eps_values, err_values):
     return spread
 
 
-def log_linear_correlation(x, logy):
-    """|Pearson correlation| of x against log-values (exponential-decay fits)."""
-    x = np.asarray(x, float)
-    y = np.asarray(logy, float)
-    return float(abs(np.corrcoef(x, y)[0, 1]))
-
-
 # ---------------------------------------------------------------------------
 # oracle comparison sweep
 # ---------------------------------------------------------------------------
@@ -432,7 +425,7 @@ def run_convergence(art: ExpansionArtifact, n: int, l_values=None,
             res = oracle.solve_near(prob, target, k=k)
             res = oracle.normalize_weighted(res, prob, lambda x: v0(x))
         except (oracle.ModeCaptureError, oracle.MeshResolutionError,
-                hermite.EigenConvergenceError, ValueError) as exc:
+                oracle.OracleInputError, hermite.EigenConvergenceError) as exc:
             row["exclude_reason"] = f"{type(exc).__name__}: {exc}"
             continue
         row["lambda_oracle"] = res.eigenvalue

@@ -5,6 +5,12 @@ value/slope pairs per node, so clamped and interface data are imposed
 strongly.  Element integrals use fixed 8-point Gauss rules, exact for the
 polynomial coefficient degrees this package admits.
 
+Every mesh here is clamped at both ends, so ``Assembly`` owns the split
+into the four clamped dofs and the contiguous free range between them,
+together with the factorizations of the free block of the pencil
+K - lambda M: the shifted LU, the cached mass LU behind the mass-inverse
+residual norm, and the shift-invert eigensolve.
+
 Element matrices are accumulated in extended precision: the 1/h^3
 stiffness scaling otherwise pollutes eigenvalues near the 1e-9 relative
 targets whenever h is not exactly representable.  Factorizations stay in
@@ -15,7 +21,9 @@ data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -98,6 +106,42 @@ class Assembly:
     def ndof(self):
         return 2 * self.nodes.size
 
+    @property
+    def clamped(self):
+        """Value and slope dofs of the first node, then of the last node."""
+        return np.array([0, 1, self.ndof - 2, self.ndof - 1])
+
+    @property
+    def free(self):
+        """The free dofs: everything between the two clamped nodes."""
+        return slice(2, self.ndof - 2)
+
+    @cached_property
+    def free_blocks(self):
+        """(K_ff, M_ff), the pencil restricted to the free dofs."""
+        return self.K[self.free, self.free], self.M[self.free, self.free]
+
+    @cached_property
+    def _mass_lu(self):
+        return spla.splu(self.free_blocks[1].tocsc())
+
+    def factor(self, shift):
+        """LU of K_ff - shift M_ff; an exactly singular shift is nudged."""
+        Kff, Mff = self.free_blocks
+        try:
+            return spla.splu((Kff - shift * Mff).tocsc())
+        except RuntimeError:
+            return spla.splu((Kff - shift * (1.0 + 1e-11) * Mff).tocsc())
+
+    def mass_inverse_norm(self, r):
+        """sqrt(r_f^T M_ff^-1 r_f) for a residual r over all dofs.
+
+        The clamped rows of r carry boundary reactions, not equation
+        residuals, and are dropped.
+        """
+        rf = np.asarray(r[self.free], dtype=float)
+        return math.sqrt(abs(float(rf @ self._mass_lu.solve(rf))))
+
     def edof(self):
         return 2 * np.arange(self.nodes.size - 1)[:, None] + np.arange(4)[None, :]
 
@@ -108,10 +152,6 @@ class Assembly:
         ve = vl[ed]
         we = wl[ed]
         return np.einsum("ei,eij,ej->", ve, elem_mats, we)
-
-    def energy(self, v, w=None):
-        """v^T K w accumulated in extended precision."""
-        return float(self._quad_form(self.Ke, v, v if w is None else w))
 
     def mass(self, v, w=None):
         """v^T M w accumulated in extended precision."""
@@ -138,15 +178,6 @@ class Assembly:
         if load is not None:
             out = out - np.asarray(load, dtype=np.longdouble)
         return out
-
-    def residual_rows(self, v, lam, rows, load=None):
-        """Entries of K v - lam M v (- load) at the given dof rows.
-
-        Used for reaction/flux extraction at constrained dofs; accumulated
-        in extended precision.
-        """
-        out = self.pencil_apply(v, lam, load=load)
-        return np.asarray(out[np.asarray(rows, dtype=int)], dtype=float)
 
 
 def assemble(nodes, k0_fn, k1_fn, k2_fn, weight_fn):
@@ -271,49 +302,21 @@ def load_vector(nodes, rhs_fn):
     return F
 
 
-def constrain(K, M, fixed_idx, fixed_vals=None):
-    """Eliminate constrained dofs.
-
-    Returns (K_ff, M_ff, lift_rhs, free_idx) where ``lift_rhs`` carries
-    -K_fc @ fixed_vals for nonzero constraint data.
-    """
-    n = K.shape[0]
-    fixed_idx = np.asarray(fixed_idx, dtype=int)
-    mask = np.ones(n, dtype=bool)
-    mask[fixed_idx] = False
-    free_idx = np.nonzero(mask)[0]
-    K_ff = sp.csr_matrix(K[np.ix_(free_idx, free_idx)])
-    M_ff = sp.csr_matrix(M[np.ix_(free_idx, free_idx)])
-    rhs = np.zeros(free_idx.size)
-    if fixed_vals is not None and np.any(np.asarray(fixed_vals) != 0.0):
-        fixed_vals = np.asarray(fixed_vals, dtype=float)
-        rhs -= K[np.ix_(free_idx, fixed_idx)] @ fixed_vals
-    return K_ff, M_ff, rhs, free_idx
-
-
 class EigenConvergenceError(RuntimeError):
     """Shift-invert iteration failed to converge near the requested target."""
 
 
-def eigs_near(asm_or_mats, sigma, k=6, fixed_idx=None, polish=2):
-    """Eigenpairs of the (constrained) pencil nearest to sigma.
+def eigs_near(asm: Assembly, sigma, k=6, polish=2):
+    """Eigenpairs of the clamped pencil nearest to sigma.
 
     ARPACK shift-invert with a deterministic all-ones start vector, then
     per-pair inverse-iteration polish and an extended-precision Rayleigh
-    quotient when an Assembly is supplied.
+    quotient.
 
-    Returns (values ascending, vectors as columns in full dof numbering).
+    Returns (values ascending, vectors as columns in full dof numbering,
+    zero on the clamped dofs).
     """
-    if isinstance(asm_or_mats, Assembly):
-        asm = asm_or_mats
-        K, M = asm.K, asm.M
-    else:
-        asm = None
-        K, M = asm_or_mats
-    if fixed_idx is not None:
-        Kff, Mff, _, free_idx = constrain(K, M, fixed_idx)
-    else:
-        Kff, Mff, free_idx = K, M, np.arange(K.shape[0])
+    Kff, Mff = asm.free_blocks
     n = Kff.shape[0]
     v0 = np.ones(n) / np.sqrt(n)
     try:
@@ -326,25 +329,18 @@ def eigs_near(asm_or_mats, sigma, k=6, fixed_idx=None, polish=2):
     vals, vecs = vals[order], vecs[:, order]
 
     out_vals = np.empty_like(vals)
-    out_vecs = np.zeros((K.shape[0], vals.size))
+    out_vecs = np.zeros((asm.ndof, vals.size))
     for i in range(vals.size):
         lam, v = vals[i], vecs[:, i]
         for _ in range(polish):
-            shift = lam
-            try:
-                lu = spla.splu((Kff - shift * Mff).tocsc())
-            except RuntimeError:
-                lu = spla.splu((Kff - shift * (1.0 + 1e-11) * Mff).tocsc())
-            w = lu.solve(Mff @ v)
+            w = asm.factor(lam).solve(Mff @ v)
             nrm = np.sqrt(abs(w @ (Mff @ w)))
             if not np.isfinite(nrm) or nrm == 0.0:
                 break
             v = w / nrm
-            full = np.zeros(K.shape[0])
-            full[free_idx] = v
-            lam = asm.rayleigh(full) if asm is not None else float(
-                (v @ (Kff @ v)) / (v @ (Mff @ v)))
+            out_vecs[asm.free, i] = v
+            lam = asm.rayleigh(out_vecs[:, i])
         out_vals[i] = lam
-        out_vecs[free_idx, i] = v
+        out_vecs[asm.free, i] = v
     order = np.argsort(out_vals)
     return out_vals[order], out_vecs[:, order]

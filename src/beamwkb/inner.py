@@ -179,19 +179,6 @@ def cheb_antideriv_values(values, nodes):
     return vals - C.chebval(-1.0, b)
 
 
-def cheb_diff_matrix(n):
-    """Dense differentiation matrix on ascending Lobatto nodes (test use)."""
-    x = cheb_nodes(n)
-    c = np.ones(n)
-    c[0] = c[-1] = 2.0
-    c = c * (-1.0) ** np.arange(n)
-    X = np.tile(x, (n, 1)).T
-    dX = X - X.T + np.eye(n)
-    D = np.outer(c, 1.0 / c) / dX
-    D -= np.diag(D.sum(axis=1))
-    return D
-
-
 def barycentric_eval(nodes, values, x):
     """Barycentric interpolation from Lobatto nodes (values 1d or (k, n))."""
     n = nodes.size
@@ -283,10 +270,6 @@ class PhaseData:
     _order_ops: dict = field(default_factory=dict, repr=False)
 
     # -- scalar helpers ----------------------------------------------------
-    @property
-    def N_minus(self):
-        return N_MINUS
-
     def sprime_pow(self, k):
         """S'^k as an exact QFunc (k integer, possibly negative)."""
         if k not in self._sp_pow:
@@ -317,16 +300,6 @@ class PhaseData:
             zero = QFunc(self.coeffs.q)
             self._A = TAlg((self.eta, zero, zero, self.theta))
         return self._A
-
-    def A_entries(self, xs):
-        """(eta, theta) values at xs."""
-        return self.eta(xs), self.theta(xs)
-
-    def A_matrices(self, xs):
-        """Dense A(xi) as a (n, 4, 4) array."""
-        e, t = self.A_entries(xs)
-        out = e[:, None, None] * np.eye(4)[None] + t[:, None, None] * T_POWERS[3][None]
-        return out
 
     def C_mat(self, s):
         """C_s with Phi^(s) = Phi C_s; C_0 = 1, C_{s+1} = C_s' + A C_s."""
@@ -363,21 +336,6 @@ class PhaseData:
         pref = self.q_m38(np.asarray(xs, dtype=float))
         return pref, ca, sa, e1, e2
 
-    def phi_matrices(self, xs=None):
-        """Dense Phi(xi) as (n, 4, 4)."""
-        if xs is None:
-            xs = self.nodes
-        pref, ca, sa, e1, e2 = self.phi_blocks(xs)
-        n = np.asarray(xs).size
-        out = np.zeros((n, 4, 4))
-        out[:, 0, 0] = ca
-        out[:, 0, 1] = sa
-        out[:, 1, 0] = -sa
-        out[:, 1, 1] = ca
-        out[:, 2, 2] = e1
-        out[:, 3, 3] = e2
-        return pref[:, None, None] * out
-
     def phi_apply(self, vec, xs=None):
         """Phi(xi) acting on (4, n) coordinate values."""
         if xs is None:
@@ -400,19 +358,6 @@ class PhaseData:
         out[2] = vec[2] / e1
         out[3] = vec[3] / e2
         return out / pref[None, :]
-
-    def N_of_S(self, eps, xs=None):
-        """N(xi, S/eps) with overflow-safe shifted exponentials, (4, n)."""
-        if xs is None:
-            xs = self.nodes
-            Sv = self.S
-        else:
-            Sv = barycentric_eval(self.nodes, self.S, xs)
-        tau = Sv / eps
-        if np.any(tau < -1e-12) or np.any(tau - self.S1 / eps > 1e-9):
-            raise FloatingPointError("inner phase left the safe range")
-        return np.stack([np.cos(tau), np.sin(tau),
-                         np.exp(-tau), np.exp(tau - self.S1 / eps)])
 
     # -- eikonal diagnostics ---------------------------------------------------
     def eikonal_residual(self):
@@ -461,27 +406,23 @@ def compute_phase(coeffs: CoefficientSet, lam0: float, lam1: float,
 # boundary systems and quantization
 # ---------------------------------------------------------------------------
 
-def g_matrix(gamma1: float):
-    """Boundary-system matrix with the exponential terms retained."""
-    e = math.exp(-gamma1)
-    cg, sg = math.cos(gamma1), math.sin(gamma1)
+def _g_rows(c, s, e):
     return np.array([
         [-1.0, 0.0, 1.0, e],
         [0.0, -1.0, -1.0, e],
-        [-cg, -sg, e, 1.0],
-        [sg, -cg, -e, 1.0],
+        [-c, -s, e, 1.0],
+        [s, -c, -e, 1.0],
     ])
+
+
+def g_matrix(gamma1: float):
+    """Boundary-system matrix with the exponential terms retained."""
+    return _g_rows(math.cos(gamma1), math.sin(gamma1), math.exp(-gamma1))
 
 
 def g_delta_matrix(delta: float):
     """Limit boundary-system matrix along the quantized sequence."""
-    cd, sd = math.cos(delta), math.sin(delta)
-    return np.array([
-        [-1.0, 0.0, 1.0, 0.0],
-        [0.0, -1.0, -1.0, 0.0],
-        [-cd, -sd, 0.0, 1.0],
-        [sd, -cd, 0.0, 1.0],
-    ])
+    return _g_rows(math.cos(delta), math.sin(delta), 0.0)
 
 
 def det_g_closed_form(gamma1):
@@ -504,9 +445,7 @@ class QuantizedSequence:
     delta: float
     l0: int
     epsilons: dict
-    G_delta: np.ndarray
     det_G_delta: float
-    N_plus: np.ndarray
     S1: float
     alpha1: float
 
@@ -534,12 +473,10 @@ def quantize(phase: PhaseData, delta: float, l_range, guard: float = 0.1):
     if not eps:
         raise ValueError(
             f"empty quantized range: requested l in [{lo}, {hi}] but l0 = {l0}")
-    G = g_delta_matrix(delta)
     return QuantizedSequence(
-        delta=delta, l0=l0, epsilons=eps, G_delta=G,
-        det_G_delta=float(np.linalg.det(G)),
-        N_plus=n_plus(delta), S1=phase.S1, alpha1=phase.alpha1,
-    )
+        delta=delta, l0=l0, epsilons=eps,
+        det_G_delta=float(np.linalg.det(g_delta_matrix(delta))),
+        S1=phase.S1, alpha1=phase.alpha1)
 
 
 # ---------------------------------------------------------------------------
@@ -841,6 +778,25 @@ def phi_inv_E(phase: PhaseData, i: int, f_terms, side):
     return out
 
 
+def taylor_shift(tables, side, top, first, shift, missing):
+    """sum_{j=first..top} (+-1)^j / j! u_{top-j}^(j+shift)(+-0).
+
+    Taylor shift of the outer terms u_k to the interface, read from their
+    endpoint derivative tables (``tables[k].deriv(r)``); the sign
+    alternates on the left side (side = -1).  ``missing(k)`` builds the
+    exception raised when the order-k table is absent.
+    """
+    total = 0.0
+    for j in range(first, top + 1):
+        order = top - j
+        tab = tables[order] if order < len(tables) else None
+        if tab is None:
+            raise missing(order)
+        sgn = (-1.0) ** j if side == -1 else 1.0
+        total += sgn / math.factorial(j) * tab.deriv(j + shift)
+    return total
+
+
 def interface_quantities(phase: PhaseData, i: int, f_terms, tables):
     """Raw (D_i, E_i) at xi = +-1 and F_i at x = +-0.
 
@@ -853,16 +809,13 @@ def interface_quantities(phase: PhaseData, i: int, f_terms, tables):
         cE = phi_inv_E(phase, i, f_terms, side)
         vecD = phase.phi_apply(cD[:, None], np.array([float(side)]))[:, 0]
         vecE = phase.phi_apply(cE[:, None], np.array([float(side)]))[:, 0]
-        F = 0.0
-        if i >= 2:
-            for j in range(0, i - 1):
-                tab = tables[side][i - j - 2]
-                if tab is None:
-                    raise MissingDataError(
-                        f"F_{i}({'+' if side > 0 else '-'}0) needs the order-"
-                        f"{i - j - 2} outer term on side {side:+d}")
-                sgn = (-1.0) ** j if side == -1 else 1.0
-                F += sgn / math.factorial(j) * tab.deriv(j + 3)
+
+        def missing(order):
+            return MissingDataError(
+                f"F_{i}({'+' if side > 0 else '-'}0) needs the order-{order} "
+                f"outer term on side {side:+d}")
+
+        F = taylor_shift(tables[side], side, i - 2, 0, 3, missing)
         key = "minus" if side == -1 else "plus"
         out[f"D_{key}"] = vecD
         out[f"E_{key}"] = vecE
@@ -879,28 +832,38 @@ def transport_sigma(phase: PhaseData, i: int, f_terms, tables, delta: float):
         spv = phase.sprime_at(side)
         cD = phi_inv_D(phase, i, f_terms, side)
         cE = phi_inv_E(phase, i, f_terms, side)
-        outer_sum = 0.0
-        for j in range(0, i + 1):
-            tab = tables[side][i - j]
-            if tab is None:
-                raise MissingDataError(
-                    f"transport order {i} needs side {side:+d} outer table of "
-                    f"order {i - j}")
-            sgn = (-1.0) ** j if side == -1 else 1.0
-            outer_sum += sgn / math.factorial(j) * tab.deriv(j + 2)
-        F = 0.0
-        if i >= 2:
-            for j in range(0, i - 1):
-                tab = tables[side][i - j - 2]
-                if tab is None:
-                    raise MissingDataError(
-                        f"transport order {i} needs side {side:+d} outer table of "
-                        f"order {i - j - 2}")
-                sgn = (-1.0) ** j if side == -1 else 1.0
-                F += sgn / math.factorial(j) * tab.deriv(j + 3)
+
+        def missing(order):
+            return MissingDataError(
+                f"transport order {i} needs side {side:+d} outer table of "
+                f"order {order}")
+
+        outer_sum = taylor_shift(tables[side], side, i, 0, 2, missing)
+        F = taylor_shift(tables[side], side, i - 2, 0, 3, missing)
         sig[iT2] = spv ** -2 * (outer_sum - qm38 * float(np.dot(cD, Nv)))
         sig[iT] = spv ** -3 * (F - qm38 * float(np.dot(cE, Nv)))
     return sig
+
+
+def _transport_solve(phase: PhaseData, order, sigma, w_stack, G, N1):
+    """Variation of parameters against boundary matrix G and trace N(+1)."""
+    xs = phase.nodes
+    if w_stack is None:
+        h = np.zeros((4, xs.size))
+    else:
+        integrand = phase.phi_inv_apply(w_stack(0))
+        h = np.stack([cheb_antideriv_values(integrand[k], xs) for k in range(4)])
+    h1 = h[:, -1]
+    m_minus = phase.q_38_at(-1)
+    m_plus = phase.q_38_at(+1)
+    g = np.array([
+        m_minus * sigma[0],
+        m_minus * sigma[1],
+        m_plus * sigma[2] - float(np.dot(h1, T_POWERS[2] @ N1)),
+        m_plus * sigma[3] - float(np.dot(h1, T_POWERS[3] @ N1)),
+    ])
+    beta = np.linalg.solve(G, g)
+    return InnerCoefficient(order, phase, beta, h=h, w_stack=w_stack)
 
 
 def transport_solve(phase: PhaseData, delta: float, order: int, sigma,
@@ -912,24 +875,8 @@ def transport_solve(phase: PhaseData, delta: float, order: int, sigma,
     the xi = +1 rows.  Exponentially small terms are dropped exactly.
     """
     check_guard_band(delta, guard)
-    xs = phase.nodes
-    if w_stack is None:
-        h = np.zeros((4, xs.size))
-    else:
-        integrand = phase.phi_inv_apply(w_stack(0))
-        h = np.stack([cheb_antideriv_values(integrand[k], xs) for k in range(4)])
-    Np = n_plus(delta)
-    h1 = h[:, -1]
-    m_minus = phase.q_38_at(-1)
-    m_plus = phase.q_38_at(+1)
-    g = np.array([
-        m_minus * sigma[0],
-        m_minus * sigma[1],
-        m_plus * sigma[2] - float(np.dot(h1, T_POWERS[2] @ Np)),
-        m_plus * sigma[3] - float(np.dot(h1, T_POWERS[3] @ Np)),
-    ])
-    beta = np.linalg.solve(g_delta_matrix(delta), g)
-    return InnerCoefficient(order, phase, beta, h=h, w_stack=w_stack)
+    return _transport_solve(phase, order, sigma, w_stack,
+                            g_delta_matrix(delta), n_plus(delta))
 
 
 def transport_solve_full(phase: PhaseData, delta: float, l: int, sigma,
@@ -940,26 +887,9 @@ def transport_solve_full(phase: PhaseData, delta: float, l: int, sigma,
     G(gamma_l(1)) and the exact traces N(+-1, gamma_l), so the solution
     depends on l and converges exponentially to the principal solution.
     """
-    xs = phase.nodes
-    if w_stack is None:
-        h = np.zeros((4, xs.size))
-    else:
-        integrand = phase.phi_inv_apply(w_stack(0))
-        h = np.stack([cheb_antideriv_values(integrand[k], xs) for k in range(4)])
     gamma1 = delta + 2.0 * math.pi * l
-    e = math.exp(-gamma1)
-    N1 = np.array([math.cos(delta), math.sin(delta), e, 1.0])
-    h1 = h[:, -1]
-    m_minus = phase.q_38_at(-1)
-    m_plus = phase.q_38_at(+1)
-    g = np.array([
-        m_minus * sigma[0],
-        m_minus * sigma[1],
-        m_plus * sigma[2] - float(np.dot(h1, T_POWERS[2] @ N1)),
-        m_plus * sigma[3] - float(np.dot(h1, T_POWERS[3] @ N1)),
-    ])
-    beta = np.linalg.solve(g_matrix(gamma1), g)
-    return InnerCoefficient(order=-1, phase=phase, beta=beta, h=h, w_stack=w_stack)
+    N1 = np.array([math.cos(delta), math.sin(delta), math.exp(-gamma1), 1.0])
+    return _transport_solve(phase, -1, sigma, w_stack, g_matrix(gamma1), N1)
 
 
 # ---------------------------------------------------------------------------

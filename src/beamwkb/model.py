@@ -135,11 +135,7 @@ class CoefficientSet:
 
 
 _DEFAULT_TOLERANCES = {
-    "tol_eig": 1e-9,            # relative eigenvalue accuracy, outer solver
     "gap_min_rel": 1e-3,        # simplicity threshold relative to lambda0
-    "tol_phi": 1e-10,           # fundamental-matrix residual, inner grid
-    "tol_rep": 1e-10,           # representation residual f = Phi (beta + h)
-    "tol_oracle": 1e-12,        # shift-invert residual tolerance
     "guard": GUARD_BAND,        # exclusion radius around pi/2 and 3*pi/2
 }
 

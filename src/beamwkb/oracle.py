@@ -22,6 +22,10 @@ class MeshResolutionError(ValueError):
     """The requested mesh violates the inner-oscillation resolution bound."""
 
 
+class OracleInputError(ValueError):
+    """eps or the eigenvalue target lies outside the admissible range."""
+
+
 class ModeCaptureError(RuntimeError):
     """The solve captured a mode unrelated to the targeted global family."""
 
@@ -36,12 +40,6 @@ class DiscreteProblem:
     asm: Assembly = field(repr=False)
     n_inner: int
     nodes_per_wavelength: float
-    _mass_lu: object = field(default=None, repr=False)
-
-    @property
-    def fixed_dofs(self):
-        n = self.nodes.size
-        return [0, 1, 2 * (n - 1), 2 * (n - 1) + 1]
 
     def weighted_norm(self, dofs):
         return math.sqrt(self.asm.mass(dofs))
@@ -50,21 +48,10 @@ class DiscreteProblem:
         """Mass-inverse residual norm over the free dofs.
 
         Bounds the eigenvalue error: min_j |lam - lam_j| is at most
-        ||K v - lam M v||_{M^-1} / ||v||_M, with the clamped rows excluded
-        (they carry boundary reactions, not equation residuals).
+        ||K v - lam M v||_{M^-1} / ||v||_M.
         """
-        import scipy.sparse.linalg as spla
-        n = self.asm.ndof
-        mask = np.ones(n, dtype=bool)
-        mask[self.fixed_dofs] = False
-        if self._mass_lu is None:
-            free = np.nonzero(mask)[0]
-            M_ff = self.asm.M[np.ix_(free, free)].tocsc()
-            self._mass_lu = spla.splu(M_ff)
-        r = (self.asm.K @ dofs - lam * (self.asm.M @ dofs))[mask]
-        z = self._mass_lu.solve(r)
-        num = math.sqrt(abs(float(r @ z)))
-        return num / self.weighted_norm(dofs)
+        r = self.asm.K @ dofs - lam * (self.asm.M @ dofs)
+        return self.asm.mass_inverse_norm(r) / self.weighted_norm(dofs)
 
 
 def build_mesh(coeffs: CoefficientSet, eps: float, S1: float,
@@ -77,7 +64,8 @@ def build_mesh(coeffs: CoefficientSet, eps: float, S1: float,
     both inner and outer densities (mesh-doubling studies).
     """
     if not 0.0 < eps < min(-coeffs.a, coeffs.b):
-        raise ValueError(f"eps={eps} out of range (0, {min(-coeffs.a, coeffs.b)})")
+        raise OracleInputError(
+            f"eps={eps} out of range (0, {min(-coeffs.a, coeffs.b)})")
     wavecount = S1 / (2.0 * math.pi * eps)
     n_inner = max(int(math.ceil(nodes_per_wavelength * wavecount * refine)), 16)
     h = outer_h / refine
@@ -146,9 +134,8 @@ def solve_near(problem: DiscreteProblem, target: float, k: int = 6):
     isolation checks.
     """
     if target <= 0.0:
-        raise ValueError("target must be positive")
-    vals, vecs = hermite.eigs_near(problem.asm, sigma=target, k=k,
-                                   fixed_idx=problem.fixed_dofs)
+        raise OracleInputError("target must be positive")
+    vals, vecs = hermite.eigs_near(problem.asm, sigma=target, k=k)
     idx = int(np.argmin(np.abs(vals - target)))
     lam = float(vals[idx])
     v = vecs[:, idx]
@@ -176,14 +163,11 @@ def normalize_weighted(result: SpectralResult, problem: DiscreteProblem,
     fn = HermiteFunction.from_dofs(problem.nodes, dofs)
     corr = 0.0
     if reference is not None:
-        corr = hermite.inner_product(
-            problem.nodes, fn, reference,
-            weight_fn=lambda x: problem.coeffs.p_at(x),
-            lo=None, hi=-problem.eps)
-        ref_nrm2 = hermite.inner_product(
-            problem.nodes, reference, reference,
-            weight_fn=lambda x: problem.coeffs.p_at(x),
-            lo=None, hi=-problem.eps)
+        p_at = problem.coeffs.p_at
+        corr = hermite.inner_product(problem.nodes, fn, reference,
+                                     weight_fn=p_at, hi=-problem.eps)
+        ref_nrm2 = hermite.inner_product(problem.nodes, reference, reference,
+                                         weight_fn=p_at, hi=-problem.eps)
         rel = abs(corr) / math.sqrt(max(ref_nrm2, 1e-300))
         if rel < min_correlation:
             raise ModeCaptureError(

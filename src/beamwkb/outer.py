@@ -18,7 +18,7 @@ import scipy.sparse.linalg as spla
 
 from . import hermite
 from .hermite import Assembly, HermiteFunction
-from .inner import T_POWERS
+from .inner import N_MINUS, T_POWERS, n_plus, taylor_shift
 from .model import CoefficientSet, eval_coefficient
 
 
@@ -30,18 +30,10 @@ class SolvabilityError(RuntimeError):
     """The singular left-interval system is inconsistent beyond tolerance."""
 
 
-def _coeff_fns(coeffs: CoefficientSet):
-    k0 = hermite.poly_fn(coeffs.k0)
-    k1 = hermite.poly_fn(coeffs.k1)
-    k2 = hermite.poly_fn(coeffs.k2)
-    p = hermite.poly_fn(coeffs.p)
-    return k0, k1, k2, p
-
-
 def _interval_assembly(coeffs, lo, hi, n_elem):
     nodes = np.linspace(lo, hi, n_elem + 1)
-    k0, k1, k2, p = _coeff_fns(coeffs)
-    return hermite.assemble(nodes, k0, k1, k2, p)
+    return hermite.assemble(nodes, *(hermite.poly_fn(c) for c in (
+        coeffs.k0, coeffs.k1, coeffs.k2, coeffs.p)))
 
 
 @dataclass
@@ -93,25 +85,22 @@ def endpoint_derivatives(coeffs, lam0, seeds, g_derivs, depth):
     return np.asarray(v, dtype=float)
 
 
-def _extract_fluxes(asm, dofs, lam0, load, side, k00, k10, slope):
-    """Interface values (v'', (k0 v'')') at x = 0 from reaction residuals.
+def _endpoint_data(coeffs, asm, dofs, lam0, load, side, V, W, g_derivs, depth):
+    """Interface data of one outer term at x = 0 from reaction residuals.
 
-    ``side`` is "left" for the (a, 0) interval (interface at the last node)
-    and "right" for (0, b) (interface at the first node).
+    v'' and (k0 v'')' are read off the pencil residual at the interface
+    node: the last node for side "left" on (a, 0), the first for "right"
+    on (0, b).  ``V``, ``W`` are the term's value and slope there.
     """
-    n = asm.nodes.size
-    if side == "left":
-        row_u, row_du = 2 * (n - 1), 2 * (n - 1) + 1
-    else:
-        row_u, row_du = 0, 1
-    R = asm.residual_rows(dofs, lam0, [row_u, row_du], load=load)
-    if side == "left":
-        vpp = R[1] / k00
-        k0vpp_prime = -R[0] + k10 * slope
-    else:
-        vpp = -R[1] / k00
-        k0vpp_prime = R[0] + k10 * slope
-    return float(vpp), float(k0vpp_prime)
+    k00 = coeffs.k0_at(0.0)
+    rows = asm.clamped[2:] if side == "left" else asm.clamped[:2]
+    R = np.asarray(asm.pencil_apply(dofs, lam0, load=load)[rows], dtype=float)
+    sgn = 1.0 if side == "left" else -1.0
+    vpp = float(sgn * R[1] / k00)
+    k0vpp_prime = float(-sgn * R[0] + coeffs.k1_at(0.0) * W)
+    vppp = (k0vpp_prime - coeffs.k0_at(0.0, 1) * vpp) / k00
+    table = endpoint_derivatives(coeffs, lam0, [V, W, vpp, vppp], g_derivs, depth)
+    return EndpointData(V, W, vpp, vppp, table)
 
 
 @dataclass
@@ -139,10 +128,6 @@ class OuterMode:
         return min(self.gap_left, self.gap_right)
 
 
-def _clamped_fixed(n_nodes):
-    return [0, 1, 2 * (n_nodes - 1), 2 * (n_nodes - 1) + 1]
-
-
 def solve_three_point_eigen(coeffs: CoefficientSet, mode_index: int = 1,
                             outer_grid: int = 256, strict: bool = False,
                             gap_min_rel: float = 1e-3, table_depth: int = 8):
@@ -163,15 +148,13 @@ def solve_three_point_eigen(coeffs: CoefficientSet, mode_index: int = 1,
     right = _interval_assembly(coeffs, 0.0, coeffs.b, n_right)
 
     k_want = mode_index + 4
-    fixed_l = _clamped_fixed(left.nodes.size)
-    vals_l, vecs_l = hermite.eigs_near(left, sigma=0.0, k=k_want, fixed_idx=fixed_l)
+    vals_l, vecs_l = hermite.eigs_near(left, sigma=0.0, k=k_want)
     if mode_index > vals_l.size:
         raise ValueError(f"mode_index {mode_index} beyond computed spectrum")
     lam0 = float(vals_l[mode_index - 1])
     v = vecs_l[:, mode_index - 1]
 
-    fixed_r = _clamped_fixed(right.nodes.size)
-    vals_r, _ = hermite.eigs_near(right, sigma=lam0, k=6, fixed_idx=fixed_r)
+    vals_r, _ = hermite.eigs_near(right, sigma=lam0, k=6)
 
     others = np.delete(vals_l, mode_index - 1)
     gap_left = float(np.min(np.abs(others - lam0))) if others.size else np.inf
@@ -189,30 +172,25 @@ def solve_three_point_eigen(coeffs: CoefficientSet, mode_index: int = 1,
             "configurations are outside the theory)")
 
     # normalize: integral of p v0^2 over (a, 0) equals 1, sign via v0''(0-)
-    norm = math.sqrt(left.mass(v, v))
-    v = v / norm
-    vpp, k0vpp_p = _extract_fluxes(left, v, lam0, None, "left",
-                                   coeffs.k0_at(0.0), coeffs.k1_at(0.0), 0.0)
-    if vpp < 0.0:
+    v = v / math.sqrt(left.mass(v, v))
+    ep_minus = _endpoint_data(coeffs, left, v, lam0, None, "left", 0.0, 0.0,
+                              [], table_depth)
+    if ep_minus.vpp < 0.0:
         v = -v
-        vpp, k0vpp_p = -vpp, -k0vpp_p
-    k00 = coeffs.k0_at(0.0)
-    vppp = (k0vpp_p - coeffs.k0_at(0.0, 1) * vpp) / k00
-
-    table_minus = endpoint_derivatives(coeffs, lam0, [0.0, 0.0, vpp, vppp],
-                                       [], table_depth)
-    table_plus = np.zeros(table_depth + 1)
+        ep_minus = _endpoint_data(coeffs, left, v, lam0, None, "left", 0.0,
+                                  0.0, [], table_depth)
 
     v_left = HermiteFunction.from_dofs(left.nodes, v)
     v_right = HermiteFunction.zero(right.nodes)
     return OuterMode(
         lambda0=lam0, v_left=v_left, v_right=v_right,
-        vpp_minus0=float(vpp), vppp_minus0=float(vppp),
+        vpp_minus0=ep_minus.vpp, vppp_minus0=ep_minus.vppp,
         gap_left=gap_left, gap_right=gap_right, degenerate_right=bool(degenerate),
         left_spectrum=vals_l, right_spectrum=vals_r,
         left_asm=left, right_asm=right, coeffs=coeffs,
-        endpoint_minus=EndpointData(0.0, 0.0, vpp, vppp, table_minus),
-        endpoint_plus=EndpointData(0.0, 0.0, 0.0, 0.0, table_plus),
+        endpoint_minus=ep_minus,
+        endpoint_plus=EndpointData(0.0, 0.0, 0.0, 0.0,
+                                   np.zeros(table_depth + 1)),
     )
 
 
@@ -232,22 +210,14 @@ def correction_residual(mode: OuterMode, prev_terms, term: CorrectionTerm,
     """
     i = term.order
     left = mode.left_asm
-    n = left.nodes.size
     funcs = [mode.v_left] + [t.v_left for t in prev_terms] + [term.v_left]
-    forcing_dofs = np.zeros(2 * n)
+    forcing_dofs = np.zeros(left.ndof)
     for j in range(1, i + 1):
         forcing_dofs += lambdas[j] * funcs[i - j].dofs()
     r = left.pencil_apply(term.v_left.dofs(), mode.lambda0,
                           mass_vec=forcing_dofs)
-    mask = np.ones(2 * n, dtype=bool)
-    mask[[0, 1, 2 * n - 2, 2 * n - 1]] = False
-    free = np.nonzero(mask)[0]
-    M_ff = left.M[np.ix_(free, free)].tocsc()
-    rf = np.asarray(r[free], dtype=float)
-    z = spla.splu(M_ff).solve(rf)
-    num = math.sqrt(abs(float(rf @ z)))
     scale = math.sqrt(max(left.mass(forcing_dofs), 1e-300))
-    return num / scale
+    return left.mass_inverse_norm(r) / scale
 
 
 def solvability_lambda(mode: OuterMode, V_minus: float, W_minus: float):
@@ -276,7 +246,7 @@ class CorrectionTerm:
     right_skip_reason: str = ""
 
 
-def _g_callable(terms_side, lambdas, i, nodes):
+def _g_callable(terms_side, lambdas, i):
     """Right-hand side density g = sum_j lambda_j v_{i-j} on one interval."""
     funcs = []
     for j in range(1, i + 1):
@@ -335,21 +305,17 @@ def solve_correction(mode: OuterMode, i: int, lambdas, prev_terms,
     # ---- left interval: bordered singular solve -------------------------
     left = mode.left_asm
     nodes_l = left.nodes
-    n = nodes_l.size
     p_fn = hermite.poly_fn(coeffs.p)
-    g_left = _g_callable(left_funcs, lambdas, i, nodes_l)
+    g_left = _g_callable(left_funcs, lambdas, i)
     if g_left is None:
         raise SolvabilityError(f"missing lower-order left term below order {i}")
     F = hermite.load_vector(nodes_l, lambda x: p_fn(x) * g_left(x))
 
-    fixed = np.array([0, 1, 2 * (n - 1), 2 * (n - 1) + 1])
+    fixed, free = left.clamped, left.free
     fixed_vals = np.array([0.0, 0.0, V_minus, W_minus])
     A_full = (left.K - lam0 * left.M).tocsr()
-    mask = np.ones(2 * n, dtype=bool)
-    mask[fixed] = False
-    free = np.nonzero(mask)[0]
-    A = A_full[np.ix_(free, free)]
-    rhs = F[free] - A_full[np.ix_(free, fixed)] @ fixed_vals
+    A = A_full[free, free]
+    rhs = F[free] - A_full[free, fixed] @ fixed_vals
 
     v0_dofs = mode.v_left.dofs()
     c_full = left.M @ v0_dofs                       # p-weighted projection onto v0
@@ -363,10 +329,10 @@ def solve_correction(mode: OuterMode, i: int, lambdas, prev_terms,
     sol = lu.solve(np.concatenate([rhs, [s * d]]))
     # mixed-precision refinement: residuals against the extended-precision
     # element data push the bordered solve to its true floor
-    v_dofs = np.zeros(2 * n)
+    v_dofs = np.zeros(left.ndof)
+    v_dofs[fixed] = fixed_vals
     for _ in range(3):
         v_dofs[free] = sol[:-1]
-        v_dofs[fixed] = fixed_vals
         nu = sol[-1]
         pen = left.pencil_apply(v_dofs, lam0)
         r1 = F[free] - np.asarray(pen[free], dtype=float) - s * c * nu
@@ -374,7 +340,6 @@ def solve_correction(mode: OuterMode, i: int, lambdas, prev_terms,
         sol = sol + lu.solve(np.concatenate([r1, [r2]]))
     mu = float(sol[-1]) * s
     v_dofs[free] = sol[:-1]
-    v_dofs[fixed] = fixed_vals
     v_left_fn = HermiteFunction.from_dofs(nodes_l, v_dofs)
 
     scale = abs(lam_i) + abs(lam0) * (abs(V_minus) + abs(W_minus)) + 1.0
@@ -382,21 +347,15 @@ def solve_correction(mode: OuterMode, i: int, lambdas, prev_terms,
         raise SolvabilityError(
             f"left singular system inconsistent at order {i}: multiplier {mu:.3e}")
 
-    vpp_l, k0vpp_p_l = _extract_fluxes(
-        left, v_dofs, lam0, F, "left", coeffs.k0_at(0.0), coeffs.k1_at(0.0), W_minus)
-    k00 = coeffs.k0_at(0.0)
-    vppp_l = (k0vpp_p_l - coeffs.k0_at(0.0, 1) * vpp_l) / k00
-    g_derivs_l = _g_endpoint_derivs(tables_minus, lambdas, i, table_depth)
-    table_l = endpoint_derivatives(coeffs, lam0, [V_minus, W_minus, vpp_l, vppp_l],
-                                   g_derivs_l, table_depth)
-    ep_minus = EndpointData(V_minus, W_minus, vpp_l, vppp_l, table_l)
+    ep_minus = _endpoint_data(
+        coeffs, left, v_dofs, lam0, F, "left", V_minus, W_minus,
+        _g_endpoint_derivs(tables_minus, lambdas, i, table_depth), table_depth)
 
     # ---- right interval: regular (or resonant) solve --------------------
     right = mode.right_asm
     nodes_r = right.nodes
-    m_nodes = nodes_r.size
     resonant = mode.degenerate_right
-    g_right = _g_callable(right_funcs, lambdas, i, nodes_r)
+    g_right = _g_callable(right_funcs, lambdas, i)
     rhs_zero = g_right is not None and all(
         lambdas[j] == 0.0 or
         (np.all(right_funcs[i - j].values == 0.0) and
@@ -421,33 +380,24 @@ def solve_correction(mode: OuterMode, i: int, lambdas, prev_terms,
             ep_plus = EndpointData(0.0, 0.0, 0.0, 0.0, np.zeros(table_depth + 1))
         else:
             Fr = hermite.load_vector(nodes_r, lambda x: p_fn(x) * g_right(x))
-            fixed_r = np.array([0, 1, 2 * (m_nodes - 1), 2 * (m_nodes - 1) + 1])
+            fixed_r, free_r = right.clamped, right.free
             fixed_vals_r = np.array([V_plus, W_plus, 0.0, 0.0])
             A_full_r = (right.K - lam0 * right.M).tocsr()
-            mask_r = np.ones(2 * m_nodes, dtype=bool)
-            mask_r[fixed_r] = False
-            free_r = np.nonzero(mask_r)[0]
-            A_r = A_full_r[np.ix_(free_r, free_r)].tocsc()
-            rhs_r = Fr[free_r] - A_full_r[np.ix_(free_r, fixed_r)] @ fixed_vals_r
-            lu_r = spla.splu(A_r)
+            rhs_r = Fr[free_r] - A_full_r[free_r, fixed_r] @ fixed_vals_r
+            lu_r = right.factor(lam0)
             w = lu_r.solve(rhs_r)
-            v_dofs_r = np.zeros(2 * m_nodes)
+            v_dofs_r = np.zeros(right.ndof)
+            v_dofs_r[fixed_r] = fixed_vals_r
             for _ in range(2):
                 v_dofs_r[free_r] = w
-                v_dofs_r[fixed_r] = fixed_vals_r
                 pen_r = right.pencil_apply(v_dofs_r, lam0)
                 w = w + lu_r.solve(Fr[free_r] - np.asarray(pen_r[free_r], float))
             v_dofs_r[free_r] = w
-            v_dofs_r[fixed_r] = fixed_vals_r
             v_right_fn = HermiteFunction.from_dofs(nodes_r, v_dofs_r)
-            vpp_r, k0vpp_p_r = _extract_fluxes(
-                right, v_dofs_r, lam0, Fr, "right",
-                coeffs.k0_at(0.0), coeffs.k1_at(0.0), W_plus)
-            vppp_r = (k0vpp_p_r - coeffs.k0_at(0.0, 1) * vpp_r) / k00
-            g_derivs_r = _g_endpoint_derivs(tables_plus, lambdas, i, table_depth)
-            table_r = endpoint_derivatives(
-                coeffs, lam0, [V_plus, W_plus, vpp_r, vppp_r], g_derivs_r, table_depth)
-            ep_plus = EndpointData(V_plus, W_plus, vpp_r, vppp_r, table_r)
+            ep_plus = _endpoint_data(
+                coeffs, right, v_dofs_r, lam0, Fr, "right", V_plus, W_plus,
+                _g_endpoint_derivs(tables_plus, lambdas, i, table_depth),
+                table_depth)
 
     return CorrectionTerm(
         order=i, lambda_i=lam_i, v_left=v_left_fn, v_right=v_right_fn,
@@ -484,14 +434,13 @@ def boundary_data(i: int, mode: OuterMode, prev_terms, phase, inner_terms,
     exponentially small content is dropped exactly) with the Taylor shift
     of all lower-order outer terms.
     """
-    from .inner import n_plus
     tables = {
         -1: [mode.endpoint_minus] + [t.endpoint_minus for t in prev_terms],
         +1: [mode.endpoint_plus] + [t.endpoint_plus for t in prev_terms],
     }
     out = {}
     for side in (-1, +1):
-        Nv = phase.N_minus if side == -1 else n_plus(delta)
+        Nv = N_MINUS if side == -1 else n_plus(delta)
         qm38 = phase.q_m38_at(side)
         inner_V = 0.0
         if i - 4 >= 0 and i - 4 < len(inner_terms):
@@ -507,21 +456,19 @@ def boundary_data(i: int, mode: OuterMode, prev_terms, phase, inner_terms,
         if np.any(vec != 0.0):
             inner_W = qm38 * float(np.dot(vec, Nv))
 
-        sum_V = 0.0
-        sum_W = 0.0
-        for j in range(1, i + 1):
-            if i - j >= len(tables[side]):
-                raise SolvabilityError(
-                    f"order-{i} interface data needs the order-{i - j} outer "
+        tabs = tables[side]
+
+        def missing(order):
+            if order >= len(tabs):
+                return SolvabilityError(
+                    f"order-{i} interface data needs the order-{order} outer "
                     f"term, which has not been computed")
-            tab = tables[side][i - j]
-            if tab is None:
-                raise SolvabilityError(
-                    f"order-{i} interface data needs side {side:+d} derivatives of "
-                    f"order-{i - j} term, which is unavailable")
-            sgn = (-1.0) ** j if side == -1 else 1.0
-            sum_V += sgn / math.factorial(j) * tab.deriv(j)
-            sum_W += sgn / math.factorial(j) * tab.deriv(j + 1)
+            return SolvabilityError(
+                f"order-{i} interface data needs side {side:+d} derivatives of "
+                f"order-{order} term, which is unavailable")
+
+        sum_V = taylor_shift(tabs, side, i, 1, 0, missing)
+        sum_W = taylor_shift(tabs, side, i, 1, 1, missing)
         key = "minus" if side == -1 else "plus"
         out[f"V_{key}"] = inner_V - sum_V
         out[f"W_{key}"] = inner_W - sum_W

@@ -17,9 +17,10 @@ import time
 import numpy as np
 import pytest
 
-from beamwkb import (build_expansion, fit_rate, harness, hermite, inner,
-                     oracle, outer, run_convergence)
+from beamwkb import (build_expansion, fit_rate, hermite, inner, oracle,
+                     outer, run_convergence)
 from beamwkb.model import CoefficientSet, RunSpec
+from dense_forms import A_matrices, cheb_diff_matrix, log_linear_correlation
 
 
 def announce(criterion, ok, detail):
@@ -75,10 +76,10 @@ def test_criterion_2_residuals(art):
     eik = np.max(np.abs(art.coeffs.k0_at(0.0) * ph.Sp(ph.nodes) ** 4
                         - art.lambdas[0] * qv))
     eik_bound = 1e-12 * art.lambdas[0] * np.min(qv)
-    D = inner.cheb_diff_matrix(ph.nodes.size)
+    D = cheb_diff_matrix(ph.nodes.size)
     f0 = art.f_terms[0]
     fv = f0.f_values(0)
-    A = ph.A_matrices(ph.nodes)
+    A = A_matrices(ph, ph.nodes)
     res = np.max(np.abs((D @ fv.T).T - np.einsum("nij,jn->in", A, fv)))
     ok = eik <= eik_bound and res <= 1e-9
     announce("2", ok, f"eikonal residual {eik:.2e} (bound {eik_bound:.2e}), "
@@ -272,7 +273,7 @@ def test_criterion_9_principal_solution(art):
     delta = 0.3
     ystar = inner.transport_solve(ph, delta, -1, sigma, w_stack=w_stack)
     ys = ystar.f_values(0)
-    A = ph.A_matrices(xs)
+    A = A_matrices(ph, xs)
     gaps, inv_eps = [], []
     quant = inner.quantize(ph, delta, (1, 10))
     for l in range(quant.l0, quant.l0 + 7):
@@ -285,8 +286,8 @@ def test_criterion_9_principal_solution(art):
     # drop points at the double-precision floor (the true gap decays past
     # representable range within a few steps)
     keep = gaps > 1e-9 * gaps.max()
-    corr = harness.log_linear_correlation(np.asarray(inv_eps)[keep],
-                                          np.log(gaps[keep]))
+    corr = log_linear_correlation(np.asarray(inv_eps)[keep],
+                                  np.log(gaps[keep]))
     ok = corr >= 0.99 and keep.sum() >= 4
     announce("9", ok, f"log-linear correlation {corr:.6f} over "
                       f"{int(keep.sum())} representable points "

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from beamwkb import (CSV_HEADER, build_expansion, cli, emit_report, fit_rate,
-                     harness, inner, load_artifact, run_convergence,
+                     harness, inner, load_artifact, oracle, run_convergence,
                      save_artifact)
 from beamwkb.harness import artifact_to_dict, drop_one_spread
 from beamwkb.model import RunSpec, save_config
@@ -133,6 +133,19 @@ def test_invalid_l_marked_excluded(uniform_artifact):
     assert rep.rows[1]["valid"]
 
 
+def test_unexpected_error_is_not_an_excluded_row(uniform_artifact,
+                                                  monkeypatch):
+    # only the package's own failure classes exclude a row; a plain
+    # ValueError from numpy/scipy (or a bug) must surface
+    def broken(*args, **kwargs):
+        raise ValueError("injected failure")
+
+    monkeypatch.setattr(oracle, "solve_near", broken)
+    with pytest.raises(ValueError, match="injected failure"):
+        run_convergence(uniform_artifact, 0, l_values=[12],
+                        compare_functions=False)
+
+
 def test_monotone_improvement(uniform_artifact):
     rep0 = run_convergence(uniform_artifact, 0, l_values=range(16, 19),
                            compare_functions=False)
@@ -214,6 +227,16 @@ def test_cli_expand_validate_oracle(tmp_path, config_path, capsys):
     out = capsys.readouterr().out
     payload = json.loads(out.strip().split("\n")[-1])
     assert payload["gap"] > 0
+
+
+def test_cli_expand_reports_degeneracy(tmp_path, config_path, capsys):
+    # the uniform beam is mirror-symmetric: lambda0 is a double eigenvalue
+    art_path = tmp_path / "art.json"
+    assert cli.main(["expand", "--config", str(config_path),
+                     "--out", str(art_path)]) == 0
+    out = capsys.readouterr().out
+    assert load_artifact(art_path).diagnostics["degenerate_right"]
+    assert "warning: degenerate configuration" in out
 
 
 def test_cli_sweep_delta(tmp_path, config_path, monkeypatch, capsys):

@@ -7,6 +7,8 @@ from numpy.polynomial import polynomial as P
 from beamwkb import inner, outer
 from beamwkb.inner import T_MAT, T_POWERS
 from beamwkb.model import CoefficientSet
+from dense_forms import (A_entries, A_matrices, N_of_S, cheb_diff_matrix,
+                         phi_matrices)
 
 
 @pytest.fixture(scope="module")
@@ -56,23 +58,23 @@ def test_phase_closed_forms(uniform_artifact, beam_root):
     assert ph.S1 == pytest.approx(2.0 * lam0 ** 0.25, rel=1e-12)
     assert ph.S1 == pytest.approx(2.0 * beam_root, rel=1e-8)
     assert ph.alpha1 == pytest.approx(lam1 / (2.0 * lam0 ** 0.75), rel=1e-12)
-    eta, theta = ph.A_entries(ph.nodes)
+    eta, theta = A_entries(ph, ph.nodes)
     assert np.max(np.abs(eta)) == 0.0
     assert np.allclose(theta, lam1 / (4.0 * lam0 ** 0.75), rtol=1e-13)
 
 
 def test_fundamental_matrix_ode(vphase):
     n = vphase.nodes.size
-    D = inner.cheb_diff_matrix(n)
-    Phi = vphase.phi_matrices()
+    D = cheb_diff_matrix(n)
+    Phi = phi_matrices(vphase)
     dPhi = np.einsum("ij,jkl->ikl", D, Phi)
-    A = vphase.A_matrices(vphase.nodes)
+    A = A_matrices(vphase, vphase.nodes)
     res = dPhi - np.einsum("nij,njk->nik", A, Phi)
     assert np.max(np.abs(res)) < 1e-10
 
 
 def test_det_phi_closed_form(vphase):
-    det = np.linalg.det(vphase.phi_matrices())
+    det = np.linalg.det(phi_matrices(vphase))
     qv = vphase.coeffs.q_at(vphase.nodes)
     expect = qv ** -1.5 * np.exp(-vphase.alpha1)
     np.testing.assert_allclose(det, expect, rtol=1e-12)
@@ -80,10 +82,10 @@ def test_det_phi_closed_form(vphase):
 
 def test_phi_transpose_trace_identity(vphase):
     # Phi^t(xi) N(xi, S/eps) = q^-3/8 N(xi, gamma_eps) at every node
-    Phi = vphase.phi_matrices()
+    Phi = phi_matrices(vphase)
     qv = vphase.coeffs.q_at(vphase.nodes)
     for eps in (0.2, 0.07):
-        N = vphase.N_of_S(eps)
+        N = N_of_S(vphase, eps)
         lhs = np.einsum("nij,jn->in", np.transpose(Phi, (0, 2, 1)), N)
         gam = vphase.gamma_values(eps)
         g1 = vphase.gamma1(eps)
@@ -93,7 +95,7 @@ def test_phi_transpose_trace_identity(vphase):
 
 
 def test_t_phi_commutes(vphase):
-    Phi = vphase.phi_matrices()
+    Phi = phi_matrices(vphase)
     lhs = np.einsum("ij,njk->nik", T_MAT, np.transpose(Phi, (0, 2, 1)))
     rhs = np.einsum("nij,jk->nik", np.transpose(Phi, (0, 2, 1)), T_MAT)
     assert np.max(np.abs(lhs - rhs)) < 1e-14
@@ -188,8 +190,8 @@ def test_f0_boundary_system_residual(uniform_artifact):
 def test_transport_residuals_all_orders(variable_artifact):
     art = variable_artifact
     ph = art.phase
-    D = inner.cheb_diff_matrix(ph.nodes.size)
-    A = ph.A_matrices(ph.nodes)
+    D = cheb_diff_matrix(ph.nodes.size)
+    A = A_matrices(ph, ph.nodes)
     for f in art.f_terms:
         fv = f.f_values(0)
         res = (D @ fv.T).T - np.einsum("nij,jn->in", A, fv) - f.w_values(0)
@@ -201,7 +203,7 @@ def test_transport_residuals_all_orders(variable_artifact):
 def test_derivative_stacks_match_spectral(variable_artifact):
     art = variable_artifact
     ph = art.phase
-    D = inner.cheb_diff_matrix(ph.nodes.size)
+    D = cheb_diff_matrix(ph.nodes.size)
     for f in art.f_terms[:3]:
         fv = f.f_values(0)
         np.testing.assert_allclose(f.f_values(1), (D @ fv.T).T,
@@ -236,7 +238,7 @@ def test_principal_solution_exponential_estimate(uniform_artifact):
     delta = 0.3
     ystar = inner.transport_solve(ph, delta, -1, sigma, w_stack=w_stack)
     ys = ystar.f_values(0)
-    A = ph.A_matrices(xs)
+    A = A_matrices(ph, xs)
     gaps, gammas = [], []
     for l in range(1, 8):
         yl = inner.transport_solve_full(ph, delta, l, sigma, w_stack=w_stack)
@@ -306,7 +308,7 @@ def test_chi_constant_coefficient_hand_expansion(uniform_artifact):
     art = uniform_artifact
     ph = art.phase
     n = ph.nodes.size
-    D = inner.cheb_diff_matrix(n)
+    D = cheb_diff_matrix(n)
     f0, f1 = art.f_terms[0], art.f_terms[1]
     lam = art.lambdas + [4621.0]          # synthetic lambda_3 for the check
     mu = art.lambdas[0] ** 0.25
@@ -402,7 +404,7 @@ def test_trace_vectors_at_quantized_eps(uniform_artifact):
     ph = art.phase
     quant = inner.quantize(ph, art.delta, (2, 40))
     eps = quant.eps(12)
-    N = ph.N_of_S(eps, np.array([-1.0, 1.0]))
+    N = N_of_S(ph, eps, np.array([-1.0, 1.0]))
     np.testing.assert_allclose(N[:, 0], [1.0, 0.0, 1.0, 0.0], atol=1e-10)
     g1 = ph.gamma1(eps)
     expect = [math.cos(art.delta), math.sin(art.delta), 0.0, 1.0]
@@ -420,7 +422,7 @@ def test_evaluate_inner_scaling_and_safety(uniform_artifact):
         vals = inner.evaluate_inner(ph, art.f_terms, eps, xi, n_terms=1)
         scale = np.max(np.abs(vals)) / eps ** 4
         assert 0.05 < scale < 50.0
-        N = ph.N_of_S(eps, xi)
+        N = N_of_S(ph, eps, xi)
         assert np.max(N[2:]) <= 1.0 + 1e-12      # shifted exponents stay <= 0
 
 
@@ -432,7 +434,7 @@ def test_evaluate_inner_matches_direct_form(uniform_artifact):
     xi = np.linspace(-0.99, 0.99, 57)
     eps = 0.09
     direct = np.zeros_like(xi)
-    N = ph.N_of_S(eps, xi)
+    N = N_of_S(ph, eps, xi)
     for i, f in enumerate(art.f_terms):
         c = f.beta[:, None] + inner.barycentric_eval(ph.nodes, f.h, xi)
         fv = ph.phi_apply(c, xi)

@@ -60,8 +60,7 @@ def test_no_mass_reproduces_clamped_spectrum(uniform_coeffs, beam_root,
         nodes = np.linspace(-1.0, 1.0, n_el + 1)
         one = lambda x: np.ones_like(x)
         asm = hermite.assemble(nodes, one, None, None, one)
-        fixed = [0, 1, 2 * n_el, 2 * n_el + 1]
-        vals, _ = hermite.eigs_near(asm, sigma=10.0, k=4, fixed_idx=fixed)
+        vals, _ = hermite.eigs_near(asm, sigma=10.0, k=4)
         expect = [(beam_root / 2.0) ** 4, (beam_root_2 / 2.0) ** 4]
         assert vals[0] == pytest.approx(expect[0], rel=1e-8)
         assert vals[1] == pytest.approx(expect[1], rel=1e-7)
@@ -128,8 +127,7 @@ def test_local_mode_capture_detected(uniform_coeffs, uniform_artifact):
     art = uniform_artifact
     eps = 0.15
     prob = oracle.assemble(uniform_coeffs, eps, art.S1)
-    vals, _ = hermite.eigs_near(prob.asm, sigma=1e-6, k=3,
-                                fixed_idx=prob.fixed_dofs, polish=1)
+    vals, _ = hermite.eigs_near(prob.asm, sigma=1e-6, k=3, polish=1)
     assert vals[0] < 1e-2 * art.lambdas[0] * eps ** 4 * 100
     res = oracle.solve_near(prob, max(vals[0], 1e-9))
     with pytest.raises(oracle.ModeCaptureError, match="correlation"):
@@ -152,8 +150,7 @@ def test_eigenvalue_ordering_stable_under_refinement(uniform_coeffs,
     for refine in (1.0, 1.5):
         prob = oracle.assemble(uniform_coeffs, eps, uniform_artifact.S1,
                                refine=refine)
-        v, _ = hermite.eigs_near(prob.asm, sigma=1e-6, k=20,
-                                 fixed_idx=prob.fixed_dofs, polish=1)
+        v, _ = hermite.eigs_near(prob.asm, sigma=1e-6, k=20, polish=1)
         vals.append(np.sort(v))
     rel = np.abs(vals[0] - vals[1]) / np.abs(vals[0])
     assert np.max(rel) < 1e-3

@@ -225,7 +225,6 @@ def test_symmetry_and_nonnegative_spectrum(uniform_coeffs):
     asm = outer._interval_assembly(cset, cset.a, 0.0, 64)
     K = asm.K.toarray()
     assert np.max(np.abs(K - K.T)) / np.max(np.abs(K)) < 1e-14
-    vals, _ = hermite.eigs_near(asm, sigma=0.0, k=6,
-                                fixed_idx=outer._clamped_fixed(65))
+    vals, _ = hermite.eigs_near(asm, sigma=0.0, k=6)
     assert np.all(vals > 0.0)
     assert np.all(np.imag(vals) == 0.0)
