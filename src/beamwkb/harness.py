@@ -21,6 +21,8 @@ from .hermite import HermiteFunction
 from .model import CoefficientSet, RunSpec, config_from_dict, config_to_dict
 
 SCHEMA_VERSION = 1
+WINDOW_FRACTION = 0.2         # fit window of run_convergence
+GAP_RESIDUAL_FACTOR = 10.0
 CSV_HEADER = ("l,epsilon,lambda_asym,lambda_oracle,abs_err,gap,kappa,"
               "l2_outer_left,l2_outer_right,l2_inner")
 
@@ -130,8 +132,7 @@ def build_expansion(coeffs: CoefficientSet, run: RunSpec) -> ExpansionArtifact:
             f"selected limit eigenvalue {mode.lambda0!r} is not positive")
     lambdas = [mode.lambda0]
     corrections = []
-    f_terms = [inner.solve_f0(phase, run.delta, mode.vpp_minus0, 0.0,
-                              guard=tol["guard"])]
+    f_terms = [inner.solve_f0(phase, run.delta, mode.vpp_minus0)]
     notes = {}
     if run.n_max >= 1:
         lambdas.append(lam1)
@@ -160,8 +161,7 @@ def build_expansion(coeffs: CoefficientSet, run: RunSpec) -> ExpansionArtifact:
                                           run.delta)
             w_stack = inner.make_w_stack(phase, i, list(f_terms), list(lambdas))
             f_terms.append(inner.transport_solve(
-                phase, run.delta, i - 1, sigma, w_stack=w_stack,
-                guard=tol["guard"]))
+                phase, run.delta, i - 1, sigma, w_stack=w_stack))
         except inner.MissingDataError as exc:
             raise ExpansionError(
                 f"inner coefficient f_{i - 1} at stage {i}: {exc}") from exc
@@ -381,16 +381,15 @@ def compare_eigenfunction(art: ExpansionArtifact, prob, result, eps, n):
 
 def run_convergence(art: ExpansionArtifact, n: int, l_values=None,
                     nodes_per_wavelength=None, outer_h=None, refine=1.0,
-                    k: int = 6, window_fraction: float = 0.2,
-                    gap_residual_factor: float = 10.0,
+                    k: int = 6,
                     compare_functions: bool = True) -> ValidationReport:
     """Oracle sweep along the quantized sequence with rate fits at order n.
 
     Each row solves the direct problem at eps_l targeting the highest
     available truncation, then reports |lambda_oracle - lambda_trunc(n)|,
     the flanking gap, kappa and the L2 comparison columns.  Fits use the
-    asymptotic window only: eps_l <= window_fraction * min(-a, b) and
-    oracle gap exceeding gap_residual_factor times the residual scale.
+    asymptotic window only: eps_l <= WINDOW_FRACTION * min(-a, b) and
+    oracle gap exceeding GAP_RESIDUAL_FACTOR times the residual scale.
 
     Rows are mutually independent (safe to parallelize over l); the report
     itself is a deterministic reduction ordered by l.
@@ -402,7 +401,7 @@ def run_convergence(art: ExpansionArtifact, n: int, l_values=None,
         l_values = range(max(run.l_range[0], art.l0), run.l_range[1] + 1)
     art.ensure_phase()
     target_n = art.n_max
-    eps_max = window_fraction * min(-art.coeffs.a, art.coeffs.b)
+    eps_max = WINDOW_FRACTION * min(-art.coeffs.a, art.coeffs.b)
     v0 = art.outer_left[0]
 
     rows = []
@@ -451,7 +450,7 @@ def run_convergence(art: ExpansionArtifact, n: int, l_values=None,
             row["l2_inner"] = np.nan
         row["valid"] = True
         row["in_window"] = (eps <= eps_max and
-                            res.gap > gap_residual_factor * res.residual *
+                            res.gap > GAP_RESIDUAL_FACTOR * res.residual *
                             abs(res.eigenvalue))
 
     fits = {}
@@ -469,7 +468,7 @@ def run_convergence(art: ExpansionArtifact, n: int, l_values=None,
                     "rms_log_residual": resid, "n_rows": int(ok.sum()),
                     "drop_one_spread": drop_one_spread(es[ok], vals[ok]),
                 }
-    window = {"eps_max": eps_max, "gap_residual_factor": gap_residual_factor,
+    window = {"eps_max": eps_max, "gap_residual_factor": GAP_RESIDUAL_FACTOR,
               "n_window_rows": len(wrows)}
     return ValidationReport(n=n, rows=rows, fits=fits, window=window,
                             config=config_to_dict(art.coeffs, art.run))

@@ -217,10 +217,10 @@ def assemble(nodes, k0_fn, k1_fn, k2_fn, weight_fn):
     return Assembly(nodes=nodes, K=K, M=M, Ke=Ke, Me=Me)
 
 
-def poly_fn(coeff, deriv=0):
+def poly_fn(coeff):
     if len(coeff) == 0:
         return None
-    return lambda x: eval_coefficient(coeff, x, deriv) * np.ones_like(np.asarray(x, float))
+    return lambda x: eval_coefficient(coeff, x) * np.ones_like(np.asarray(x, float))
 
 
 @dataclass

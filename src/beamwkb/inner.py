@@ -17,7 +17,9 @@ Representation choices that keep the numerics exact where possible:
   content exactly where the construction drops it.
 
 Only two quadratures appear (the antiderivatives for S, alpha and h);
-everything else is algebra on the Chebyshev grid.
+everything else is algebra on the Chebyshev grid.  Off the grid, the grid
+functions S, alpha and h are read only through their Chebyshev
+coefficients (``cheb_coeffs``), the same ones the antiderivatives use.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import scipy.fft
 from numpy.polynomial import chebyshev as C
 from numpy.polynomial import polynomial as P
 
-from .model import CoefficientSet, taylor_at_zero
+from .model import GUARD_BAND, CoefficientSet, guard_band_message, taylor_at_zero
 
 # structure matrix: rotation block and exponential block, T^t = T^3, T^4 = I
 T1 = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -179,26 +181,9 @@ def cheb_antideriv_values(values, nodes):
     return vals - C.chebval(-1.0, b)
 
 
-def barycentric_eval(nodes, values, x):
-    """Barycentric interpolation from Lobatto nodes (values 1d or (k, n))."""
-    n = nodes.size
-    w = (-1.0) ** np.arange(n)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    vals = np.atleast_2d(values)
-    diff = x[None, :] - nodes[:, None]
-    exact = np.isclose(diff, 0.0, atol=1e-15)
-    diff_safe = np.where(exact, 1.0, diff)
-    ratio = w[:, None] / diff_safe
-    denom = ratio.sum(axis=0)
-    out = (vals @ ratio) / denom[None, :]
-    hit_col, hit_row = np.nonzero(exact.T)
-    for col, row in zip(hit_col, hit_row):
-        out[:, col] = vals[:, row]
-    if np.ndim(values) == 1:
-        return out[0]
-    return out
+def cheb_eval(values, x):
+    """Chebyshev interpolant of grid values (1d, or (k, n) rows) at points x."""
+    return C.chebval(x, cheb_coeffs(np.asarray(values).T))
 
 
 # ---------------------------------------------------------------------------
@@ -323,24 +308,16 @@ class PhaseData:
         return self._B_mats[s]
 
     # -- fundamental matrix --------------------------------------------------
-    def phi_blocks(self, xs=None, alpha=None):
-        if alpha is None:
-            if xs is None:
-                alpha = self.alpha
-                xs = self.nodes
-            else:
-                alpha = barycentric_eval(self.nodes, self.alpha, xs)
+    def phi_blocks(self):
+        alpha = self.alpha
         ca, sa = np.cos(alpha), np.sin(alpha)
         e1 = np.exp(-alpha)                      # exp(alpha(-1) - alpha)
         e2 = np.exp(alpha - self.alpha1)
-        pref = self.q_m38(np.asarray(xs, dtype=float))
-        return pref, ca, sa, e1, e2
+        return self.q_m38(self.nodes), ca, sa, e1, e2
 
-    def phi_apply(self, vec, xs=None):
-        """Phi(xi) acting on (4, n) coordinate values."""
-        if xs is None:
-            xs = self.nodes
-        pref, ca, sa, e1, e2 = self.phi_blocks(xs)
+    def phi_apply(self, vec):
+        """Phi(xi) acting on (4, n) coordinate values on the grid."""
+        pref, ca, sa, e1, e2 = self.phi_blocks()
         out = np.empty_like(vec)
         out[0] = ca * vec[0] + sa * vec[1]
         out[1] = -sa * vec[0] + ca * vec[1]
@@ -348,10 +325,8 @@ class PhaseData:
         out[3] = e2 * vec[3]
         return pref[None, :] * out
 
-    def phi_inv_apply(self, vec, xs=None):
-        if xs is None:
-            xs = self.nodes
-        pref, ca, sa, e1, e2 = self.phi_blocks(xs)
+    def phi_inv_apply(self, vec):
+        pref, ca, sa, e1, e2 = self.phi_blocks()
         out = np.empty_like(vec)
         out[0] = ca * vec[0] - sa * vec[1]
         out[1] = sa * vec[0] + ca * vec[1]
@@ -431,13 +406,6 @@ def det_g_closed_form(gamma1):
     return -2.0 * np.cos(g) + 2.0 * np.exp(-g) * (2.0 - np.exp(-g) * np.cos(g))
 
 
-def check_guard_band(delta: float, guard: float = 0.1):
-    for pole in (math.pi / 2.0, 3.0 * math.pi / 2.0):
-        if abs(delta - pole) < guard:
-            raise GuardBandError(
-                f"delta={delta!r} within guard band {guard} of {pole:.6g}")
-
-
 @dataclass
 class QuantizedSequence:
     """Small-parameter family eps_l = S(1) / (delta + 2 pi l - alpha(1))."""
@@ -457,12 +425,11 @@ class QuantizedSequence:
             self.epsilons[l] = self.S1 / den
         return self.epsilons[l]
 
-    def gamma1(self, l):
-        return self.delta + 2.0 * math.pi * l
 
-
-def quantize(phase: PhaseData, delta: float, l_range, guard: float = 0.1):
-    check_guard_band(delta, guard)
+def quantize(phase: PhaseData, delta: float, l_range, guard: float = GUARD_BAND):
+    message = guard_band_message(delta, guard)
+    if message:
+        raise GuardBandError(message)
     lo, hi = int(l_range[0]), int(l_range[1])
     l0 = max(1, math.floor((phase.alpha1 - delta) / (2.0 * math.pi)) + 1)
     while delta + 2.0 * math.pi * l0 - phase.alpha1 <= 0.0:
@@ -486,12 +453,11 @@ def quantize(phase: PhaseData, delta: float, l_range, guard: float = 0.1):
 class InnerCoefficient:
     """One coefficient f_i = Phi (beta + h) with exact derivative stacks."""
 
-    def __init__(self, order, phase: PhaseData, beta, h=None, w_stack=None):
+    def __init__(self, order, phase: PhaseData, beta, h, w_stack=None):
         self.order = order
         self.phase = phase
         self.beta = np.asarray(beta, dtype=float)
-        n = phase.nodes.size
-        self.h = np.zeros((4, n)) if h is None else np.asarray(h, dtype=float)
+        self.h = np.asarray(h, dtype=float)
         self._w_stack = w_stack        # callable r -> (4, n) values of w^(r)
         self._pw = {}                  # r -> (Phi^-1 w)^(r)
         self._G = {}                   # r -> Phi^-1 f^(r)
@@ -546,33 +512,23 @@ class InnerCoefficient:
             return np.zeros((4, self.phase.nodes.size))
         return self._w_stack(r)
 
-    def trace(self, side):
-        """f_i(side) as raw values."""
-        idx = 0 if side == -1 else -1
-        return self.f_values(0)[:, idx]
 
-
-def solve_f0(phase: PhaseData, delta: float, vpp_minus0: float,
-             vpp_plus0: float = 0.0, guard: float = 0.1):
+def solve_f0(phase: PhaseData, delta: float, vpp_minus0: float):
     """Leading inner coefficient: homogeneous transport, f0 = Phi beta0.
 
-    The boundary data are sigma = (S'(-1)^-2 v0''(-0), 0, S'(+1)^-2 v0''(+0), 0).
-    For one-sided data the constant vector has a closed form, which the
-    linear solve is checked against entry by entry.
+    The boundary data are sigma = (S'(-1)^-2 v0''(-0), 0, 0, 0).  The
+    constant vector has a closed form, which the boundary-system solve is
+    checked against entry by entry.
     """
-    check_guard_band(delta, guard)
-    s_m = phase.sprime_at(-1) ** -2 * vpp_minus0
-    s_p = phase.sprime_at(+1) ** -2 * vpp_plus0
-    g = np.array([phase.q_38_at(-1) * s_m, 0.0, phase.q_38_at(+1) * s_p, 0.0])
-    beta = np.linalg.solve(g_delta_matrix(delta), g)
-    if vpp_plus0 == 0.0:
-        closed = beta0_closed_form(phase, delta, vpp_minus0)
-        scale = max(np.max(np.abs(closed)), 1e-300)
-        if np.max(np.abs(beta - closed)) > 1e-10 * scale:
-            raise AssertionError(
-                "boundary-system solve disagrees with the closed-form "
-                "constant vector: assembly inconsistency")
-    return InnerCoefficient(0, phase, beta)
+    sigma = np.array([phase.sprime_at(-1) ** -2 * vpp_minus0, 0.0, 0.0, 0.0])
+    f0 = transport_solve(phase, delta, 0, sigma)
+    closed = beta0_closed_form(phase, delta, vpp_minus0)
+    scale = max(np.max(np.abs(closed)), 1e-300)
+    if np.max(np.abs(f0.beta - closed)) > 1e-10 * scale:
+        raise AssertionError(
+            "boundary-system solve disagrees with the closed-form "
+            "constant vector: assembly inconsistency")
+    return f0
 
 
 def beta0_closed_form(phase: PhaseData, delta: float, vpp_minus0: float):
@@ -797,32 +753,6 @@ def taylor_shift(tables, side, top, first, shift, missing):
     return total
 
 
-def interface_quantities(phase: PhaseData, i: int, f_terms, tables):
-    """Raw (D_i, E_i) at xi = +-1 and F_i at x = +-0.
-
-    ``tables`` maps side (-1 or +1) to a list of endpoint derivative tables
-    (objects with .deriv(j)) for the outer terms, index = order.
-    """
-    out = {}
-    for side in (-1, +1):
-        cD = phi_inv_D(phase, i, f_terms, side)
-        cE = phi_inv_E(phase, i, f_terms, side)
-        vecD = phase.phi_apply(cD[:, None], np.array([float(side)]))[:, 0]
-        vecE = phase.phi_apply(cE[:, None], np.array([float(side)]))[:, 0]
-
-        def missing(order):
-            return MissingDataError(
-                f"F_{i}({'+' if side > 0 else '-'}0) needs the order-{order} "
-                f"outer term on side {side:+d}")
-
-        F = taylor_shift(tables[side], side, i - 2, 0, 3, missing)
-        key = "minus" if side == -1 else "plus"
-        out[f"D_{key}"] = vecD
-        out[f"E_{key}"] = vecE
-        out[f"F_{key}"] = F
-    return out
-
-
 def transport_sigma(phase: PhaseData, i: int, f_terms, tables, delta: float):
     """Boundary values (sigma_1..sigma_4) of the order-i transport problem."""
     sig = np.zeros(4)
@@ -867,14 +797,14 @@ def _transport_solve(phase: PhaseData, order, sigma, w_stack, G, N1):
 
 
 def transport_solve(phase: PhaseData, delta: float, order: int, sigma,
-                    w_stack=None, guard: float = 0.1):
+                    w_stack=None):
     """Principal solution of the transport problem at the given order.
 
     h(xi) is the spectral antiderivative of Phi^-1 w; the constant vector
     solves the limit system G_delta beta = g with the h(1) corrections on
     the xi = +1 rows.  Exponentially small terms are dropped exactly.
+    delta must lie outside the guard band, which ``quantize`` enforces.
     """
-    check_guard_band(delta, guard)
     return _transport_solve(phase, order, sigma, w_stack,
                             g_delta_matrix(delta), n_plus(delta))
 
@@ -906,17 +836,16 @@ def evaluate_inner(phase: PhaseData, f_terms, eps: float, xi, n_terms=None):
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     if n_terms is None:
         n_terms = len(f_terms)
-    Sv = barycentric_eval(phase.nodes, phase.S, xi)
-    av = barycentric_eval(phase.nodes, phase.alpha, xi)
-    gam = Sv / eps + av
-    gam1 = phase.S1 / eps + phase.alpha1
+    terms = [f_terms[i] for i in range(n_terms)]
+    if None in terms:
+        raise MissingDataError(f"inner evaluation needs f_{terms.index(None)}")
+    rows = cheb_eval(np.vstack([phase.S, phase.alpha] + [t.h for t in terms]), xi)
+    gam = rows[0] / eps + rows[1]
+    gam1 = phase.gamma1(eps)
     qv = phase.coeffs.q_at(xi) ** (-0.375)
     out = np.zeros(xi.size)
-    for i in range(n_terms):
-        term = f_terms[i]
-        if term is None:
-            raise MissingDataError(f"inner evaluation needs f_{i}")
-        cv = term.beta[:, None] + barycentric_eval(phase.nodes, term.h, xi)
+    for i, term in enumerate(terms):
+        cv = term.beta[:, None] + rows[2 + 4 * i:6 + 4 * i]
         bracket = (cv[0] * np.cos(gam) + cv[1] * np.sin(gam)
                    + cv[2] * np.exp(-gam) + cv[3] * np.exp(gam - gam1))
         out = out + eps ** (4 + i) * qv * bracket

@@ -134,6 +134,16 @@ class CoefficientSet:
         return eval_coefficient(self.q, x, deriv)
 
 
+def guard_band_message(delta: float, guard: float = GUARD_BAND):
+    """Why delta is inadmissible (within guard of a pole of det G_delta
+    = -2 cos delta, at pi/2 and 3*pi/2), or None."""
+    for pole in (math.pi / 2.0, 3.0 * math.pi / 2.0):
+        if abs(delta - pole) < guard:
+            return (f"delta in guard band: |delta - {pole:.6g}| = "
+                    f"{abs(delta - pole):.3g} < {guard}")
+    return None
+
+
 _DEFAULT_TOLERANCES = {
     "gap_min_rel": 1e-3,        # simplicity threshold relative to lambda0
     "guard": GUARD_BAND,        # exclusion radius around pi/2 and 3*pi/2
@@ -168,11 +178,9 @@ class RunSpec:
         d = self.delta
         if not (0.0 <= d < 2.0 * math.pi):
             raise ConfigError(f"delta must lie in [0, 2*pi), got {d}")
-        for pole in (math.pi / 2.0, 3.0 * math.pi / 2.0):
-            if abs(d - pole) < guard:
-                raise ConfigError(
-                    f"delta in guard band: |delta - {pole:.6g}| = {abs(d - pole):.3g} < {guard}"
-                )
+        message = guard_band_message(d, guard)
+        if message:
+            raise ConfigError(message)
         if self.n_max < 0:
             raise ConfigError("n_max must be >= 0")
         lo, hi = self.l_range

@@ -17,6 +17,8 @@ from . import hermite
 from .hermite import Assembly, HermiteFunction
 from .model import CoefficientSet
 
+MIN_CORRELATION = 1e-3    # normalize_weighted: weaker means a foreign mode
+
 
 class MeshResolutionError(ValueError):
     """The requested mesh violates the inner-oscillation resolution bound."""
@@ -150,7 +152,7 @@ def solve_near(problem: DiscreteProblem, target: float, k: int = 6):
 
 
 def normalize_weighted(result: SpectralResult, problem: DiscreteProblem,
-                       reference=None, min_correlation: float = 1e-3):
+                       reference=None):
     """Scale to unit weighted norm; fix the sign against a reference profile.
 
     ``reference`` is a callable approximating the limit eigenfunction on
@@ -169,7 +171,7 @@ def normalize_weighted(result: SpectralResult, problem: DiscreteProblem,
         ref_nrm2 = hermite.inner_product(problem.nodes, reference, reference,
                                          weight_fn=p_at, hi=-problem.eps)
         rel = abs(corr) / math.sqrt(max(ref_nrm2, 1e-300))
-        if rel < min_correlation:
+        if rel < MIN_CORRELATION:
             raise ModeCaptureError(
                 f"eigenvector correlation {rel:.3e} with the reference profile "
                 "is negligible: captured a mode outside the global family")

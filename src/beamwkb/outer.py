@@ -21,6 +21,8 @@ from .hermite import Assembly, HermiteFunction
 from .inner import N_MINUS, T_POWERS, n_plus, taylor_shift
 from .model import CoefficientSet, eval_coefficient
 
+DATA_ZERO_TOL = 1e-9      # resonant right interval: data this small count as zero
+
 
 class ThreePointMultiplicityError(RuntimeError):
     """The selected limit eigenvalue is not simple within gap_min."""
@@ -279,7 +281,7 @@ def _g_endpoint_derivs(tables_side, lambdas, i, depth):
 
 def solve_correction(mode: OuterMode, i: int, lambdas, prev_terms,
                      V_minus, V_plus, W_minus, W_plus,
-                     table_depth: int = 8, data_zero_tol: float = 1e-9):
+                     table_depth: int = 8):
     """Solve the order-i three-point correction problem.
 
     ``lambdas`` holds lambda_0..lambda_{i-1} and is extended here with the
@@ -369,7 +371,7 @@ def solve_correction(mode: OuterMode, i: int, lambdas, prev_terms,
     if g_right is None:
         skip_reason = f"missing lower-order right term below order {i}"
     elif resonant and not (rhs_zero and
-                           data_scale < data_zero_tol * (abs(mode.vpp_minus0) + 1.0)):
+                           data_scale < DATA_ZERO_TOL * (abs(mode.vpp_minus0) + 1.0)):
         skip_reason = (
             "right interval resonant: lambda0 within "
             f"{mode.gap_right:.3g} of the clamped spectrum on (0, b) and the "

@@ -1,8 +1,9 @@
 """Dense reference forms of the inner operators, for checks only.
 
 The package never builds these: it works through the T-algebra and the
-fundamental-matrix coordinates.  The tests use them to check those fast
-paths against the literal matrices.
+fundamental-matrix coordinates, and reads grid functions off the grid
+through their Chebyshev coefficients.  The tests use these literal
+matrices and the barycentric interpolant to check those fast paths.
 """
 
 import numpy as np
@@ -35,13 +36,36 @@ def A_matrices(phase, xs):
     return e[:, None, None] * np.eye(4)[None] + t[:, None, None] * T_POWERS[3][None]
 
 
-def phi_matrices(phase, xs=None):
-    """Dense Phi(xi) as (n, 4, 4)."""
-    if xs is None:
-        xs = phase.nodes
-    pref, ca, sa, e1, e2 = phase.phi_blocks(xs)
-    n = np.asarray(xs).size
-    out = np.zeros((n, 4, 4))
+def barycentric_eval(nodes, values, x):
+    """Barycentric interpolation from Lobatto nodes (values 1d or (k, n)).
+
+    The independent reference for the package's Chebyshev-coefficient
+    evaluation; a point that hits a node returns that node's value.
+    """
+    n = nodes.size
+    w = (-1.0) ** np.arange(n)
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    vals = np.atleast_2d(values)
+    diff = x[None, :] - nodes[:, None]
+    exact = np.isclose(diff, 0.0, atol=1e-15)
+    diff_safe = np.where(exact, 1.0, diff)
+    ratio = w[:, None] / diff_safe
+    denom = ratio.sum(axis=0)
+    out = (vals @ ratio) / denom[None, :]
+    hit_col, hit_row = np.nonzero(exact.T)
+    for col, row in zip(hit_col, hit_row):
+        out[:, col] = vals[:, row]
+    if np.ndim(values) == 1:
+        return out[0]
+    return out
+
+
+def phi_matrices(phase):
+    """Dense Phi(xi) on the grid as (n, 4, 4)."""
+    pref, ca, sa, e1, e2 = phase.phi_blocks()
+    out = np.zeros((phase.nodes.size, 4, 4))
     out[:, 0, 0] = ca
     out[:, 0, 1] = sa
     out[:, 1, 0] = -sa
@@ -51,18 +75,54 @@ def phi_matrices(phase, xs=None):
     return pref[:, None, None] * out
 
 
+def phi_apply_at(phase, vec, xs):
+    """Phi(xi) acting on (4, n) coordinate values at arbitrary xs."""
+    xs = np.asarray(xs, dtype=float)
+    alpha = barycentric_eval(phase.nodes, phase.alpha, xs)
+    ca, sa = np.cos(alpha), np.sin(alpha)
+    out = np.stack([ca * vec[0] + sa * vec[1], -sa * vec[0] + ca * vec[1],
+                    np.exp(-alpha) * vec[2],
+                    np.exp(alpha - phase.alpha1) * vec[3]])
+    return phase.q_m38(xs)[None, :] * out
+
+
 def N_of_S(phase, eps, xs=None):
     """N(xi, S/eps) with overflow-safe shifted exponentials, (4, n)."""
     if xs is None:
         xs = phase.nodes
         Sv = phase.S
     else:
-        Sv = inner.barycentric_eval(phase.nodes, phase.S, xs)
+        Sv = barycentric_eval(phase.nodes, phase.S, xs)
     tau = Sv / eps
     if np.any(tau < -1e-12) or np.any(tau - phase.S1 / eps > 1e-9):
         raise FloatingPointError("inner phase left the safe range")
     return np.stack([np.cos(tau), np.sin(tau),
                      np.exp(-tau), np.exp(tau - phase.S1 / eps)])
+
+
+def interface_quantities(phase, i, f_terms, tables):
+    """Raw (D_i, E_i) at xi = +-1 and F_i at x = +-0.
+
+    ``tables`` maps side (-1 or +1) to a list of endpoint derivative tables
+    (objects with .deriv(j)) for the outer terms, index = order.
+    """
+    out = {}
+    for side in (-1, +1):
+        at = np.array([float(side)])
+        cD = inner.phi_inv_D(phase, i, f_terms, side)
+        cE = inner.phi_inv_E(phase, i, f_terms, side)
+
+        def missing(order):
+            return inner.MissingDataError(
+                f"F_{i}({'+' if side > 0 else '-'}0) needs the order-{order} "
+                f"outer term on side {side:+d}")
+
+        key = "minus" if side == -1 else "plus"
+        out[f"D_{key}"] = phi_apply_at(phase, cD[:, None], at)[:, 0]
+        out[f"E_{key}"] = phi_apply_at(phase, cE[:, None], at)[:, 0]
+        out[f"F_{key}"] = inner.taylor_shift(tables[side], side, i - 2, 0, 3,
+                                             missing)
+    return out
 
 
 def log_linear_correlation(x, logy):

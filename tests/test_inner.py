@@ -7,7 +7,8 @@ from numpy.polynomial import polynomial as P
 from beamwkb import inner, outer
 from beamwkb.inner import T_MAT, T_POWERS
 from beamwkb.model import CoefficientSet
-from dense_forms import (A_entries, A_matrices, N_of_S, cheb_diff_matrix,
+from dense_forms import (A_entries, A_matrices, N_of_S, barycentric_eval,
+                         cheb_diff_matrix, interface_quantities, phi_apply_at,
                          phi_matrices)
 
 
@@ -349,10 +350,10 @@ def _tables(art):
 def test_interface_quantities_low_orders(uniform_artifact):
     art = uniform_artifact
     ph = art.phase
-    iq0 = inner.interface_quantities(ph, 0, art.f_terms, _tables(art))
+    iq0 = interface_quantities(ph, 0, art.f_terms, _tables(art))
     for key, val in iq0.items():
         assert np.max(np.abs(np.atleast_1d(val))) == 0.0
-    iq1 = inner.interface_quantities(ph, 1, art.f_terms, _tables(art))
+    iq1 = interface_quantities(ph, 1, art.f_terms, _tables(art))
     assert iq1["F_minus"] == 0.0 and iq1["F_plus"] == 0.0
     # D_1 = 2 S' T^3 f0' + S'' T^3 f0 at both traces
     f0 = art.f_terms[0]
@@ -367,7 +368,7 @@ def test_interface_quantities_low_orders(uniform_artifact):
 
 def test_f2_interface_is_third_derivative(uniform_artifact):
     art = uniform_artifact
-    iq2 = inner.interface_quantities(art.phase, 2, art.f_terms, _tables(art))
+    iq2 = interface_quantities(art.phase, 2, art.f_terms, _tables(art))
     assert iq2["F_minus"] == pytest.approx(art.mode.vppp_minus0, rel=1e-12)
 
 
@@ -426,6 +427,17 @@ def test_evaluate_inner_scaling_and_safety(uniform_artifact):
         assert np.max(N[2:]) <= 1.0 + 1e-12      # shifted exponents stay <= 0
 
 
+def _direct_inner(ph, f_terms, eps, xi):
+    """The literal sum eps^4 sum eps^i <Phi c_i, N(xi, S/eps)>, barycentric."""
+    direct = np.zeros_like(xi)
+    N = N_of_S(ph, eps, xi)
+    for i, f in enumerate(f_terms):
+        c = f.beta[:, None] + barycentric_eval(ph.nodes, f.h, xi)
+        fv = phi_apply_at(ph, c, xi)
+        direct += eps ** (4 + i) * np.einsum("in,in->n", fv, N)
+    return direct
+
+
 def test_evaluate_inner_matches_direct_form(uniform_artifact):
     # production path (coordinates + gamma) against the literal
     # sum eps^4 sum eps^i <Phi c_i, N(xi, S/eps)>
@@ -433,11 +445,42 @@ def test_evaluate_inner_matches_direct_form(uniform_artifact):
     ph = art.phase
     xi = np.linspace(-0.99, 0.99, 57)
     eps = 0.09
-    direct = np.zeros_like(xi)
-    N = N_of_S(ph, eps, xi)
-    for i, f in enumerate(art.f_terms):
-        c = f.beta[:, None] + inner.barycentric_eval(ph.nodes, f.h, xi)
-        fv = ph.phi_apply(c, xi)
-        direct += eps ** (4 + i) * np.einsum("in,in->n", fv, N)
+    direct = _direct_inner(ph, art.f_terms, eps, xi)
     vals = inner.evaluate_inner(ph, art.f_terms, eps, xi)
     np.testing.assert_allclose(vals, direct, atol=1e-13 * eps ** 4)
+
+
+def _grid_rows(art):
+    """[S, alpha, h_0..h_n] stacked, as evaluate_inner reads them."""
+    rows = np.vstack([art.phase.S, art.phase.alpha] +
+                     [f.h for f in art.f_terms])
+    assert np.max(np.abs(art.f_terms[-1].h)) > 0.0
+    return rows, np.max(np.abs(rows), axis=1, keepdims=True)
+
+
+def test_cheb_eval_returns_grid_values_at_nodes(variable_artifact):
+    # every Lobatto node, +-1 included, gives back its grid value
+    ph = variable_artifact.phase
+    rows, scale = _grid_rows(variable_artifact)
+    got = inner.cheb_eval(rows, ph.nodes)
+    assert np.all(np.abs(got - rows) <= 1e-14 * scale)
+
+
+def test_cheb_eval_matches_barycentric_off_grid(variable_artifact):
+    ph = variable_artifact.phase
+    rows, scale = _grid_rows(variable_artifact)
+    xi = np.random.default_rng(3).uniform(-1.0, 1.0, 301)
+    got = inner.cheb_eval(rows, xi)
+    ref = barycentric_eval(ph.nodes, rows, xi)
+    assert np.all(np.abs(got - ref) <= 1e-13 * scale)
+
+
+def test_evaluate_inner_at_grid_nodes_matches_direct_form(variable_artifact):
+    art = variable_artifact
+    ph = art.phase
+    xi = np.concatenate([ph.nodes[[0, 1, 31, 63, 64, 96, 126, 127]],
+                         [-0.5, 0.2, 0.7]])
+    eps = 0.09
+    direct = _direct_inner(ph, art.f_terms, eps, xi)
+    vals = inner.evaluate_inner(ph, art.f_terms, eps, xi)
+    np.testing.assert_allclose(vals, direct, rtol=0.0, atol=1e-13 * eps ** 4)
