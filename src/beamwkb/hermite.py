@@ -14,9 +14,12 @@ residual norm, and the shift-invert eigensolve.
 Element matrices are accumulated in extended precision: the 1/h^3
 stiffness scaling otherwise pollutes eigenvalues near the 1e-9 relative
 targets whenever h is not exactly representable.  Factorizations stay in
-double precision; converged eigenpairs are polished by inverse iteration
-and a Rayleigh quotient evaluated against the extended-precision element
-data.
+double precision.  ``eigs_near`` returns unpolished Ritz pairs; a caller
+polishes only the pairs it reports with ``polish`` (inverse iteration and
+a Rayleigh quotient evaluated against the extended-precision element
+data).  Rayleigh-quotient iteration converges only the pair it starts
+from, so the other Ritz values, which feed gaps and flanks, stay as
+ARPACK returns them.
 """
 
 from __future__ import annotations
@@ -302,16 +305,17 @@ def load_vector(nodes, rhs_fn):
     return F
 
 
+POLISH_STEPS = 2
+
+
 class EigenConvergenceError(RuntimeError):
     """Shift-invert iteration failed to converge near the requested target."""
 
 
-def eigs_near(asm: Assembly, sigma, k=6, polish=2):
-    """Eigenpairs of the clamped pencil nearest to sigma.
+def eigs_near(asm: Assembly, sigma, k=6):
+    """Ritz pairs of the clamped pencil nearest to sigma, unpolished.
 
-    ARPACK shift-invert with a deterministic all-ones start vector, then
-    per-pair inverse-iteration polish and an extended-precision Rayleigh
-    quotient.
+    ARPACK shift-invert with a deterministic all-ones start vector.
 
     Returns (values ascending, vectors as columns in full dof numbering,
     zero on the clamped dofs).
@@ -326,21 +330,28 @@ def eigs_near(asm: Assembly, sigma, k=6, polish=2):
         raise EigenConvergenceError(
             f"shift-invert failed to converge at sigma={sigma!r}") from exc
     order = np.argsort(vals)
-    vals, vecs = vals[order], vecs[:, order]
-
-    out_vals = np.empty_like(vals)
     out_vecs = np.zeros((asm.ndof, vals.size))
-    for i in range(vals.size):
-        lam, v = vals[i], vecs[:, i]
-        for _ in range(polish):
-            w = asm.factor(lam).solve(Mff @ v)
-            nrm = np.sqrt(abs(w @ (Mff @ w)))
-            if not np.isfinite(nrm) or nrm == 0.0:
-                break
-            v = w / nrm
-            out_vecs[asm.free, i] = v
-            lam = asm.rayleigh(out_vecs[:, i])
-        out_vals[i] = lam
-        out_vecs[asm.free, i] = v
-    order = np.argsort(out_vals)
-    return out_vals[order], out_vecs[:, order]
+    out_vecs[asm.free] = vecs[:, order]
+    return vals[order], out_vecs
+
+
+def polish(asm: Assembly, lam, v):
+    """One eigenpair refined by POLISH_STEPS inverse-iteration steps.
+
+    Each step solves with K_ff - lam M_ff, M-normalizes, and updates lam
+    to the extended-precision Rayleigh quotient.  ``v`` is in full dof
+    numbering; returns (lam, vector in full dof numbering).
+    """
+    Mff = asm.free_blocks[1]
+    vf = v[asm.free]
+    out = np.zeros(asm.ndof)
+    for _ in range(POLISH_STEPS):
+        w = asm.factor(lam).solve(Mff @ vf)
+        nrm = np.sqrt(abs(w @ (Mff @ w)))
+        if not np.isfinite(nrm) or nrm == 0.0:
+            break
+        vf = w / nrm
+        out[asm.free] = vf
+        lam = asm.rayleigh(out)
+    out[asm.free] = vf
+    return lam, out

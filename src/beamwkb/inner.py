@@ -41,6 +41,7 @@ T2 = np.array([[-1.0, 0.0], [0.0, 1.0]])
 T_MAT = np.block([[T1, np.zeros((2, 2))], [np.zeros((2, 2)), T2]])
 T_POWERS = [np.eye(4), T_MAT, T_MAT @ T_MAT, T_MAT @ T_MAT @ T_MAT]
 N_MINUS = np.array([1.0, 0.0, 1.0, 0.0])
+CHEB_BLOCK = 512       # cheb_eval points per block of the T_j(x) matrix
 
 
 class MissingDataError(RuntimeError):
@@ -182,8 +183,26 @@ def cheb_antideriv_values(values, nodes):
 
 
 def cheb_eval(values, x):
-    """Chebyshev interpolant of grid values (1d, or (k, n) rows) at points x."""
-    return C.chebval(x, cheb_coeffs(np.asarray(values).T))
+    """Chebyshev interpolant of grid values (1d, or (k, n) rows) at 1d x.
+
+    T_j(x) comes from the three-term recurrence, CHEB_BLOCK points at a
+    time, and each block is one product with the coefficient matrix.
+    """
+    a = cheb_coeffs(np.asarray(values).T).T
+    x = np.asarray(x, dtype=float)
+    out = np.empty(a.shape[:-1] + x.shape)
+    T = np.empty((a.shape[-1], min(x.size, CHEB_BLOCK)))
+    for lo in range(0, x.size, CHEB_BLOCK):
+        xb = x[lo:lo + CHEB_BLOCK]
+        x2 = 2.0 * xb
+        Tb = T[:, :xb.size]
+        Tb[0] = 1.0
+        Tb[1] = xb
+        for j in range(2, Tb.shape[0]):
+            np.multiply(x2, Tb[j - 1], out=Tb[j])
+            Tb[j] -= Tb[j - 2]
+        out[..., lo:lo + xb.size] = a @ Tb
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -274,9 +293,6 @@ class PhaseData:
 
     def gamma1(self, eps):
         return self.S1 / eps + self.alpha1
-
-    def gamma_values(self, eps):
-        return self.S / eps + self.alpha
 
     # -- matrix structures ---------------------------------------------------
     @property
@@ -400,12 +416,6 @@ def g_delta_matrix(delta: float):
     return _g_rows(math.cos(delta), math.sin(delta), 0.0)
 
 
-def det_g_closed_form(gamma1):
-    """-2 cos g + 2 e^-g (2 - e^-g cos g)."""
-    g = np.asarray(gamma1, dtype=float)
-    return -2.0 * np.cos(g) + 2.0 * np.exp(-g) * (2.0 - np.exp(-g) * np.cos(g))
-
-
 @dataclass
 class QuantizedSequence:
     """Small-parameter family eps_l = S(1) / (delta + 2 pi l - alpha(1))."""
@@ -506,11 +516,6 @@ class InnerCoefficient:
         """Phi^-1 f^(r) at xi = side (+1 or -1)."""
         idx = 0 if side == -1 else -1
         return self.G_values(r)[:, idx]
-
-    def w_values(self, r=0):
-        if self._w_stack is None:
-            return np.zeros((4, self.phase.nodes.size))
-        return self._w_stack(r)
 
 
 def solve_f0(phase: PhaseData, delta: float, vpp_minus0: float):
@@ -809,19 +814,6 @@ def transport_solve(phase: PhaseData, delta: float, order: int, sigma,
                             g_delta_matrix(delta), n_plus(delta))
 
 
-def transport_solve_full(phase: PhaseData, delta: float, l: int, sigma,
-                         w_stack=None):
-    """Transport solve with the exponential terms retained at eps = eps_l.
-
-    Verification mode: the boundary rows use the exact matrix
-    G(gamma_l(1)) and the exact traces N(+-1, gamma_l), so the solution
-    depends on l and converges exponentially to the principal solution.
-    """
-    gamma1 = delta + 2.0 * math.pi * l
-    N1 = np.array([math.cos(delta), math.sin(delta), math.exp(-gamma1), 1.0])
-    return _transport_solve(phase, -1, sigma, w_stack, g_matrix(gamma1), N1)
-
-
 # ---------------------------------------------------------------------------
 # evaluation of the inner expansion
 # ---------------------------------------------------------------------------
@@ -843,10 +835,10 @@ def evaluate_inner(phase: PhaseData, f_terms, eps: float, xi, n_terms=None):
     gam = rows[0] / eps + rows[1]
     gam1 = phase.gamma1(eps)
     qv = phase.coeffs.q_at(xi) ** (-0.375)
+    N = (np.cos(gam), np.sin(gam), np.exp(-gam), np.exp(gam - gam1))
     out = np.zeros(xi.size)
     for i, term in enumerate(terms):
         cv = term.beta[:, None] + rows[2 + 4 * i:6 + 4 * i]
-        bracket = (cv[0] * np.cos(gam) + cv[1] * np.sin(gam)
-                   + cv[2] * np.exp(-gam) + cv[3] * np.exp(gam - gam1))
+        bracket = cv[0] * N[0] + cv[1] * N[1] + cv[2] * N[2] + cv[3] * N[3]
         out = out + eps ** (4 + i) * qv * bracket
     return out

@@ -117,8 +117,6 @@ class OuterMode:
     gap_left: float
     gap_right: float
     degenerate_right: bool
-    left_spectrum: np.ndarray
-    right_spectrum: np.ndarray
     left_asm: Assembly = field(repr=False)
     right_asm: Assembly = field(repr=False)
     coeffs: CoefficientSet = field(repr=False)
@@ -153,14 +151,19 @@ def solve_three_point_eigen(coeffs: CoefficientSet, mode_index: int = 1,
     vals_l, vecs_l = hermite.eigs_near(left, sigma=0.0, k=k_want)
     if mode_index > vals_l.size:
         raise ValueError(f"mode_index {mode_index} beyond computed spectrum")
-    lam0 = float(vals_l[mode_index - 1])
-    v = vecs_l[:, mode_index - 1]
+    lam0, v = hermite.polish(left, vals_l[mode_index - 1],
+                             vecs_l[:, mode_index - 1])
+    lam0 = float(lam0)
 
-    vals_r, _ = hermite.eigs_near(right, sigma=lam0, k=6)
+    # a mirror-symmetric beam has gap_right ~ 0, below the Ritz error of
+    # the right pair, so that pair is polished; gap_left uses Ritz values
+    vals_r, vecs_r = hermite.eigs_near(right, sigma=lam0, k=6)
+    j = int(np.argmin(np.abs(vals_r - lam0)))
+    lam_r, _ = hermite.polish(right, vals_r[j], vecs_r[:, j])
 
     others = np.delete(vals_l, mode_index - 1)
     gap_left = float(np.min(np.abs(others - lam0))) if others.size else np.inf
-    gap_right = float(np.min(np.abs(vals_r - lam0))) if vals_r.size else np.inf
+    gap_right = float(abs(lam_r - lam0))
     gap_min = gap_min_rel * abs(lam0)
     if gap_left < gap_min:
         raise ThreePointMultiplicityError(
@@ -188,7 +191,6 @@ def solve_three_point_eigen(coeffs: CoefficientSet, mode_index: int = 1,
         lambda0=lam0, v_left=v_left, v_right=v_right,
         vpp_minus0=ep_minus.vpp, vppp_minus0=ep_minus.vppp,
         gap_left=gap_left, gap_right=gap_right, degenerate_right=bool(degenerate),
-        left_spectrum=vals_l, right_spectrum=vals_r,
         left_asm=left, right_asm=right, coeffs=coeffs,
         endpoint_minus=ep_minus,
         endpoint_plus=EndpointData(0.0, 0.0, 0.0, 0.0,

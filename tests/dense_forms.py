@@ -6,6 +6,8 @@ through their Chebyshev coefficients.  The tests use these literal
 matrices and the barycentric interpolant to check those fast paths.
 """
 
+import math
+
 import numpy as np
 
 from beamwkb import inner
@@ -34,6 +36,37 @@ def A_matrices(phase, xs):
     """Dense A(xi) as a (n, 4, 4) array."""
     e, t = A_entries(phase, xs)
     return e[:, None, None] * np.eye(4)[None] + t[:, None, None] * T_POWERS[3][None]
+
+
+def gamma_values(phase, eps):
+    """gamma_eps = S / eps + alpha on the grid."""
+    return phase.S / eps + phase.alpha
+
+
+def w_values(term, r=0):
+    """The r-th derivative of a coefficient's right-hand side w on the grid."""
+    if term._w_stack is None:
+        return np.zeros((4, term.phase.nodes.size))
+    return term._w_stack(r)
+
+
+def det_g_closed_form(gamma1):
+    """-2 cos g + 2 e^-g (2 - e^-g cos g)."""
+    g = np.asarray(gamma1, dtype=float)
+    return -2.0 * np.cos(g) + 2.0 * np.exp(-g) * (2.0 - np.exp(-g) * np.cos(g))
+
+
+def transport_solve_full(phase, delta, l, sigma, w_stack=None):
+    """Transport solve with the exponential terms retained at eps = eps_l.
+
+    The boundary rows use the exact matrix G(gamma_l(1)) and the exact
+    traces N(+-1, gamma_l), so the solution depends on l and converges
+    exponentially to the principal solution.
+    """
+    gamma1 = delta + 2.0 * math.pi * l
+    N1 = np.array([math.cos(delta), math.sin(delta), math.exp(-gamma1), 1.0])
+    return inner._transport_solve(phase, -1, sigma, w_stack,
+                                  inner.g_matrix(gamma1), N1)
 
 
 def barycentric_eval(nodes, values, x):

@@ -20,7 +20,8 @@ import pytest
 from beamwkb import (build_expansion, fit_rate, hermite, inner, oracle,
                      outer, run_convergence)
 from beamwkb.model import CoefficientSet, RunSpec
-from dense_forms import A_matrices, cheb_diff_matrix, log_linear_correlation
+from dense_forms import (A_matrices, cheb_diff_matrix, det_g_closed_form,
+                         log_linear_correlation, transport_solve_full)
 
 
 def announce(criterion, ok, detail):
@@ -94,7 +95,7 @@ def test_criterion_3_determinant_identity():
     rng = np.random.default_rng(0)
     gammas = rng.uniform(1.0, 50.0, 100)
     dets = np.array([np.linalg.det(inner.g_matrix(g)) for g in gammas])
-    expect = inner.det_g_closed_form(gammas)
+    expect = det_g_closed_form(gammas)
     rel = np.max(np.abs(dets - expect) / np.abs(expect))
     worst_delta = 0.0
     for d in (0.0, 0.3, 1.0):
@@ -277,7 +278,7 @@ def test_criterion_9_principal_solution(art):
     gaps, inv_eps = [], []
     quant = inner.quantize(ph, delta, (1, 10))
     for l in range(quant.l0, quant.l0 + 7):
-        yl = inner.transport_solve_full(ph, delta, l, sigma, w_stack=w_stack)
+        yl = transport_solve_full(ph, delta, l, sigma, w_stack=w_stack)
         yv = yl.f_values(0)
         dd = np.einsum("nij,jn->in", A, yv - ys)
         gaps.append(np.max(np.abs(yv - ys)) + np.max(np.abs(dd)))

@@ -8,8 +8,9 @@ from beamwkb import inner, outer
 from beamwkb.inner import T_MAT, T_POWERS
 from beamwkb.model import CoefficientSet
 from dense_forms import (A_entries, A_matrices, N_of_S, barycentric_eval,
-                         cheb_diff_matrix, interface_quantities, phi_apply_at,
-                         phi_matrices)
+                         cheb_diff_matrix, det_g_closed_form, gamma_values,
+                         interface_quantities, phi_apply_at, phi_matrices,
+                         transport_solve_full, w_values)
 
 
 @pytest.fixture(scope="module")
@@ -88,7 +89,7 @@ def test_phi_transpose_trace_identity(vphase):
     for eps in (0.2, 0.07):
         N = N_of_S(vphase, eps)
         lhs = np.einsum("nij,jn->in", np.transpose(Phi, (0, 2, 1)), N)
-        gam = vphase.gamma_values(eps)
+        gam = gamma_values(vphase, eps)
         g1 = vphase.gamma1(eps)
         rhs = qv ** -0.375 * np.stack([np.cos(gam), np.sin(gam),
                                        np.exp(-gam), np.exp(gam - g1)])
@@ -110,7 +111,7 @@ def test_det_g_closed_form_random():
     rng = np.random.default_rng(0)
     gs = rng.uniform(1.0, 50.0, 100)
     dets = np.array([np.linalg.det(inner.g_matrix(g)) for g in gs])
-    expect = inner.det_g_closed_form(gs)
+    expect = det_g_closed_form(gs)
     assert np.max(np.abs(dets - expect) / np.abs(expect)) < 1e-12
 
 
@@ -195,7 +196,7 @@ def test_transport_residuals_all_orders(variable_artifact):
     A = A_matrices(ph, ph.nodes)
     for f in art.f_terms:
         fv = f.f_values(0)
-        res = (D @ fv.T).T - np.einsum("nij,jn->in", A, fv) - f.w_values(0)
+        res = (D @ fv.T).T - np.einsum("nij,jn->in", A, fv) - w_values(f, 0)
         scale = max(np.max(np.abs(fv)), 1.0)
         assert np.max(np.abs(res)) < 1e-9 * scale
         assert np.max(np.abs(f.h[:, 0])) == 0.0      # h(-1) = 0
@@ -242,7 +243,7 @@ def test_principal_solution_exponential_estimate(uniform_artifact):
     A = A_matrices(ph, xs)
     gaps, gammas = [], []
     for l in range(1, 8):
-        yl = inner.transport_solve_full(ph, delta, l, sigma, w_stack=w_stack)
+        yl = transport_solve_full(ph, delta, l, sigma, w_stack=w_stack)
         yv = yl.f_values(0)
         dd = np.einsum("nij,jn->in", A, yv - ys)     # (y_l - y*)' = A (y_l - y*)
         gaps.append(np.max(np.abs(yv - ys)) + np.max(np.abs(dd)))
@@ -467,12 +468,16 @@ def test_cheb_eval_returns_grid_values_at_nodes(variable_artifact):
 
 
 def test_cheb_eval_matches_barycentric_off_grid(variable_artifact):
+    # point counts straddle the evaluation block
     ph = variable_artifact.phase
     rows, scale = _grid_rows(variable_artifact)
-    xi = np.random.default_rng(3).uniform(-1.0, 1.0, 301)
-    got = inner.cheb_eval(rows, xi)
-    ref = barycentric_eval(ph.nodes, rows, xi)
-    assert np.all(np.abs(got - ref) <= 1e-13 * scale)
+    block = inner.CHEB_BLOCK
+    for n_points in (1, 301, block, block + 1, 2 * block + 37):
+        xi = np.random.default_rng(3).uniform(-1.0, 1.0, n_points)
+        got = inner.cheb_eval(rows, xi)
+        ref = barycentric_eval(ph.nodes, rows, xi)
+        assert got.shape == ref.shape
+        assert np.all(np.abs(got - ref) <= 1e-13 * scale)
 
 
 def test_evaluate_inner_at_grid_nodes_matches_direct_form(variable_artifact):

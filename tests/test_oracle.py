@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from beamwkb import hermite, oracle
 from beamwkb.model import CoefficientSet
@@ -60,7 +61,8 @@ def test_no_mass_reproduces_clamped_spectrum(uniform_coeffs, beam_root,
         nodes = np.linspace(-1.0, 1.0, n_el + 1)
         one = lambda x: np.ones_like(x)
         asm = hermite.assemble(nodes, one, None, None, one)
-        vals, _ = hermite.eigs_near(asm, sigma=10.0, k=4)
+        vals, vecs = hermite.eigs_near(asm, sigma=10.0, k=4)
+        vals = [hermite.polish(asm, vals[i], vecs[:, i])[0] for i in (0, 1)]
         expect = [(beam_root / 2.0) ** 4, (beam_root_2 / 2.0) ** 4]
         assert vals[0] == pytest.approx(expect[0], rel=1e-8)
         assert vals[1] == pytest.approx(expect[1], rel=1e-7)
@@ -80,6 +82,26 @@ def test_solve_near_contract(uniform_coeffs, uniform_artifact):
     assert abs(res.eigenvalue - target) < 6000.0 * eps ** 2
     assert prob.asm.rayleigh(res.dofs) == pytest.approx(res.eigenvalue,
                                                         rel=1e-12)
+
+
+def test_solve_near_polishes_only_the_reported_pair(uniform_coeffs,
+                                                    uniform_artifact,
+                                                    monkeypatch):
+    # one shifted LU per polish step of the reported pair, plus the mass LU
+    # of the residual norm; ARPACK's own factorization does not pass here
+    art = uniform_artifact
+    eps = art.epsilon(14)
+    prob = oracle.assemble(uniform_coeffs, eps, art.S1)
+    splu = scipy.sparse.linalg.splu
+    calls = []
+
+    def counting_splu(A, *args, **kwargs):
+        calls.append(A.shape)
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
+    oracle.solve_near(prob, art.lambda_trunc(eps, 1))
+    assert len(calls) == hermite.POLISH_STEPS + 1
 
 
 def test_solve_near_determinism(uniform_coeffs, uniform_artifact):
@@ -127,7 +149,7 @@ def test_local_mode_capture_detected(uniform_coeffs, uniform_artifact):
     art = uniform_artifact
     eps = 0.15
     prob = oracle.assemble(uniform_coeffs, eps, art.S1)
-    vals, _ = hermite.eigs_near(prob.asm, sigma=1e-6, k=3, polish=1)
+    vals, _ = hermite.eigs_near(prob.asm, sigma=1e-6, k=3)
     assert vals[0] < 1e-2 * art.lambdas[0] * eps ** 4 * 100
     res = oracle.solve_near(prob, max(vals[0], 1e-9))
     with pytest.raises(oracle.ModeCaptureError, match="correlation"):
@@ -150,7 +172,7 @@ def test_eigenvalue_ordering_stable_under_refinement(uniform_coeffs,
     for refine in (1.0, 1.5):
         prob = oracle.assemble(uniform_coeffs, eps, uniform_artifact.S1,
                                refine=refine)
-        v, _ = hermite.eigs_near(prob.asm, sigma=1e-6, k=20, polish=1)
+        v, _ = hermite.eigs_near(prob.asm, sigma=1e-6, k=20)
         vals.append(np.sort(v))
     rel = np.abs(vals[0] - vals[1]) / np.abs(vals[0])
     assert np.max(rel) < 1e-3
