@@ -137,6 +137,8 @@ def build_expansion(coeffs: CoefficientSet, run: RunSpec) -> ExpansionArtifact:
     if run.n_max >= 1:
         lambdas.append(lam1)
         corrections.append(outer.solve_v1(mode, table_depth=run.n_max + 5))
+    if run.n_max <= 1:
+        mode.factors.clear()          # no outer order left: free the LUs
     for i in range(2, run.n_max + 1):
         try:
             bd = outer.boundary_data(i, mode, corrections, phase, f_terms,
@@ -147,6 +149,8 @@ def build_expansion(coeffs: CoefficientSet, run: RunSpec) -> ExpansionArtifact:
                 table_depth=run.n_max + 5)
         except (outer.SolvabilityError, inner.MissingDataError) as exc:
             raise ExpansionError(f"construction stage {i}: {exc}") from exc
+        if i == run.n_max:
+            mode.factors.clear()      # no outer order left: free the LUs
         lambdas.append(term.lambda_i)
         corrections.append(term)
         if term.right_skip_reason:

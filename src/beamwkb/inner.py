@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 import scipy.fft
@@ -271,7 +272,9 @@ class PhaseData:
     _A: TAlg = None
     _C_mats: list = field(default_factory=list, repr=False)
     _B_mats: list = field(default_factory=list, repr=False)
+    _graded_ops: dict = field(default_factory=dict, repr=False)
     _order_ops: dict = field(default_factory=dict, repr=False)
+    _grid: dict = field(default_factory=dict, repr=False)
 
     # -- scalar helpers ----------------------------------------------------
     def sprime_pow(self, k):
@@ -281,6 +284,24 @@ class PhaseData:
             scale = (lam0 / k00) ** (k / 4.0)
             self._sp_pow[k] = QFunc.qpow(self.coeffs.q, Fraction(k, 4), scale)
         return self._sp_pow[k]
+
+    @cached_property
+    def q_fn(self):
+        """q as an exact QFunc."""
+        return QFunc.poly(self.coeffs.q, self.coeffs.q)
+
+    def grid_values(self, qf, u=0):
+        """Grid values of the u-th derivative of qf, computed once per phase.
+
+        Keyed on the QFunc object, so only functions the phase keeps alive
+        (its memoized operators and powers of S') belong here.
+        """
+        funcs, vals = self._grid.setdefault(qf, ([qf], []))
+        while len(vals) <= u:
+            if len(funcs) == len(vals):
+                funcs.append(funcs[-1].deriv())
+            vals.append(funcs[len(vals)](self.nodes))
+        return vals[u]
 
     def sprime_at(self, side):
         return float(self.Sp(np.array([float(side)]))[0])
@@ -397,23 +418,15 @@ def compute_phase(coeffs: CoefficientSet, lam0: float, lam1: float,
 # boundary systems and quantization
 # ---------------------------------------------------------------------------
 
-def _g_rows(c, s, e):
-    return np.array([
-        [-1.0, 0.0, 1.0, e],
-        [0.0, -1.0, -1.0, e],
-        [-c, -s, e, 1.0],
-        [s, -c, -e, 1.0],
-    ])
-
-
-def g_matrix(gamma1: float):
-    """Boundary-system matrix with the exponential terms retained."""
-    return _g_rows(math.cos(gamma1), math.sin(gamma1), math.exp(-gamma1))
-
-
 def g_delta_matrix(delta: float):
     """Limit boundary-system matrix along the quantized sequence."""
-    return _g_rows(math.cos(delta), math.sin(delta), 0.0)
+    c, s = math.cos(delta), math.sin(delta)
+    return np.array([
+        [-1.0, 0.0, 1.0, 0.0],
+        [0.0, -1.0, -1.0, 0.0],
+        [-c, -s, 0.0, 1.0],
+        [s, -c, 0.0, 1.0],
+    ])
 
 
 @dataclass
@@ -582,8 +595,11 @@ def graded_taylor_op(phase: PhaseData, m: int):
     """Graded expansion of the order-m rescaled operator acting on <f, N>.
 
     Returns terms (p, coef, k, tpow): the operator contributes
-    eps^-p coef(xi) T^tpow d^k/dxi^k summed over terms.
+    eps^-p coef(xi) T^tpow d^k/dxi^k summed over terms.  Memoized on the
+    phase.
     """
+    if m in phase._graded_ops:
+        return phase._graded_ops[m]
     coeffs = phase.coeffs
     one = QFunc.const(coeffs.q, 1.0)
     ident = [(0, one, 0, 0)]
@@ -602,7 +618,8 @@ def graded_taylor_op(phase: PhaseData, m: int):
         c2 = taylor_at_zero(coeffs.k2, m - 4)[m - 4]
         if c2 != 0.0:
             out.extend(_compose_x([(0, one * c2, 0, 0)], phase, m - 4))
-    return _merge(out, phase)
+    phase._graded_ops[m] = _merge(out, phase)
+    return phase._graded_ops[m]
 
 
 def order_operator(phase: PhaseData, j: int):
@@ -627,14 +644,10 @@ def order_operator(phase: PhaseData, j: int):
 def apply_order_operator(phase: PhaseData, j: int, f_term: InnerCoefficient,
                          r: int = 0):
     """d^r/dxi^r of (O_j f) on the grid, via exact coefficient derivatives."""
-    xs = phase.nodes
-    out = np.zeros((4, xs.size))
+    out = np.zeros((4, phase.nodes.size))
     for (_p, coef, k, t) in order_operator(phase, j):
         for u in range(r + 1):
-            cf = coef
-            for _ in range(u):
-                cf = cf.deriv()
-            vals = cf(xs)
+            vals = phase.grid_values(coef, u)
             if not np.any(vals != 0.0):
                 continue
             fv = f_term.f_values(k + r - u)
@@ -649,11 +662,9 @@ def assemble_chi(phase: PhaseData, s: int, f_terms, lambdas, r: int = 0):
     orders are zero by convention, so only j <= s with s - j < len(f_terms)
     contribute.  chi_s vanishes identically for s < 2.
     """
-    xs = phase.nodes
-    out = np.zeros((4, xs.size))
+    out = np.zeros((4, phase.nodes.size))
     if s < 2:
         return out
-    qf = QFunc.poly(phase.coeffs.q, phase.coeffs.q)
     for j in range(2, s + 1):
         io = s - j
         if io < 0 or io >= len(f_terms) or f_terms[io] is None:
@@ -667,10 +678,7 @@ def assemble_chi(phase: PhaseData, s: int, f_terms, lambdas, r: int = 0):
         lam_j = lambdas[j]
         if lam_j != 0.0:
             for u in range(r + 1):
-                cf = qf
-                for _ in range(u):
-                    cf = cf.deriv()
-                vals = cf(xs)
+                vals = phase.grid_values(phase.q_fn, u)
                 if np.any(vals != 0.0):
                     out = out + math.comb(r, u) * lam_j * vals[None, :] * \
                         f.f_values(r - u)
@@ -678,20 +686,26 @@ def assemble_chi(phase: PhaseData, s: int, f_terms, lambdas, r: int = 0):
 
 
 def make_w_stack(phase: PhaseData, s: int, f_terms, lambdas):
-    """Lazy w^(r) for the order-(s-1) transport solve, w = T^3 chi_s / (4 k0(0) S'^3)."""
+    """Lazy w^(r) for the order-(s-1) transport solve, w = T^3 chi_s / (4 k0(0) S'^3).
+
+    w^(r) and chi_s^(r) are each assembled once per r.
+    """
     k00 = phase.coeffs.k0_at(0.0)
+    sp_m3 = phase.sprime_pow(-3)
     cache = {}
+    t3_chi = {}                        # r -> T^3 chi_s^(r)
+
+    def t3_chi_r(r):
+        if r not in t3_chi:
+            t3_chi[r] = T_POWERS[3] @ assemble_chi(phase, s, f_terms, lambdas, r)
+        return t3_chi[r]
 
     def w(r):
         if r not in cache:
-            xs = phase.nodes
-            acc = np.zeros((4, xs.size))
+            acc = np.zeros((4, phase.nodes.size))
             for u in range(r + 1):
-                cf = phase.sprime_pow(-3)
-                for _ in range(u):
-                    cf = cf.deriv()
-                chi = assemble_chi(phase, s, f_terms, lambdas, r - u)
-                acc = acc + math.comb(r, u) * cf(xs)[None, :] * (T_POWERS[3] @ chi)
+                acc = acc + math.comb(r, u) * \
+                    phase.grid_values(sp_m3, u)[None, :] * t3_chi_r(r - u)
             cache[r] = acc / (4.0 * k00)
         return cache[r]
 

@@ -67,23 +67,22 @@ def endpoint_derivatives(coeffs, lam0, seeds, g_derivs, depth):
         return np.asarray(v, dtype=float)
     g = np.zeros(depth + 1, dtype=np.longdouble)
     g[: len(g_derivs)] = g_derivs[: depth + 1]
-
-    def d(coeff, s):
-        return np.longdouble(eval_coefficient(coeff, 0.0, s))
-
-    k00 = d(coeffs.k0, 0)
+    # coefficient derivatives at 0, one table per call: k0, k1, k2, p
+    k0, k1, k2, p = ([np.longdouble(eval_coefficient(coeff, 0.0, s))
+                      for s in range(depth)]
+                     for coeff in (coeffs.k0, coeffs.k1, coeffs.k2, coeffs.p))
     for r in range(depth - 3):
         acc = np.longdouble(0.0)
         for s in range(1, r + 3):
-            acc -= math.comb(r + 2, s) * d(coeffs.k0, s) * v[r + 4 - s]
+            acc -= math.comb(r + 2, s) * k0[s] * v[r + 4 - s]
         for s in range(0, r + 2):
-            acc += math.comb(r + 1, s) * d(coeffs.k1, s) * v[r + 2 - s]
+            acc += math.comb(r + 1, s) * k1[s] * v[r + 2 - s]
         for s in range(0, r + 1):
             c = math.comb(r, s)
-            acc -= c * d(coeffs.k2, s) * v[r - s]
-            acc += c * np.longdouble(lam0) * d(coeffs.p, s) * v[r - s]
-            acc += c * d(coeffs.p, s) * g[r - s]
-        v[r + 4] = acc / k00
+            acc -= c * k2[s] * v[r - s]
+            acc += c * np.longdouble(lam0) * p[s] * v[r - s]
+            acc += c * p[s] * g[r - s]
+        v[r + 4] = acc / k0[0]
     return np.asarray(v, dtype=float)
 
 
@@ -122,10 +121,46 @@ class OuterMode:
     coeffs: CoefficientSet = field(repr=False)
     endpoint_minus: EndpointData = None
     endpoint_plus: EndpointData = None
+    # order-independent parts of the correction solves, filled on first use;
+    # the build that owns this mode empties it after its last order
+    factors: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     @property
     def gap(self):
         return min(self.gap_left, self.gap_right)
+
+
+def _left_factors(mode: OuterMode):
+    """Bordered lambda0-pencil on (a, 0): its LU and the parts of its data.
+
+    Returns ((K - lambda0 M)[free, clamped], M v0, border scale s, s c, LU).
+    """
+    if "left" not in mode.factors:
+        left = mode.left_asm
+        free = left.free
+        A_full = (left.K - mode.lambda0 * left.M).tocsr()
+        A = A_full[free, free]
+        c_full = left.M @ mode.v_left.dofs()        # p-weighted projection onto v0
+        c = c_full[free]
+        # scale the border to the stiffness magnitude so the factorization is balanced
+        s = max(abs(A).max(), 1.0) / max(np.max(np.abs(c)), 1e-30)
+        sc = s * c
+        B = sp.bmat([[A, sc[:, None]], [sp.csr_matrix(sc[None, :]), None]],
+                    format="csc")
+        mode.factors["left"] = (A_full[free, left.clamped], c_full, s, sc,
+                                spla.splu(B))
+    return mode.factors["left"]
+
+
+def _right_factors(mode: OuterMode):
+    """(K - lambda0 M)[free, clamped] on (0, b) and the LU of its free block."""
+    if "right" not in mode.factors:
+        right = mode.right_asm
+        A_full = (right.K - mode.lambda0 * right.M).tocsr()
+        mode.factors["right"] = (A_full[right.free, right.clamped],
+                                 right.factor(mode.lambda0))
+    return mode.factors["right"]
 
 
 def solve_three_point_eigen(coeffs: CoefficientSet, mode_index: int = 1,
@@ -317,19 +352,10 @@ def solve_correction(mode: OuterMode, i: int, lambdas, prev_terms,
 
     fixed, free = left.clamped, left.free
     fixed_vals = np.array([0.0, 0.0, V_minus, W_minus])
-    A_full = (left.K - lam0 * left.M).tocsr()
-    A = A_full[free, free]
-    rhs = F[free] - A_full[free, fixed] @ fixed_vals
-
+    A_fixed, c_full, s, sc, lu = _left_factors(mode)
+    rhs = F[free] - A_fixed @ fixed_vals
     v0_dofs = mode.v_left.dofs()
-    c_full = left.M @ v0_dofs                       # p-weighted projection onto v0
-    c = c_full[free]
     d = -float(c_full[fixed] @ fixed_vals)
-    # scale the border to the stiffness magnitude so the factorization is balanced
-    s = max(abs(A).max(), 1.0) / max(np.max(np.abs(c)), 1e-30)
-    B = sp.bmat([[A, s * c[:, None]], [sp.csr_matrix(s * c[None, :]), None]],
-                format="csc")
-    lu = spla.splu(B)
     sol = lu.solve(np.concatenate([rhs, [s * d]]))
     # mixed-precision refinement: residuals against the extended-precision
     # element data push the bordered solve to its true floor
@@ -339,7 +365,7 @@ def solve_correction(mode: OuterMode, i: int, lambdas, prev_terms,
         v_dofs[free] = sol[:-1]
         nu = sol[-1]
         pen = left.pencil_apply(v_dofs, lam0)
-        r1 = F[free] - np.asarray(pen[free], dtype=float) - s * c * nu
+        r1 = F[free] - np.asarray(pen[free], dtype=float) - sc * nu
         r2 = -s * float(left._quad_form(left.Me, v0_dofs, v_dofs))
         sol = sol + lu.solve(np.concatenate([r1, [r2]]))
     mu = float(sol[-1]) * s
@@ -386,10 +412,8 @@ def solve_correction(mode: OuterMode, i: int, lambdas, prev_terms,
             Fr = hermite.load_vector(nodes_r, lambda x: p_fn(x) * g_right(x))
             fixed_r, free_r = right.clamped, right.free
             fixed_vals_r = np.array([V_plus, W_plus, 0.0, 0.0])
-            A_full_r = (right.K - lam0 * right.M).tocsr()
-            rhs_r = Fr[free_r] - A_full_r[free_r, fixed_r] @ fixed_vals_r
-            lu_r = right.factor(lam0)
-            w = lu_r.solve(rhs_r)
+            A_fixed_r, lu_r = _right_factors(mode)
+            w = lu_r.solve(Fr[free_r] - A_fixed_r @ fixed_vals_r)
             v_dofs_r = np.zeros(right.ndof)
             v_dofs_r[fixed_r] = fixed_vals_r
             for _ in range(2):

@@ -50,6 +50,17 @@ def w_values(term, r=0):
     return term._w_stack(r)
 
 
+def g_matrix(gamma1):
+    """Boundary-system matrix with the exponential terms retained."""
+    c, s, e = math.cos(gamma1), math.sin(gamma1), math.exp(-gamma1)
+    return np.array([
+        [-1.0, 0.0, 1.0, e],
+        [0.0, -1.0, -1.0, e],
+        [-c, -s, e, 1.0],
+        [s, -c, -e, 1.0],
+    ])
+
+
 def det_g_closed_form(gamma1):
     """-2 cos g + 2 e^-g (2 - e^-g cos g)."""
     g = np.asarray(gamma1, dtype=float)
@@ -66,7 +77,7 @@ def transport_solve_full(phase, delta, l, sigma, w_stack=None):
     gamma1 = delta + 2.0 * math.pi * l
     N1 = np.array([math.cos(delta), math.sin(delta), math.exp(-gamma1), 1.0])
     return inner._transport_solve(phase, -1, sigma, w_stack,
-                                  inner.g_matrix(gamma1), N1)
+                                  g_matrix(gamma1), N1)
 
 
 def barycentric_eval(nodes, values, x):

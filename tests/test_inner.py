@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
 
-from beamwkb import inner, outer
+from beamwkb import build_expansion, inner, outer
 from beamwkb.inner import T_MAT, T_POWERS
 from beamwkb.model import CoefficientSet
 from dense_forms import (A_entries, A_matrices, N_of_S, barycentric_eval,
-                         cheb_diff_matrix, det_g_closed_form, gamma_values,
-                         interface_quantities, phi_apply_at, phi_matrices,
-                         transport_solve_full, w_values)
+                         cheb_diff_matrix, det_g_closed_form, g_matrix,
+                         gamma_values, interface_quantities, phi_apply_at,
+                         phi_matrices, transport_solve_full, w_values)
 
 
 @pytest.fixture(scope="module")
@@ -110,7 +110,7 @@ def test_t_phi_commutes(vphase):
 def test_det_g_closed_form_random():
     rng = np.random.default_rng(0)
     gs = rng.uniform(1.0, 50.0, 100)
-    dets = np.array([np.linalg.det(inner.g_matrix(g)) for g in gs])
+    dets = np.array([np.linalg.det(g_matrix(g)) for g in gs])
     expect = det_g_closed_form(gs)
     assert np.max(np.abs(dets - expect) / np.abs(expect)) < 1e-12
 
@@ -322,6 +322,42 @@ def test_chi_constant_coefficient_hand_expansion(uniform_artifact):
     idx = [7, 31, 63, 95, 119]
     np.testing.assert_allclose(chi3[:, idx], hand[:, idx],
                                atol=2e-6 * np.max(np.abs(hand)))
+
+
+def test_chi_assembled_once_per_order_and_derivative(variable_coeffs,
+                                                     variable_artifact,
+                                                     monkeypatch):
+    # each w_stack memoizes chi_s^(r): a build assembles every (s, r) once
+    assemble_chi = inner.assemble_chi
+    calls = []
+
+    def counting_chi(phase, s, f_terms, lambdas, r=0):
+        calls.append((s, r))
+        return assemble_chi(phase, s, f_terms, lambdas, r)
+
+    monkeypatch.setattr(inner, "assemble_chi", counting_chi)
+    build_expansion(variable_coeffs, variable_artifact.run)
+    assert sorted(calls) == [(2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (4, 0)]
+
+
+def test_w_stack_matches_direct_chi_sum(variable_artifact):
+    # w^(r) = sum_u C(r, u) (S'^-3)^(u) T^3 chi_s^(r-u) / (4 k0(0)), summed
+    # here from fresh chi assemblies and fresh coefficient derivatives
+    art = variable_artifact
+    ph = art.phase
+    s = 3
+    f_terms, lambdas = art.f_terms[:s - 1], art.lambdas[:s + 1]
+    w_stack = inner.make_w_stack(ph, s, f_terms, lambdas)
+    for r in range(3):
+        acc = np.zeros((4, ph.nodes.size))
+        for u in range(r + 1):
+            cf = ph.sprime_pow(-3)
+            for _ in range(u):
+                cf = cf.deriv()
+            chi = inner.assemble_chi(ph, s, f_terms, lambdas, r - u)
+            acc = acc + math.comb(r, u) * cf(ph.nodes)[None, :] * \
+                (T_POWERS[3] @ chi)
+        assert np.array_equal(w_stack(r), acc / (4.0 * ph.coeffs.k0_at(0.0)))
 
 
 def test_order_operator_vanishes_beyond_taylor_depth(vphase):

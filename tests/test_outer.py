@@ -2,9 +2,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from numpy.polynomial import polynomial as P
+from scipy.sparse.linalg import SuperLU
 
-from beamwkb import hermite, inner, outer
+from beamwkb import build_expansion, hermite, inner, outer
 from beamwkb.model import CoefficientSet
 
 
@@ -101,6 +103,35 @@ def test_solve_v1_contract(uniform_coeffs):
     res = outer.correction_residual(mode, [], t1, [mode.lambda0, t1.lambda_i])
     assert res < 1e-8
     assert np.all(t1.v_right.values == 0.0)
+
+
+def test_correction_chain_factors_each_pencil_once(asym_coeffs,
+                                                   asym_artifact,
+                                                   uniform_coeffs,
+                                                   uniform_artifact,
+                                                   monkeypatch):
+    # per build: two polish LUs on each interval for the three-point pair,
+    # then one bordered LU on (a, 0) and one LU on (0, b) shared by every
+    # order; the resonant uniform beam never solves on (0, b).  ARPACK's
+    # own factorization does not pass here.  The build drops the LUs.
+    splu = scipy.sparse.linalg.splu
+    calls = []
+
+    def counting_splu(A, *args, **kwargs):
+        calls.append(A.shape)
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
+    for coeffs, run, n_max, want in (
+            (asym_coeffs, asym_artifact.run, 1, 6),
+            (asym_coeffs, asym_artifact.run, 2, 6),
+            (asym_coeffs, asym_artifact.run, 3, 6),
+            (uniform_coeffs, uniform_artifact.run, 2, 5)):
+        calls.clear()
+        art = build_expansion(coeffs, dataclasses.replace(run, n_max=n_max))
+        assert len(calls) == want, (n_max, calls)
+        assert art.mode.factors == {}
+        assert not any(isinstance(v, SuperLU) for v in vars(art.mode).values())
 
 
 def test_solve_v1_rejects_wrong_lambda1(uniform_mode):
