@@ -128,8 +128,7 @@ def cmd_oracle(args):
     print(json.dumps(payload))
     if args.out:
         with open(args.out, "w") as fh:
-            json.dump(payload, fh)
-            fh.write("\n")
+            fh.write(json.dumps(payload) + "\n")
     return EXIT_OK
 
 
@@ -151,8 +150,8 @@ def cmd_sweep_delta(args):
         print(f"delta={d:g}: lambdas={['%.6f' % v for v in art.lambdas]} "
               f"rate={fit.get('slope')}")
     with open(f"{args.out_prefix}_summary.json", "w") as fh:
-        json.dump({"n": n, "results": harness._jsonable(summary)}, fh)
-        fh.write("\n")
+        fh.write(json.dumps({"n": n, "results": harness._jsonable(summary)})
+                 + "\n")
     return EXIT_OK
 
 

@@ -258,8 +258,7 @@ def artifact_from_dict(data: dict) -> ExpansionArtifact:
 
 def save_artifact(art: ExpansionArtifact, path):
     with open(path, "w") as fh:
-        json.dump(artifact_to_dict(art), fh)
-        fh.write("\n")
+        fh.write(json.dumps(artifact_to_dict(art)) + "\n")
 
 
 def load_artifact(path) -> ExpansionArtifact:
@@ -320,9 +319,6 @@ class ValidationReport:
 
     def valid_rows(self):
         return [r for r in self.rows if r["valid"]]
-
-    def window_rows(self):
-        return [r for r in self.rows if r["valid"] and r["in_window"]]
 
 
 def compare_eigenfunction(art: ExpansionArtifact, prob, result, eps, n):
@@ -511,8 +507,7 @@ def emit_report(report: ValidationReport, fmt: str, path):
             "window": _jsonable(report.window),
         }
         with open(path, "w") as fh:
-            json.dump(payload, fh)
-            fh.write("\n")
+            fh.write(json.dumps(payload) + "\n")
     else:
         raise ValueError(f"unknown report format {fmt!r}")
 

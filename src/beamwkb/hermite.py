@@ -40,37 +40,34 @@ _GS = 0.5 * (_GAUSS_X + 1.0)      # reference coordinates on [0, 1]
 _GW = 0.5 * _GAUSS_W
 
 
-def _reference_basis(s):
-    """Hermite shape functions and s-derivatives on the reference element."""
-    s = np.asarray(s)
-    phi = np.stack([
-        1.0 - 3.0 * s**2 + 2.0 * s**3,
-        s - 2.0 * s**2 + s**3,
-        3.0 * s**2 - 2.0 * s**3,
-        -(s**2) + s**3,
-    ])
-    dphi = np.stack([
-        -6.0 * s + 6.0 * s**2,
-        1.0 - 4.0 * s + 3.0 * s**2,
-        6.0 * s - 6.0 * s**2,
-        -2.0 * s + 3.0 * s**2,
-    ])
-    ddphi = np.stack([
-        -6.0 + 12.0 * s,
-        -4.0 + 6.0 * s,
-        6.0 - 12.0 * s,
-        -2.0 + 6.0 * s,
-    ])
-    dddphi = np.stack([
-        12.0 * np.ones_like(s),
-        6.0 * np.ones_like(s),
-        -12.0 * np.ones_like(s),
-        6.0 * np.ones_like(s),
-    ])
-    return phi, dphi, ddphi, dddphi
+# the four Hermite shape functions' d-th s-derivatives, d = 0..3
+_SHAPES = (
+    lambda s: (1.0 - 3.0 * s**2 + 2.0 * s**3,
+               s - 2.0 * s**2 + s**3,
+               3.0 * s**2 - 2.0 * s**3,
+               -(s**2) + s**3),
+    lambda s: (-6.0 * s + 6.0 * s**2,
+               1.0 - 4.0 * s + 3.0 * s**2,
+               6.0 * s - 6.0 * s**2,
+               -2.0 * s + 3.0 * s**2),
+    lambda s: (-6.0 + 12.0 * s,
+               -4.0 + 6.0 * s,
+               6.0 - 12.0 * s,
+               -2.0 + 6.0 * s),
+    lambda s: (12.0 * np.ones_like(s),
+               6.0 * np.ones_like(s),
+               -12.0 * np.ones_like(s),
+               6.0 * np.ones_like(s)),
+)
 
 
-_PHI, _DPHI, _DDPHI, _DDDPHI = _reference_basis(_GS)
+def _reference_basis(s, deriv):
+    """The deriv-th s-derivative of the Hermite shape functions on the
+    reference element, stacked (4, ...)."""
+    return np.stack(_SHAPES[deriv](np.asarray(s)))
+
+
+_PHI, _DPHI, _DDPHI = (_reference_basis(_GS, d) for d in range(3))
 
 
 def gauss_points(nodes):
@@ -176,11 +173,22 @@ class Assembly:
         if mass_vec is not None:
             ml = np.asarray(mass_vec, dtype=np.longdouble)
             re = re - np.einsum("eij,ej->ei", self.Me, ml[ed])
-        out = np.zeros(self.ndof, dtype=np.longdouble)
-        np.add.at(out, ed.ravel(), re.ravel())
+        out = _scatter(re, self.ndof)
         if load is not None:
             out = out - np.asarray(load, dtype=np.longdouble)
         return out
+
+
+def _scatter(elem_vecs, ndof):
+    """Sum (n_elem, 4) element vectors into the global dof vector.
+
+    Element e owns dofs 2e..2e+3, so neighbours overlap in one dof pair:
+    one slice-add for the left halves, one for the right halves.
+    """
+    out = np.zeros(ndof, dtype=elem_vecs.dtype)
+    out[:-2] += elem_vecs[:, :2].ravel()
+    out[2:] += elem_vecs[:, 2:].ravel()
+    return out
 
 
 def assemble(nodes, k0_fn, k1_fn, k2_fn, weight_fn):
@@ -262,7 +270,7 @@ class HermiteFunction:
         if not 0 <= deriv <= 3:
             raise ValueError("piecewise cubics support derivatives 0..3")
         idx, h, s = self._locate(x)
-        phi = _reference_basis(s)[deriv]
+        phi = _reference_basis(s, deriv)
         fac = np.stack([np.ones_like(h), h, np.ones_like(h), h])
         pow_h = h ** float(-deriv)
         coef = np.stack([self.values[idx], self.slopes[idx],
@@ -299,10 +307,7 @@ def load_vector(nodes, rhs_fn):
     xg, wg = gauss_points(nodes)
     B0, _, _ = _basis_blocks(h)
     fe = np.einsum("eg,eig->ei", rhs_fn(xg) * wg, B0)
-    F = np.zeros(2 * nodes.size)
-    edof = 2 * np.arange(h.size)[:, None] + np.arange(4)[None, :]
-    np.add.at(F, edof.ravel(), fe.ravel())
-    return F
+    return _scatter(fe, 2 * nodes.size)
 
 
 POLISH_STEPS = 2

@@ -67,9 +67,11 @@ class QFunc:
 
     __slots__ = ("q", "dq", "terms")
 
-    def __init__(self, q, terms=None):
+    def __init__(self, q, terms=None, dq=None):
         self.q = np.asarray(q, dtype=float)
-        self.dq = P.polyder(self.q) if self.q.size > 1 else np.zeros(1)
+        if dq is None:
+            dq = P.polyder(self.q) if self.q.size > 1 else np.zeros(1)
+        self.dq = dq
         self.terms = {}
         if terms:
             for p, poly in terms.items():
@@ -99,8 +101,12 @@ class QFunc:
     def qpow(cls, q, p, scale=1.0):
         return cls(q, {Fraction(p): np.array([float(scale)])})
 
+    def zero(self):
+        """The zero function on the same q, sharing q and q'."""
+        return QFunc(self.q, dq=self.dq)
+
     def __add__(self, other):
-        out = QFunc(self.q)
+        out = self.zero()
         for p, poly in self.terms.items():
             out._add_term(p, poly)
         for p, poly in other.terms.items():
@@ -108,7 +114,7 @@ class QFunc:
         return out
 
     def __mul__(self, other):
-        out = QFunc(self.q)
+        out = self.zero()
         if isinstance(other, QFunc):
             for p1, a in self.terms.items():
                 for p2, b in other.terms.items():
@@ -122,7 +128,7 @@ class QFunc:
 
     def deriv(self):
         """d/dxi, exact: q^p P -> q^(p-1) (p q' P + q P')."""
-        out = QFunc(self.q)
+        out = self.zero()
         for p, poly in self.terms.items():
             if p == 0:
                 out._add_term(0, P.polyder(poly) if poly.size > 1 else [0.0])
@@ -172,13 +178,11 @@ def cheb_antideriv_values(values, nodes):
     """Antiderivative on the same grid, vanishing at xi = -1 (spectral)."""
     a = cheb_coeffs(values)
     n = a.shape[0]
-    c = a.copy()
+    c = np.zeros(n + 2)                  # c_n = c_{n+1} = 0
+    c[:n] = a
     c[0] = 2.0 * c[0]
     b = np.zeros(n + 1)
-    for k in range(1, n + 1):
-        am = c[k - 1] if k - 1 < n else 0.0
-        ap = c[k + 1] if k + 1 < n else 0.0
-        b[k] = (am - ap) / (2.0 * k)
+    b[1:] = (c[:n] - c[2:]) / (2.0 * np.arange(1, n + 1))
     vals = C.chebval(nodes, b)
     return vals - C.chebval(-1.0, b)
 
@@ -220,14 +224,14 @@ class TAlg:
 
     @classmethod
     def scalar(cls, qf):
-        zero = QFunc(qf.q)
+        zero = qf.zero()
         return cls((qf, zero, zero, zero))
 
     def deriv(self):
         return TAlg(tuple(ci.deriv() for ci in self.c))
 
     def mul(self, other):
-        zero = QFunc(self.c[0].q)
+        zero = self.c[0].zero()
         out = [zero, zero, zero, zero]
         for u in range(4):
             for v in range(4):
@@ -237,11 +241,15 @@ class TAlg:
     def add(self, other):
         return TAlg(tuple(a + b for a, b in zip(self.c, other.c)))
 
-    def apply(self, xs, vec):
-        """Apply to a (4, n) array of vector values at positions xs."""
+    def apply(self, phase, vec):
+        """Apply to a (4, n) array of vector values on the phase grid.
+
+        The coefficient values come from ``phase.grid_values``, so only
+        elements the phase keeps alive (its C_s and B_s) belong here.
+        """
         out = np.zeros_like(vec)
         for u in range(4):
-            cv = self.c[u](xs)
+            cv = phase.grid_values(self.c[u])
             if np.any(cv != 0.0):
                 out = out + cv[None, :] * (T_POWERS[u] @ vec)
         return out
@@ -294,7 +302,7 @@ class PhaseData:
         """Grid values of the u-th derivative of qf, computed once per phase.
 
         Keyed on the QFunc object, so only functions the phase keeps alive
-        (its memoized operators and powers of S') belong here.
+        (its memoized operators, powers of S', C_s and B_s) belong here.
         """
         funcs, vals = self._grid.setdefault(qf, ([qf], []))
         while len(vals) <= u:
@@ -319,7 +327,7 @@ class PhaseData:
     @property
     def A(self):
         if self._A is None:
-            zero = QFunc(self.coeffs.q)
+            zero = self.eta.zero()
             self._A = TAlg((self.eta, zero, zero, self.theta))
         return self._A
 
@@ -494,12 +502,12 @@ class InnerCoefficient:
         if self._w_stack is None:
             return np.zeros((4, self.phase.nodes.size))
         if r not in self._pw:
-            xs = self.phase.nodes
-            acc = np.zeros((4, xs.size))
+            acc = np.zeros((4, self.phase.nodes.size))
             for s in range(r + 1):
                 ws = self._w_stack(r - s)
                 term = self.phase.phi_inv_apply(ws)
-                acc = acc + math.comb(r, s) * self.phase.B_mat(s).apply(xs, term)
+                acc = acc + math.comb(r, s) * self.phase.B_mat(s).apply(
+                    self.phase, term)
             self._pw[r] = acc
         return self._pw[r]
 
@@ -511,11 +519,10 @@ class InnerCoefficient:
     def G_values(self, r):
         """Phi^-1 f^(r) on the grid."""
         if r not in self._G:
-            xs = self.phase.nodes
-            acc = np.zeros((4, xs.size))
+            acc = np.zeros((4, self.phase.nodes.size))
             for s in range(r + 1):
                 acc = acc + math.comb(r, s) * self.phase.C_mat(s).apply(
-                    xs, self.c_deriv(r - s))
+                    self.phase, self.c_deriv(r - s))
             self._G[r] = acc
         return self._G[r]
 

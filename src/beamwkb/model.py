@@ -124,9 +124,6 @@ class CoefficientSet:
     def k1_at(self, x, deriv=0):
         return eval_coefficient(self.k1, x, deriv)
 
-    def k2_at(self, x, deriv=0):
-        return eval_coefficient(self.k2, x, deriv)
-
     def p_at(self, x, deriv=0):
         return eval_coefficient(self.p, x, deriv)
 
@@ -264,9 +261,3 @@ def load_config(path):
     if not isinstance(data, dict):
         raise ConfigError(f"configuration root must be an object, got {type(data).__name__}")
     return config_from_dict(data)
-
-
-def save_config(coeffs: CoefficientSet, run: RunSpec, path):
-    with open(path, "w") as fh:
-        json.dump(config_to_dict(coeffs, run), fh, indent=2)
-        fh.write("\n")

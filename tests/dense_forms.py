@@ -1,17 +1,24 @@
-"""Dense reference forms of the inner operators, for checks only.
+"""Reference forms and test-only helpers, for checks only.
 
-The package never builds these: it works through the T-algebra and the
+The package never builds these.  It works through the T-algebra and the
 fundamental-matrix coordinates, and reads grid functions off the grid
 through their Chebyshev coefficients.  The tests use these literal
 matrices and the barycentric interpolant to check those fast paths.
+
+The second half keeps the straightforward forms of the package's fast
+kernels (np.add.at scatters, the loop antiderivative, the all-derivatives
+Hermite basis, per-call coefficient evaluation, streaming JSON writes),
+which the fast kernels must match bit for bit.
 """
 
+import json
 import math
 
 import numpy as np
 
-from beamwkb import inner
+from beamwkb import harness, hermite, inner
 from beamwkb.inner import T_POWERS
+from beamwkb.model import config_to_dict
 
 
 def cheb_diff_matrix(n):
@@ -174,3 +181,135 @@ def log_linear_correlation(x, logy):
     x = np.asarray(x, float)
     y = np.asarray(logy, float)
     return float(abs(np.corrcoef(x, y)[0, 1]))
+
+
+# ---------------------------------------------------------------------------
+# test-only helpers
+# ---------------------------------------------------------------------------
+
+def save_config(coeffs, run, path):
+    """Write a configuration file that ``model.load_config`` reads back."""
+    with open(path, "w") as fh:
+        json.dump(config_to_dict(coeffs, run), fh, indent=2)
+        fh.write("\n")
+
+
+def window_rows(report):
+    """The valid rows of a ValidationReport that fall in its fit window."""
+    return [r for r in report.rows if r["valid"] and r["in_window"]]
+
+
+# ---------------------------------------------------------------------------
+# straightforward forms of the fast kernels
+# ---------------------------------------------------------------------------
+
+def pencil_apply_add_at(asm, v, lam, mass_vec=None, load=None):
+    """``Assembly.pencil_apply`` with its element scatter done by np.add.at."""
+    vl = np.asarray(v, dtype=np.longdouble)
+    ed = asm.edof()
+    re = np.einsum("eij,ej->ei", asm.Ke, vl[ed]) - \
+        np.longdouble(lam) * np.einsum("eij,ej->ei", asm.Me, vl[ed])
+    if mass_vec is not None:
+        ml = np.asarray(mass_vec, dtype=np.longdouble)
+        re = re - np.einsum("eij,ej->ei", asm.Me, ml[ed])
+    out = np.zeros(asm.ndof, dtype=np.longdouble)
+    np.add.at(out, ed.ravel(), re.ravel())
+    if load is not None:
+        out = out - np.asarray(load, dtype=np.longdouble)
+    return out
+
+
+def load_vector_add_at(nodes, rhs_fn):
+    """``hermite.load_vector`` with its element scatter done by np.add.at."""
+    nodes = np.asarray(nodes, float)
+    h = np.diff(nodes)
+    xg, wg = hermite.gauss_points(nodes)
+    B0, _, _ = hermite._basis_blocks(h)
+    fe = np.einsum("eg,eig->ei", rhs_fn(xg) * wg, B0)
+    F = np.zeros(2 * nodes.size)
+    edof = 2 * np.arange(h.size)[:, None] + np.arange(4)[None, :]
+    np.add.at(F, edof.ravel(), fe.ravel())
+    return F
+
+
+def scatter_add_at(elem_vecs, ndof):
+    """Sum (n_elem, 4) element vectors over dofs 2e..2e+3 by np.add.at."""
+    n_elem = elem_vecs.shape[0]
+    edof = 2 * np.arange(n_elem)[:, None] + np.arange(4)[None, :]
+    out = np.zeros(ndof, dtype=elem_vecs.dtype)
+    np.add.at(out, edof.ravel(), elem_vecs.ravel())
+    return out
+
+
+def cheb_antideriv_values_loop(values, nodes):
+    """``inner.cheb_antideriv_values`` with its coefficient loop written out."""
+    a = inner.cheb_coeffs(values)
+    n = a.shape[0]
+    c = a.copy()
+    c[0] = 2.0 * c[0]
+    b = np.zeros(n + 1)
+    for k in range(1, n + 1):
+        am = c[k - 1] if k - 1 < n else 0.0
+        ap = c[k + 1] if k + 1 < n else 0.0
+        b[k] = (am - ap) / (2.0 * k)
+    vals = np.polynomial.chebyshev.chebval(nodes, b)
+    return vals - np.polynomial.chebyshev.chebval(-1.0, b)
+
+
+def reference_basis_all(s):
+    """All four derivative stacks of the Hermite shape functions."""
+    s = np.asarray(s)
+    phi = np.stack([
+        1.0 - 3.0 * s**2 + 2.0 * s**3,
+        s - 2.0 * s**2 + s**3,
+        3.0 * s**2 - 2.0 * s**3,
+        -(s**2) + s**3,
+    ])
+    dphi = np.stack([
+        -6.0 * s + 6.0 * s**2,
+        1.0 - 4.0 * s + 3.0 * s**2,
+        6.0 * s - 6.0 * s**2,
+        -2.0 * s + 3.0 * s**2,
+    ])
+    ddphi = np.stack([
+        -6.0 + 12.0 * s,
+        -4.0 + 6.0 * s,
+        6.0 - 12.0 * s,
+        -2.0 + 6.0 * s,
+    ])
+    dddphi = np.stack([
+        12.0 * np.ones_like(s),
+        6.0 * np.ones_like(s),
+        -12.0 * np.ones_like(s),
+        6.0 * np.ones_like(s),
+    ])
+    return phi, dphi, ddphi, dddphi
+
+
+def hermite_call_all_stacks(fn, x, deriv=0):
+    """``HermiteFunction.__call__`` that builds all four basis stacks."""
+    idx, h, s = fn._locate(x)
+    phi = reference_basis_all(s)[deriv]
+    fac = np.stack([np.ones_like(h), h, np.ones_like(h), h])
+    pow_h = h ** float(-deriv)
+    coef = np.stack([fn.values[idx], fn.slopes[idx],
+                     fn.values[idx + 1], fn.slopes[idx + 1]]) * fac
+    out = np.sum(coef * phi, axis=0) * pow_h
+    return out[()] if np.ndim(x) == 0 else out
+
+
+def talg_apply_per_call(talg, xs, vec):
+    """``TAlg.apply`` that evaluates every coefficient QFunc at xs."""
+    out = np.zeros_like(vec)
+    for u in range(4):
+        cv = talg.c[u](xs)
+        if np.any(cv != 0.0):
+            out = out + cv[None, :] * (T_POWERS[u] @ vec)
+    return out
+
+
+def save_artifact_streaming(art, path):
+    """``harness.save_artifact`` through the streaming ``json.dump``."""
+    with open(path, "w") as fh:
+        json.dump(harness.artifact_to_dict(art), fh)
+        fh.write("\n")

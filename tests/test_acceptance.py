@@ -22,7 +22,7 @@ from beamwkb import (build_expansion, fit_rate, hermite, inner, oracle,
 from beamwkb.model import CoefficientSet, RunSpec
 from dense_forms import (A_matrices, cheb_diff_matrix, det_g_closed_form,
                          g_matrix, log_linear_correlation,
-                         transport_solve_full)
+                         transport_solve_full, window_rows)
 
 
 def announce(criterion, ok, detail):
@@ -197,7 +197,7 @@ def test_criterion_6_inner(rep_n0, rep_n1):
 
 
 def test_criterion_6_kappa_decreasing(rep_n1):
-    rows = rep_n1.window_rows()
+    rows = window_rows(rep_n1)
     devs = [abs(r["kappa"] - 1.0) for r in rows]
     ok = all(b < a + 1e-12 for a, b in zip(devs, devs[1:]))
     announce("6 (kappa monotone)", ok,
@@ -210,7 +210,7 @@ def test_criterion_6_kappa_decreasing(rep_n1):
     reason="double limit eigenvalue: kappa tends to the parity mixing "
            "fraction (about 1/sqrt(2)), not to 1")
 def test_criterion_6_kappa_limit(rep_n1):
-    rows = rep_n1.window_rows()
+    rows = window_rows(rep_n1)
     dev = abs(rows[-1]["kappa"] - 1.0)
     announce("6 (kappa -> 1)", dev < 0.05,
              f"|kappa - 1| = {dev:.3f} at l = {rows[-1]['l']} (need < 0.05)")
@@ -256,7 +256,7 @@ def test_criterion_8_isolation_exponent(rep_n1):
 def test_gap_dominates_eps4(rep_n1):
     # the true content of the isolation claim: the vicinity radius d eps^4
     # contains no other eigenvalue, with a huge margin
-    margin = min(r["gap"] / r["epsilon"] ** 4 for r in rep_n1.window_rows())
+    margin = min(r["gap"] / r["epsilon"] ** 4 for r in window_rows(rep_n1))
     ok = margin > 1e2
     announce("8 (lower bound)", ok,
              f"min gap / eps^4 = {margin:.1e} (isolation radius holds)")

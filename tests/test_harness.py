@@ -8,7 +8,8 @@ from beamwkb import (CSV_HEADER, build_expansion, cli, emit_report, fit_rate,
                      harness, inner, load_artifact, oracle, run_convergence,
                      save_artifact)
 from beamwkb.harness import artifact_to_dict, drop_one_spread
-from beamwkb.model import RunSpec, save_config
+from beamwkb.model import RunSpec
+from dense_forms import save_artifact_streaming, save_config
 
 
 def test_build_is_deterministic(uniform_coeffs):
@@ -53,6 +54,15 @@ def test_artifact_roundtrip(tmp_path, uniform_artifact):
     path2 = tmp_path / "art2.json"
     save_artifact(art2, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+@pytest.mark.parametrize("name", ["uniform_artifact", "variable_artifact"])
+def test_save_artifact_matches_streaming_json(tmp_path, name, request):
+    art = request.getfixturevalue(name)
+    save_artifact(art, tmp_path / "one_shot.json")
+    save_artifact_streaming(art, tmp_path / "streaming.json")
+    assert (tmp_path / "one_shot.json").read_bytes() == \
+        (tmp_path / "streaming.json").read_bytes()
 
 
 def test_lambda_trunc_bounds(uniform_artifact):

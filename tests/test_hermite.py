@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from beamwkb import hermite
+from dense_forms import (hermite_call_all_stacks, load_vector_add_at,
+                         pencil_apply_add_at)
 
 
 @pytest.fixture(scope="module")
@@ -33,3 +35,32 @@ def test_eigs_near_vectors_vanish_on_clamped_dofs(asm):
     assert vecs.shape == (asm.ndof, vals.size)
     assert np.all(vecs[asm.clamped] == 0.0)
     assert np.all(np.abs(vecs[asm.free]).max(axis=0) > 0.0)
+
+
+@pytest.mark.parametrize("name", ["asym_artifact", "variable_artifact"])
+def test_pencil_apply_and_load_vector_match_add_at_scatter(name, request):
+    mode = request.getfixturevalue(name).mode
+    rng = np.random.default_rng(3)
+    for asm, fn in ((mode.left_asm, mode.v_left), (mode.right_asm, mode.v_right)):
+        v = fn.dofs()
+        mass_vec = rng.standard_normal(asm.ndof)
+        load = rng.standard_normal(asm.ndof)
+        for kwargs in ({}, {"mass_vec": mass_vec, "load": load}):
+            got = asm.pencil_apply(v, mode.lambda0, **kwargs)
+            ref = pencil_apply_add_at(asm, v, mode.lambda0, **kwargs)
+            assert got.dtype == ref.dtype
+            assert np.array_equal(got, ref)
+        rhs = lambda x: (1.0 + x ** 2) * fn(x)
+        assert np.array_equal(hermite.load_vector(asm.nodes, rhs),
+                              load_vector_add_at(asm.nodes, rhs))
+
+
+def test_hermite_function_matches_all_stack_basis(variable_artifact):
+    fn = variable_artifact.mode.v_left
+    xs = np.concatenate([fn.nodes, np.random.default_rng(4).uniform(
+        fn.nodes[0], fn.nodes[-1], 257)])
+    for deriv in range(4):
+        assert np.array_equal(fn(xs, deriv),
+                              hermite_call_all_stacks(fn, xs, deriv))
+        x0 = float(xs[-1])
+        assert fn(x0, deriv) == hermite_call_all_stacks(fn, x0, deriv)

@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -8,9 +9,10 @@ from beamwkb import build_expansion, inner, outer
 from beamwkb.inner import T_MAT, T_POWERS
 from beamwkb.model import CoefficientSet
 from dense_forms import (A_entries, A_matrices, N_of_S, barycentric_eval,
-                         cheb_diff_matrix, det_g_closed_form, g_matrix,
-                         gamma_values, interface_quantities, phi_apply_at,
-                         phi_matrices, transport_solve_full, w_values)
+                         cheb_antideriv_values_loop, cheb_diff_matrix,
+                         det_g_closed_form, g_matrix, gamma_values,
+                         interface_quantities, phi_apply_at, phi_matrices,
+                         talg_apply_per_call, transport_solve_full, w_values)
 
 
 @pytest.fixture(scope="module")
@@ -338,6 +340,59 @@ def test_chi_assembled_once_per_order_and_derivative(variable_coeffs,
     monkeypatch.setattr(inner, "assemble_chi", counting_chi)
     build_expansion(variable_coeffs, variable_artifact.run)
     assert sorted(calls) == [(2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (4, 0)]
+
+
+def test_talg_coefficients_evaluated_once_per_build(variable_coeffs,
+                                                   variable_artifact,
+                                                   monkeypatch):
+    # TAlg.apply reads C_s / B_s coefficient values from the phase's grid
+    # cache, and every derived QFunc inherits q' instead of re-deriving it
+    call = inner.QFunc.__call__
+    calls = []
+
+    def counting_call(self, xs):
+        calls.append((self, xs))
+        return call(self, xs)
+
+    polyder = P.polyder
+    n_polyder = [0]
+
+    def counting_polyder(*args, **kwargs):
+        n_polyder[0] += 1
+        return polyder(*args, **kwargs)
+
+    monkeypatch.setattr(inner.QFunc, "__call__", counting_call)
+    monkeypatch.setattr(P, "polyder", counting_polyder)
+    art = build_expansion(variable_coeffs, variable_artifact.run)
+    ph = art.phase
+    # ``calls`` keeps every evaluated QFunc alive, so no id is reused
+    held = {id(cf) for m in ph._C_mats + ph._B_mats for cf in m.c}
+    grid_evals = collections.Counter(
+        id(qf) for qf, xs in calls if id(qf) in held and xs is ph.nodes)
+    assert len(held) == 28
+    assert set(grid_evals) == held
+    assert max(grid_evals.values()) == 1
+    assert n_polyder[0] == 123
+
+
+def test_talg_apply_matches_per_call_evaluation(vphase):
+    vec = np.random.default_rng(5).standard_normal((4, vphase.nodes.size))
+    for s in range(4):
+        for mat in (vphase.C_mat(s), vphase.B_mat(s)):
+            assert np.array_equal(mat.apply(vphase, vec),
+                                  talg_apply_per_call(mat, vphase.nodes, vec))
+
+
+def test_cheb_antideriv_values_matches_loop(uphase, vphase, variable_artifact):
+    # the phase integrands, the grid functions and the transport integrands
+    cases = [(vals, ph.nodes) for ph in (uphase, vphase)
+             for vals in (ph.Sp(ph.nodes), ph.theta(ph.nodes), ph.S, ph.alpha)]
+    for term in variable_artifact.f_terms[1:]:
+        cases += [(vals, vphase.nodes)
+                  for vals in vphase.phi_inv_apply(w_values(term, 0))]
+    for vals, nodes in cases:
+        assert np.array_equal(inner.cheb_antideriv_values(vals, nodes),
+                              cheb_antideriv_values_loop(vals, nodes))
 
 
 def test_w_stack_matches_direct_chi_sum(variable_artifact):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from beamwkb import fit_rate, hermite, oracle, run_convergence
+from dense_forms import window_rows
 
 
 @pytest.fixture(scope="module")
@@ -59,12 +60,12 @@ def test_eigenfunction_rates(asym_artifact, asym_reports):
     for n in (0, 1):
         C = 2.0 * _left_norm(asym_artifact.outer_left[n + 1])
         worst = max(r["l2_outer_left"] / (C * r["epsilon"] ** (n + 1))
-                    for r in asym_reports[n].window_rows())
+                    for r in window_rows(asym_reports[n]))
         assert worst <= 1.0
 
 
 def test_kappa_tends_to_one(asym_reports):
-    rows = asym_reports[1].window_rows()
+    rows = window_rows(asym_reports[1])
     devs = [abs(r["kappa"] - 1.0) for r in rows]
     print("\nasymmetric |kappa - 1| by l:",
           [(r["l"], round(d, 4)) for r, d in zip(rows, devs)])
@@ -76,7 +77,7 @@ def test_gap_scaling_is_linear_not_quartic(asym_reports):
     # the isolation radius d eps^4 is a lower bound; the actual nearest
     # neighbor follows the local spacing, which shrinks linearly in eps
     fit = asym_reports[1].fits["gap"]
-    rows = asym_reports[1].window_rows()
+    rows = window_rows(asym_reports[1])
     margin = min(r["gap"] / r["epsilon"] ** 4 for r in rows)
     print(f"\nasymmetric gap exponent {fit['slope']:.3f}, "
           f"min gap/eps^4 = {margin:.1e}")
