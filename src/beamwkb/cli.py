@@ -110,7 +110,7 @@ def cmd_oracle(args):
     from . import outer as outer_mod
     mode = outer_mod.solve_three_point_eigen(
         coeffs, run.mode_index, outer_grid=run.outer_grid,
-        gap_min_rel=run.tol("gap_min_rel"))
+        gap_min_rel=run.tolerances["gap_min_rel"])
     lam1 = outer_mod.compute_lambda1(mode)
     phase = inner.compute_phase(coeffs, mode.lambda0, lam1, run.inner_grid)
     prob = oracle.assemble(coeffs, args.epsilon, phase.S1,

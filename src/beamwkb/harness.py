@@ -54,7 +54,6 @@ class ExpansionArtifact:
     mode: object = None
     corrections: list = None
     phase: object = None
-    quant: object = None
     f_terms: list = None
 
     # ------------------------------------------------------------------
@@ -70,15 +69,12 @@ class ExpansionArtifact:
                 self.diagnostics["lambda1"], self.run.inner_grid)
         if self.f_terms is None:
             self.f_terms = [
-                inner.InnerCoefficient(i, self.phase, b, h=h)
-                for i, (b, h) in enumerate(zip(self.f_beta, self.f_h))]
+                inner.InnerCoefficient(self.phase, b, h=h)
+                for b, h in zip(self.f_beta, self.f_h)]
         return self.phase
 
     def epsilon(self, l: int):
-        den = self.delta + 2.0 * math.pi * l - self.alpha1
-        if den <= 0.0:
-            raise ValueError(f"epsilon denominator not positive at l={l}")
-        return self.S1 / den
+        return inner.epsilon_l(self.S1, self.alpha1, self.delta, l)
 
     def lambda_trunc(self, eps: float, n: int):
         if n > self.n_max:
@@ -132,17 +128,24 @@ def build_expansion(coeffs: CoefficientSet, run: RunSpec) -> ExpansionArtifact:
             f"selected limit eigenvalue {mode.lambda0!r} is not positive")
     lambdas = [mode.lambda0]
     corrections = []
+    # endpoint tables of the outer terms at x = 0- (-1) and 0+ (+1), by order
+    tables = {-1: [mode.endpoint_minus], +1: [mode.endpoint_plus]}
+
+    def add(lam, term):
+        lambdas.append(lam)
+        corrections.append(term)
+        tables[-1].append(term.endpoint_minus)
+        tables[+1].append(term.endpoint_plus)
+
     f_terms = [inner.solve_f0(phase, run.delta, mode.vpp_minus0)]
     notes = {}
     if run.n_max >= 1:
-        lambdas.append(lam1)
-        corrections.append(outer.solve_v1(mode, table_depth=run.n_max + 5))
+        add(lam1, outer.solve_v1(mode, table_depth=run.n_max + 5))
     if run.n_max <= 1:
         mode.factors.clear()          # no outer order left: free the LUs
     for i in range(2, run.n_max + 1):
         try:
-            bd = outer.boundary_data(i, mode, corrections, phase, f_terms,
-                                     run.delta)
+            bd = outer.boundary_data(i, tables, phase, f_terms, run.delta)
             term = outer.solve_correction(
                 mode, i, lambdas, corrections,
                 bd["V_minus"], bd["V_plus"], bd["W_minus"], bd["W_plus"],
@@ -151,30 +154,20 @@ def build_expansion(coeffs: CoefficientSet, run: RunSpec) -> ExpansionArtifact:
             raise ExpansionError(f"construction stage {i}: {exc}") from exc
         if i == run.n_max:
             mode.factors.clear()      # no outer order left: free the LUs
-        lambdas.append(term.lambda_i)
-        corrections.append(term)
+        add(term.lambda_i, term)
         if term.right_skip_reason:
             notes[f"right_order_{i}"] = term.right_skip_reason
         # next inner coefficient f_{i-1}
-        tables = {
-            -1: [mode.endpoint_minus] + [t.endpoint_minus for t in corrections],
-            +1: [mode.endpoint_plus] + [t.endpoint_plus for t in corrections],
-        }
         try:
             sigma = inner.transport_sigma(phase, i - 1, f_terms, tables,
                                           run.delta)
             w_stack = inner.make_w_stack(phase, i, list(f_terms), list(lambdas))
             f_terms.append(inner.transport_solve(
-                phase, run.delta, i - 1, sigma, w_stack=w_stack))
+                phase, run.delta, sigma, w_stack=w_stack))
         except inner.MissingDataError as exc:
             raise ExpansionError(
                 f"inner coefficient f_{i - 1} at stage {i}: {exc}") from exc
 
-    tables_minus = [mode.endpoint_minus.derivs] + \
-        [t.endpoint_minus.derivs for t in corrections]
-    tables_plus = [mode.endpoint_plus.derivs] + \
-        [None if t.endpoint_plus is None else t.endpoint_plus.derivs
-         for t in corrections]
     diagnostics = {
         "lambda1": lam1,
         "gap_left": mode.gap_left,
@@ -189,12 +182,13 @@ def build_expansion(coeffs: CoefficientSet, run: RunSpec) -> ExpansionArtifact:
         coeffs=coeffs, run=run, lambdas=lambdas,
         outer_left=[mode.v_left] + [t.v_left for t in corrections],
         outer_right=[mode.v_right] + [t.v_right for t in corrections],
-        tables_minus=tables_minus, tables_plus=tables_plus,
+        tables_minus=[t.derivs for t in tables[-1]],
+        tables_plus=[None if t is None else t.derivs for t in tables[+1]],
         f_beta=[f.beta for f in f_terms],
         f_h=[f.h for f in f_terms],
         delta=run.delta, l0=quant.l0, S1=phase.S1, alpha1=phase.alpha1,
         inner_nodes=phase.nodes, diagnostics=diagnostics,
-        mode=mode, corrections=corrections, phase=phase, quant=quant,
+        mode=mode, corrections=corrections, phase=phase,
         f_terms=f_terms,
     )
 
@@ -380,9 +374,7 @@ def compare_eigenfunction(art: ExpansionArtifact, prob, result, eps, n):
 
 
 def run_convergence(art: ExpansionArtifact, n: int, l_values=None,
-                    nodes_per_wavelength=None, outer_h=None, refine=1.0,
-                    k: int = 6,
-                    compare_functions: bool = True) -> ValidationReport:
+                    refine=1.0, compare_functions: bool = True) -> ValidationReport:
     """Oracle sweep along the quantized sequence with rate fits at order n.
 
     Each row solves the direct problem at eps_l targeting the highest
@@ -395,8 +387,6 @@ def run_convergence(art: ExpansionArtifact, n: int, l_values=None,
     itself is a deterministic reduction ordered by l.
     """
     run = art.run
-    npw = nodes_per_wavelength or run.oracle_nodes_per_wavelength
-    oh = outer_h or run.oracle_outer_h
     if l_values is None:
         l_values = range(max(run.l_range[0], art.l0), run.l_range[1] + 1)
     art.ensure_phase()
@@ -418,10 +408,11 @@ def run_convergence(art: ExpansionArtifact, n: int, l_values=None,
         row["lambda_asym"] = art.lambda_trunc(eps, n)
         target = art.lambda_trunc(eps, target_n)
         try:
-            prob = oracle.assemble(art.coeffs, eps, art.S1,
-                                   nodes_per_wavelength=npw, outer_h=oh,
-                                   refine=refine)
-            res = oracle.solve_near(prob, target, k=k)
+            prob = oracle.assemble(
+                art.coeffs, eps, art.S1,
+                nodes_per_wavelength=run.oracle_nodes_per_wavelength,
+                outer_h=run.oracle_outer_h, refine=refine)
+            res = oracle.solve_near(prob, target)
             res = oracle.normalize_weighted(res, prob, lambda x: v0(x))
         except (oracle.ModeCaptureError, oracle.MeshResolutionError,
                 oracle.OracleInputError, hermite.EigenConvergenceError) as exc:

@@ -175,7 +175,10 @@ def cheb_coeffs(values):
 
 
 def cheb_antideriv_values(values, nodes):
-    """Antiderivative on the same grid, vanishing at xi = -1 (spectral)."""
+    """Antiderivative on the same grid, vanishing at xi = -1 (spectral).
+
+    ``nodes`` is the ascending Lobatto grid, so nodes[0] is exactly -1.
+    """
     a = cheb_coeffs(values)
     n = a.shape[0]
     c = np.zeros(n + 2)                  # c_n = c_{n+1} = 0
@@ -184,7 +187,7 @@ def cheb_antideriv_values(values, nodes):
     b = np.zeros(n + 1)
     b[1:] = (c[:n] - c[2:]) / (2.0 * np.arange(1, n + 1))
     vals = C.chebval(nodes, b)
-    return vals - C.chebval(-1.0, b)
+    return vals - vals[0]
 
 
 def cheb_eval(values, x):
@@ -302,7 +305,8 @@ class PhaseData:
         """Grid values of the u-th derivative of qf, computed once per phase.
 
         Keyed on the QFunc object, so only functions the phase keeps alive
-        (its memoized operators, powers of S', C_s and B_s) belong here.
+        (its memoized operators, S' and its powers, q^-3/8 and q^3/8, C_s
+        and B_s) belong here.
         """
         funcs, vals = self._grid.setdefault(qf, ([qf], []))
         while len(vals) <= u:
@@ -311,14 +315,9 @@ class PhaseData:
             vals.append(funcs[len(vals)](self.nodes))
         return vals[u]
 
-    def sprime_at(self, side):
-        return float(self.Sp(np.array([float(side)]))[0])
-
-    def q_m38_at(self, side):
-        return float(self.q_m38(np.array([float(side)]))[0])
-
-    def q_38_at(self, side):
-        return float(self.q_38(np.array([float(side)]))[0])
+    def at(self, qf, side, u=0):
+        """u-th derivative of qf at xi = side (+1 or -1), an end of the grid."""
+        return float(self.grid_values(qf, u)[0 if side == -1 else -1])
 
     def gamma1(self, eps):
         return self.S1 / eps + self.alpha1
@@ -437,24 +436,20 @@ def g_delta_matrix(delta: float):
     ])
 
 
+def epsilon_l(S1: float, alpha1: float, delta: float, l: int):
+    """eps_l = S(1) / (delta + 2 pi l - alpha(1)) of the quantized sequence."""
+    den = delta + 2.0 * math.pi * l - alpha1
+    if den <= 0.0:
+        raise ValueError(f"epsilon denominator not positive at l={l}")
+    return S1 / den
+
+
 @dataclass
 class QuantizedSequence:
-    """Small-parameter family eps_l = S(1) / (delta + 2 pi l - alpha(1))."""
+    """First admissible index l0 of the eps_l family and det G_delta."""
 
-    delta: float
     l0: int
-    epsilons: dict
     det_G_delta: float
-    S1: float
-    alpha1: float
-
-    def eps(self, l):
-        if l not in self.epsilons:
-            den = self.delta + 2.0 * math.pi * l - self.alpha1
-            if den <= 0.0 or l < self.l0:
-                raise ValueError(f"denominator not positive at l={l}")
-            self.epsilons[l] = self.S1 / den
-        return self.epsilons[l]
 
 
 def quantize(phase: PhaseData, delta: float, l_range, guard: float = GUARD_BAND):
@@ -465,16 +460,11 @@ def quantize(phase: PhaseData, delta: float, l_range, guard: float = GUARD_BAND)
     l0 = max(1, math.floor((phase.alpha1 - delta) / (2.0 * math.pi)) + 1)
     while delta + 2.0 * math.pi * l0 - phase.alpha1 <= 0.0:
         l0 += 1
-    eps = {}
-    for l in range(max(lo, l0), hi + 1):
-        eps[l] = phase.S1 / (delta + 2.0 * math.pi * l - phase.alpha1)
-    if not eps:
+    if max(lo, l0) > hi:
         raise ValueError(
             f"empty quantized range: requested l in [{lo}, {hi}] but l0 = {l0}")
     return QuantizedSequence(
-        delta=delta, l0=l0, epsilons=eps,
-        det_G_delta=float(np.linalg.det(g_delta_matrix(delta))),
-        S1=phase.S1, alpha1=phase.alpha1)
+        l0=l0, det_G_delta=float(np.linalg.det(g_delta_matrix(delta))))
 
 
 # ---------------------------------------------------------------------------
@@ -484,8 +474,7 @@ def quantize(phase: PhaseData, delta: float, l_range, guard: float = GUARD_BAND)
 class InnerCoefficient:
     """One coefficient f_i = Phi (beta + h) with exact derivative stacks."""
 
-    def __init__(self, order, phase: PhaseData, beta, h, w_stack=None):
-        self.order = order
+    def __init__(self, phase: PhaseData, beta, h, w_stack=None):
         self.phase = phase
         self.beta = np.asarray(beta, dtype=float)
         self.h = np.asarray(h, dtype=float)
@@ -545,8 +534,8 @@ def solve_f0(phase: PhaseData, delta: float, vpp_minus0: float):
     constant vector has a closed form, which the boundary-system solve is
     checked against entry by entry.
     """
-    sigma = np.array([phase.sprime_at(-1) ** -2 * vpp_minus0, 0.0, 0.0, 0.0])
-    f0 = transport_solve(phase, delta, 0, sigma)
+    sigma = np.array([phase.at(phase.Sp, -1) ** -2 * vpp_minus0, 0.0, 0.0, 0.0])
+    f0 = transport_solve(phase, delta, sigma)
     closed = beta0_closed_form(phase, delta, vpp_minus0)
     scale = max(np.max(np.abs(closed)), 1e-300)
     if np.max(np.abs(f0.beta - closed)) > 1e-10 * scale:
@@ -558,7 +547,7 @@ def solve_f0(phase: PhaseData, delta: float, vpp_minus0: float):
 
 def beta0_closed_form(phase: PhaseData, delta: float, vpp_minus0: float):
     """Closed-form beta0 for data supported on the left side only."""
-    c = 0.5 * phase.q_38_at(-1) * phase.sprime_at(-1) ** -2 * vpp_minus0
+    c = 0.5 * phase.at(phase.q_38, -1) * phase.at(phase.Sp, -1) ** -2 * vpp_minus0
     t = math.tan(delta)
     return c * np.array([t - 1.0, -t - 1.0, t + 1.0, -1.0 / math.cos(delta)])
 
@@ -733,22 +722,16 @@ def _coords_or_zero(f_terms, order, r, side, n4=4):
 
 def phi_inv_D(phase: PhaseData, i: int, f_terms, side):
     """Phi^-1 D_i at xi = side, D_i = 2 S' T^3 f'_{i-1} + S'' T^3 f_{i-1} + f''_{i-2}."""
-    sp = phase.Sp
-    spp = sp.deriv()
-    x = np.array([float(side)])
-    out = 2.0 * float(sp(x)[0]) * (T_POWERS[3] @ _coords_or_zero(f_terms, i - 1, 1, side))
-    out = out + float(spp(x)[0]) * (T_POWERS[3] @ _coords_or_zero(f_terms, i - 1, 0, side))
+    spv, sppv = (phase.at(phase.Sp, side, u) for u in (0, 1))
+    out = 2.0 * spv * (T_POWERS[3] @ _coords_or_zero(f_terms, i - 1, 1, side))
+    out = out + sppv * (T_POWERS[3] @ _coords_or_zero(f_terms, i - 1, 0, side))
     out = out + _coords_or_zero(f_terms, i - 2, 2, side)
     return out
 
 
 def phi_inv_E(phase: PhaseData, i: int, f_terms, side):
     """Phi^-1 E_i at xi = side (first/second derivative interface blocks)."""
-    sp = phase.Sp
-    spp = sp.deriv()
-    sppp = spp.deriv()
-    x = np.array([float(side)])
-    spv, sppv, spppv = float(sp(x)[0]), float(spp(x)[0]), float(sppp(x)[0])
+    spv, sppv, spppv = (phase.at(phase.Sp, side, u) for u in (0, 1, 2))
     sp2 = spv * spv
     blk1 = 3.0 * sp2 * _coords_or_zero(f_terms, i - 1, 1, side) + \
         3.0 * spv * sppv * _coords_or_zero(f_terms, i - 1, 0, side)
@@ -784,8 +767,8 @@ def transport_sigma(phase: PhaseData, i: int, f_terms, tables, delta: float):
     sig = np.zeros(4)
     for side, (iT2, iT) in ((-1, (0, 1)), (+1, (2, 3))):
         Nv = N_MINUS if side == -1 else n_plus(delta)
-        qm38 = phase.q_m38_at(side)
-        spv = phase.sprime_at(side)
+        qm38 = phase.at(phase.q_m38, side)
+        spv = phase.at(phase.Sp, side)
         cD = phi_inv_D(phase, i, f_terms, side)
         cE = phi_inv_E(phase, i, f_terms, side)
 
@@ -801,8 +784,14 @@ def transport_sigma(phase: PhaseData, i: int, f_terms, tables, delta: float):
     return sig
 
 
-def _transport_solve(phase: PhaseData, order, sigma, w_stack, G, N1):
-    """Variation of parameters against boundary matrix G and trace N(+1)."""
+def transport_solve(phase: PhaseData, delta: float, sigma, w_stack=None):
+    """Principal solution of the transport problem with boundary data sigma.
+
+    h(xi) is the spectral antiderivative of Phi^-1 w; the constant vector
+    solves the limit system G_delta beta = g with the h(1) corrections on
+    the xi = +1 rows.  Exponentially small terms are dropped exactly.
+    delta must lie outside the guard band, which ``quantize`` enforces.
+    """
     xs = phase.nodes
     if w_stack is None:
         h = np.zeros((4, xs.size))
@@ -810,29 +799,17 @@ def _transport_solve(phase: PhaseData, order, sigma, w_stack, G, N1):
         integrand = phase.phi_inv_apply(w_stack(0))
         h = np.stack([cheb_antideriv_values(integrand[k], xs) for k in range(4)])
     h1 = h[:, -1]
-    m_minus = phase.q_38_at(-1)
-    m_plus = phase.q_38_at(+1)
+    N1 = n_plus(delta)
+    m_minus = phase.at(phase.q_38, -1)
+    m_plus = phase.at(phase.q_38, +1)
     g = np.array([
         m_minus * sigma[0],
         m_minus * sigma[1],
         m_plus * sigma[2] - float(np.dot(h1, T_POWERS[2] @ N1)),
         m_plus * sigma[3] - float(np.dot(h1, T_POWERS[3] @ N1)),
     ])
-    beta = np.linalg.solve(G, g)
-    return InnerCoefficient(order, phase, beta, h=h, w_stack=w_stack)
-
-
-def transport_solve(phase: PhaseData, delta: float, order: int, sigma,
-                    w_stack=None):
-    """Principal solution of the transport problem at the given order.
-
-    h(xi) is the spectral antiderivative of Phi^-1 w; the constant vector
-    solves the limit system G_delta beta = g with the h(1) corrections on
-    the xi = +1 rows.  Exponentially small terms are dropped exactly.
-    delta must lie outside the guard band, which ``quantize`` enforces.
-    """
-    return _transport_solve(phase, order, sigma, w_stack,
-                            g_delta_matrix(delta), n_plus(delta))
+    beta = np.linalg.solve(g_delta_matrix(delta), g)
+    return InnerCoefficient(phase, beta, h=h, w_stack=w_stack)
 
 
 # ---------------------------------------------------------------------------

@@ -190,9 +190,6 @@ class RunSpec:
         if self.outer_grid < 8:
             raise ConfigError("outer_grid too coarse (need >= 8 elements per unit length)")
 
-    def tol(self, name: str) -> float:
-        return self.tolerances[name]
-
 
 _CONFIG_KEYS = {
     "a", "b", "m", "k0", "k1", "k2", "p", "q",

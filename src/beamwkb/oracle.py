@@ -129,7 +129,7 @@ class SpectralResult:
                 float(hi.min()) if hi.size else None)
 
 
-def solve_near(problem: DiscreteProblem, target: float, k: int = 6):
+def solve_near(problem: DiscreteProblem, target: float):
     """Eigenpair nearest to ``target`` plus flanking eigenvalues.
 
     Deterministic shift-invert (all-ones start vector).  Only the reported
@@ -139,7 +139,7 @@ def solve_near(problem: DiscreteProblem, target: float, k: int = 6):
     """
     if target <= 0.0:
         raise OracleInputError("target must be positive")
-    vals, vecs = hermite.eigs_near(problem.asm, sigma=target, k=k)
+    vals, vecs = hermite.eigs_near(problem.asm, sigma=target, k=6)
     idx = int(np.argmin(np.abs(vals - target)))
     lam, v = hermite.polish(problem.asm, vals[idx], vecs[:, idx])
     lam = float(lam)

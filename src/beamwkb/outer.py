@@ -42,10 +42,6 @@ def _interval_assembly(coeffs, lo, hi, n_elem):
 class EndpointData:
     """One-sided interface data of an outer term at x = 0."""
 
-    value: float
-    slope: float
-    vpp: float
-    vppp: float
     derivs: np.ndarray            # v^(j)(side), j = 0..depth
 
     def deriv(self, j):
@@ -100,8 +96,8 @@ def _endpoint_data(coeffs, asm, dofs, lam0, load, side, V, W, g_derivs, depth):
     vpp = float(sgn * R[1] / k00)
     k0vpp_prime = float(-sgn * R[0] + coeffs.k1_at(0.0) * W)
     vppp = (k0vpp_prime - coeffs.k0_at(0.0, 1) * vpp) / k00
-    table = endpoint_derivatives(coeffs, lam0, [V, W, vpp, vppp], g_derivs, depth)
-    return EndpointData(V, W, vpp, vppp, table)
+    return EndpointData(endpoint_derivatives(coeffs, lam0, [V, W, vpp, vppp],
+                                             g_derivs, depth))
 
 
 @dataclass
@@ -111,8 +107,6 @@ class OuterMode:
     lambda0: float
     v_left: HermiteFunction
     v_right: HermiteFunction
-    vpp_minus0: float
-    vppp_minus0: float
     gap_left: float
     gap_right: float
     degenerate_right: bool
@@ -129,6 +123,14 @@ class OuterMode:
     @property
     def gap(self):
         return min(self.gap_left, self.gap_right)
+
+    @property
+    def vpp_minus0(self):
+        return self.endpoint_minus.deriv(2)
+
+    @property
+    def vppp_minus0(self):
+        return self.endpoint_minus.deriv(3)
 
 
 def _left_factors(mode: OuterMode):
@@ -164,18 +166,17 @@ def _right_factors(mode: OuterMode):
 
 
 def solve_three_point_eigen(coeffs: CoefficientSet, mode_index: int = 1,
-                            outer_grid: int = 256, strict: bool = False,
-                            gap_min_rel: float = 1e-3, table_depth: int = 8):
+                            outer_grid: int = 256, gap_min_rel: float = 1e-3,
+                            table_depth: int = 8):
     """Solve the limit problem for (lambda0, v0), normalized on the left.
 
     The eigenfunction is supported on (a, 0), pinned to zero value and
     slope at both ends, extended by zero on (0, b), normalized so that
     the p-weighted square integral over (a, 0) is one and v0''(0-) > 0.
 
-    With ``strict`` the solver refuses configurations where lambda0 also
-    lies within gap_min of the right-interval clamped spectrum (a multiple
-    eigenvalue of the three-point problem); otherwise the degeneracy is
-    recorded on the returned mode.
+    A lambda0 within gap_min of the right-interval clamped spectrum (a
+    multiple eigenvalue of the three-point problem) is recorded on the
+    returned mode as ``degenerate_right``.
     """
     n_left = max(32, int(round(outer_grid * (-coeffs.a))))
     n_right = max(32, int(round(outer_grid * coeffs.b)))
@@ -205,17 +206,12 @@ def solve_three_point_eigen(coeffs: CoefficientSet, mode_index: int = 1,
             f"lambda0={lam0:.6g} has a left-interval neighbor at distance "
             f"{gap_left:.3g} < gap_min={gap_min:.3g}")
     degenerate = gap_right < gap_min
-    if degenerate and strict:
-        raise ThreePointMultiplicityError(
-            f"lambda0={lam0:.6g} lies within {gap_right:.3g} of the right-interval "
-            "spectrum: the three-point eigenvalue is multiple (symmetric "
-            "configurations are outside the theory)")
 
     # normalize: integral of p v0^2 over (a, 0) equals 1, sign via v0''(0-)
     v = v / math.sqrt(left.mass(v, v))
     ep_minus = _endpoint_data(coeffs, left, v, lam0, None, "left", 0.0, 0.0,
                               [], table_depth)
-    if ep_minus.vpp < 0.0:
+    if ep_minus.deriv(2) < 0.0:
         v = -v
         ep_minus = _endpoint_data(coeffs, left, v, lam0, None, "left", 0.0,
                                   0.0, [], table_depth)
@@ -224,19 +220,16 @@ def solve_three_point_eigen(coeffs: CoefficientSet, mode_index: int = 1,
     v_right = HermiteFunction.zero(right.nodes)
     return OuterMode(
         lambda0=lam0, v_left=v_left, v_right=v_right,
-        vpp_minus0=ep_minus.vpp, vppp_minus0=ep_minus.vppp,
         gap_left=gap_left, gap_right=gap_right, degenerate_right=bool(degenerate),
         left_asm=left, right_asm=right, coeffs=coeffs,
         endpoint_minus=ep_minus,
-        endpoint_plus=EndpointData(0.0, 0.0, 0.0, 0.0,
-                                   np.zeros(table_depth + 1)),
+        endpoint_plus=EndpointData(np.zeros(table_depth + 1)),
     )
 
 
-def compute_lambda1(mode: OuterMode, coeffs: CoefficientSet = None):
+def compute_lambda1(mode: OuterMode):
     """First eigenvalue correction: k0(0) times the squared kink of v0."""
-    coeffs = coeffs if coeffs is not None else mode.coeffs
-    return float(coeffs.k0_at(0.0)) * mode.vpp_minus0 ** 2
+    return float(mode.coeffs.k0_at(0.0)) * mode.vpp_minus0 ** 2
 
 
 def correction_residual(mode: OuterMode, prev_terms, term: CorrectionTerm,
@@ -274,46 +267,44 @@ class CorrectionTerm:
     lambda_i: float
     v_left: HermiteFunction
     v_right: HermiteFunction            # None when the right problem is resonant
-    V_minus: float
-    V_plus: float
-    W_minus: float
-    W_plus: float
     endpoint_minus: EndpointData
     endpoint_plus: EndpointData         # None when v_right is None
     solvability_residual: float
-    right_resonant: bool
     right_skip_reason: str = ""
 
 
-def _g_callable(terms_side, lambdas, i):
-    """Right-hand side density g = sum_j lambda_j v_{i-j} on one interval."""
-    funcs = []
+def _forcing(terms, lambdas, i, side, depth):
+    """Forcing g = sum_{j=1..i} lambda_j v_{i-j} of the order-i problem on one side.
+
+    ``terms`` holds orders 0..i-1 (the mode, then the corrections).  One
+    walk gives the (lambda_j, v_{i-j}) pairs with lambda_j != 0 and the
+    table of g^(r)(0), r <= depth, or None when a lower-order term is
+    unavailable on that side.
+    """
+    pairs = []
+    derivs = np.zeros(depth + 1)
     for j in range(1, i + 1):
-        lam_j = lambdas[j]
-        vf = terms_side[i - j]
-        if vf is None:
+        term = terms[i - j]
+        fn, tab = (term.v_left, term.endpoint_minus) if side == -1 else \
+            (term.v_right, term.endpoint_plus)
+        if fn is None:
             return None
-        if lam_j != 0.0:
-            funcs.append((lam_j, vf))
-
-    def g(x):
-        out = np.zeros_like(np.asarray(x, dtype=float))
-        for lam_j, vf in funcs:
-            out = out + lam_j * vf(x)
-        return out
-
-    return g
+        if lambdas[j] != 0.0:
+            pairs.append((lambdas[j], fn))
+            take = min(depth + 1, tab.derivs.size)
+            derivs[:take] += lambdas[j] * tab.derivs[:take]
+    return pairs, derivs
 
 
-def _g_endpoint_derivs(tables_side, lambdas, i, depth):
-    out = np.zeros(depth + 1)
-    for j in range(1, i + 1):
-        tab = tables_side[i - j]
-        if tab is None:
-            return None
-        take = min(depth + 1, tab.derivs.size)
-        out[:take] += lambdas[j] * np.asarray(tab.derivs[:take], dtype=float)
-    return out
+def _load(nodes, p_fn, pairs):
+    """Load vector of the density p g, g = sum of lambda_j v_{i-j}."""
+    def density(x):
+        g = np.zeros_like(np.asarray(x, dtype=float))
+        for lam_j, vf in pairs:
+            g = g + lam_j * vf(x)
+        return p_fn(x) * g
+
+    return hermite.load_vector(nodes, density)
 
 
 def solve_correction(mode: OuterMode, i: int, lambdas, prev_terms,
@@ -335,20 +326,17 @@ def solve_correction(mode: OuterMode, i: int, lambdas, prev_terms,
     lam0 = mode.lambda0
     lam_i = solvability_lambda(mode, V_minus, W_minus)
     lambdas = list(lambdas[:i]) + [lam_i]
-
-    left_funcs = [mode.v_left] + [t.v_left for t in prev_terms]
-    right_funcs = [mode.v_right] + [t.v_right for t in prev_terms]
-    tables_minus = [mode.endpoint_minus] + [t.endpoint_minus for t in prev_terms]
-    tables_plus = [mode.endpoint_plus] + [t.endpoint_plus for t in prev_terms]
+    terms = [mode] + list(prev_terms)
+    p_fn = hermite.poly_fn(coeffs.p)
 
     # ---- left interval: bordered singular solve -------------------------
     left = mode.left_asm
     nodes_l = left.nodes
-    p_fn = hermite.poly_fn(coeffs.p)
-    g_left = _g_callable(left_funcs, lambdas, i)
-    if g_left is None:
+    forcing = _forcing(terms, lambdas, i, -1, table_depth)
+    if forcing is None:
         raise SolvabilityError(f"missing lower-order left term below order {i}")
-    F = hermite.load_vector(nodes_l, lambda x: p_fn(x) * g_left(x))
+    pairs, g_derivs = forcing
+    F = _load(nodes_l, p_fn, pairs)
 
     fixed, free = left.clamped, left.free
     fixed_vals = np.array([0.0, 0.0, V_minus, W_minus])
@@ -377,62 +365,54 @@ def solve_correction(mode: OuterMode, i: int, lambdas, prev_terms,
         raise SolvabilityError(
             f"left singular system inconsistent at order {i}: multiplier {mu:.3e}")
 
-    ep_minus = _endpoint_data(
-        coeffs, left, v_dofs, lam0, F, "left", V_minus, W_minus,
-        _g_endpoint_derivs(tables_minus, lambdas, i, table_depth), table_depth)
+    ep_minus = _endpoint_data(coeffs, left, v_dofs, lam0, F, "left", V_minus,
+                              W_minus, g_derivs, table_depth)
 
     # ---- right interval: regular (or resonant) solve --------------------
     right = mode.right_asm
     nodes_r = right.nodes
     resonant = mode.degenerate_right
-    g_right = _g_callable(right_funcs, lambdas, i)
-    rhs_zero = g_right is not None and all(
-        lambdas[j] == 0.0 or
-        (np.all(right_funcs[i - j].values == 0.0) and
-         np.all(right_funcs[i - j].slopes == 0.0))
-        for j in range(1, i + 1))
+    forcing = _forcing(terms, lambdas, i, +1, table_depth)
     data_scale = abs(V_plus) + abs(W_plus)
 
     v_right_fn = None
     ep_plus = None
     skip_reason = ""
-    if g_right is None:
+    if forcing is None:
         skip_reason = f"missing lower-order right term below order {i}"
-    elif resonant and not (rhs_zero and
-                           data_scale < DATA_ZERO_TOL * (abs(mode.vpp_minus0) + 1.0)):
+    elif resonant and not (
+            all(np.all(vf.values == 0.0) and np.all(vf.slopes == 0.0)
+                for _, vf in forcing[0]) and
+            data_scale < DATA_ZERO_TOL * (abs(mode.vpp_minus0) + 1.0)):
         skip_reason = (
             "right interval resonant: lambda0 within "
             f"{mode.gap_right:.3g} of the clamped spectrum on (0, b) and the "
             f"order-{i} interface data do not vanish")
+    elif resonant:
+        v_right_fn = HermiteFunction.zero(nodes_r)
+        ep_plus = EndpointData(np.zeros(table_depth + 1))
     else:
-        if resonant:
-            v_right_fn = HermiteFunction.zero(nodes_r)
-            ep_plus = EndpointData(0.0, 0.0, 0.0, 0.0, np.zeros(table_depth + 1))
-        else:
-            Fr = hermite.load_vector(nodes_r, lambda x: p_fn(x) * g_right(x))
-            fixed_r, free_r = right.clamped, right.free
-            fixed_vals_r = np.array([V_plus, W_plus, 0.0, 0.0])
-            A_fixed_r, lu_r = _right_factors(mode)
-            w = lu_r.solve(Fr[free_r] - A_fixed_r @ fixed_vals_r)
-            v_dofs_r = np.zeros(right.ndof)
-            v_dofs_r[fixed_r] = fixed_vals_r
-            for _ in range(2):
-                v_dofs_r[free_r] = w
-                pen_r = right.pencil_apply(v_dofs_r, lam0)
-                w = w + lu_r.solve(Fr[free_r] - np.asarray(pen_r[free_r], float))
+        pairs, g_derivs = forcing
+        Fr = _load(nodes_r, p_fn, pairs)
+        fixed_r, free_r = right.clamped, right.free
+        fixed_vals_r = np.array([V_plus, W_plus, 0.0, 0.0])
+        A_fixed_r, lu_r = _right_factors(mode)
+        w = lu_r.solve(Fr[free_r] - A_fixed_r @ fixed_vals_r)
+        v_dofs_r = np.zeros(right.ndof)
+        v_dofs_r[fixed_r] = fixed_vals_r
+        for _ in range(2):
             v_dofs_r[free_r] = w
-            v_right_fn = HermiteFunction.from_dofs(nodes_r, v_dofs_r)
-            ep_plus = _endpoint_data(
-                coeffs, right, v_dofs_r, lam0, Fr, "right", V_plus, W_plus,
-                _g_endpoint_derivs(tables_plus, lambdas, i, table_depth),
-                table_depth)
+            pen_r = right.pencil_apply(v_dofs_r, lam0)
+            w = w + lu_r.solve(Fr[free_r] - np.asarray(pen_r[free_r], float))
+        v_dofs_r[free_r] = w
+        v_right_fn = HermiteFunction.from_dofs(nodes_r, v_dofs_r)
+        ep_plus = _endpoint_data(coeffs, right, v_dofs_r, lam0, Fr, "right",
+                                 V_plus, W_plus, g_derivs, table_depth)
 
     return CorrectionTerm(
         order=i, lambda_i=lam_i, v_left=v_left_fn, v_right=v_right_fn,
-        V_minus=V_minus, V_plus=V_plus, W_minus=W_minus, W_plus=W_plus,
         endpoint_minus=ep_minus, endpoint_plus=ep_plus,
-        solvability_residual=mu, right_resonant=bool(resonant),
-        right_skip_reason=skip_reason,
+        solvability_residual=mu, right_skip_reason=skip_reason,
     )
 
 
@@ -454,22 +434,18 @@ def solve_v1(mode: OuterMode, lam1: float = None, table_depth: int = 8):
     return term
 
 
-def boundary_data(i: int, mode: OuterMode, prev_terms, phase, inner_terms,
-                  delta: float):
+def boundary_data(i: int, tables, phase, inner_terms, delta: float):
     """Interface data (V_i, W_i) at both sides of x = 0.
 
-    Combines the inner traces (in fundamental-matrix coordinates, so the
-    exponentially small content is dropped exactly) with the Taylor shift
-    of all lower-order outer terms.
+    ``tables[side]`` lists the endpoint tables of the outer terms of orders
+    0..i-1 at x = 0- (side -1) and x = 0+ (side +1).  Combines the inner
+    traces (in fundamental-matrix coordinates, so the exponentially small
+    content is dropped exactly) with the Taylor shift of those terms.
     """
-    tables = {
-        -1: [mode.endpoint_minus] + [t.endpoint_minus for t in prev_terms],
-        +1: [mode.endpoint_plus] + [t.endpoint_plus for t in prev_terms],
-    }
     out = {}
     for side in (-1, +1):
         Nv = N_MINUS if side == -1 else n_plus(delta)
-        qm38 = phase.q_m38_at(side)
+        qm38 = phase.at(phase.q_m38, side)
         inner_V = 0.0
         if i - 4 >= 0 and i - 4 < len(inner_terms):
             c = inner_terms[i - 4].phi_coords(0, side)
@@ -477,7 +453,7 @@ def boundary_data(i: int, mode: OuterMode, prev_terms, phase, inner_terms,
         inner_W = 0.0
         vec = np.zeros(4)
         if i - 2 >= 0 and i - 2 < len(inner_terms):
-            vec = vec + phase.sprime_at(side) * (
+            vec = vec + phase.at(phase.Sp, side) * (
                 T_POWERS[3] @ inner_terms[i - 2].phi_coords(0, side))
         if i - 3 >= 0 and i - 3 < len(inner_terms):
             vec = vec + inner_terms[i - 3].phi_coords(1, side)

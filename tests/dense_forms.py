@@ -83,8 +83,22 @@ def transport_solve_full(phase, delta, l, sigma, w_stack=None):
     """
     gamma1 = delta + 2.0 * math.pi * l
     N1 = np.array([math.cos(delta), math.sin(delta), math.exp(-gamma1), 1.0])
-    return inner._transport_solve(phase, -1, sigma, w_stack,
-                                  g_matrix(gamma1), N1)
+    xs = phase.nodes
+    h = np.zeros((4, xs.size))
+    if w_stack is not None:
+        integrand = phase.phi_inv_apply(w_stack(0))
+        h = np.stack([inner.cheb_antideriv_values(row, xs) for row in integrand])
+    h1 = h[:, -1]
+    m_minus = float(phase.q_38(np.array([-1.0]))[0])
+    m_plus = float(phase.q_38(np.array([1.0]))[0])
+    g = np.array([
+        m_minus * sigma[0],
+        m_minus * sigma[1],
+        m_plus * sigma[2] - float(np.dot(h1, T_POWERS[2] @ N1)),
+        m_plus * sigma[3] - float(np.dot(h1, T_POWERS[3] @ N1)),
+    ])
+    beta = np.linalg.solve(g_matrix(gamma1), g)
+    return inner.InnerCoefficient(phase, beta, h=h, w_stack=w_stack)
 
 
 def barycentric_eval(nodes, values, x):
@@ -149,6 +163,13 @@ def N_of_S(phase, eps, xs=None):
         raise FloatingPointError("inner phase left the safe range")
     return np.stack([np.cos(tau), np.sin(tau),
                      np.exp(-tau), np.exp(tau - phase.S1 / eps)])
+
+
+def interface_tables(art):
+    """Endpoint tables of an in-process artifact's outer terms, by side."""
+    mode, corr = art.mode, art.corrections
+    return {-1: [mode.endpoint_minus] + [t.endpoint_minus for t in corr],
+            +1: [mode.endpoint_plus] + [t.endpoint_plus for t in corr]}
 
 
 def interface_quantities(phase, i, f_terms, tables):

@@ -116,7 +116,7 @@ def test_criterion_4_quantization(art):
     quant = inner.quantize(ph, art.delta, (1, art.l0 + 30))
     worst = 0.0
     for l in range(quant.l0, quant.l0 + 31):
-        gam = ph.gamma1(quant.eps(l))
+        gam = ph.gamma1(inner.epsilon_l(ph.S1, ph.alpha1, art.delta, l))
         worst = max(worst, abs(gam - (art.delta + 2.0 * math.pi * l)))
     ok = worst <= 1e-12
     announce("4", ok, f"max |gamma(1) - (delta + 2 pi l)| = {worst:.2e} over "
@@ -273,7 +273,7 @@ def test_criterion_9_principal_solution(art):
     w_stack = lambda r: wvals if r == 0 else None
     sigma = np.array([0.7, -0.3, 0.4, 1.1])
     delta = 0.3
-    ystar = inner.transport_solve(ph, delta, -1, sigma, w_stack=w_stack)
+    ystar = inner.transport_solve(ph, delta, sigma, w_stack=w_stack)
     ys = ystar.f_values(0)
     A = A_matrices(ph, xs)
     gaps, inv_eps = [], []
@@ -283,7 +283,7 @@ def test_criterion_9_principal_solution(art):
         yv = yl.f_values(0)
         dd = np.einsum("nij,jn->in", A, yv - ys)
         gaps.append(np.max(np.abs(yv - ys)) + np.max(np.abs(dd)))
-        inv_eps.append(1.0 / quant.eps(l))
+        inv_eps.append(1.0 / inner.epsilon_l(ph.S1, ph.alpha1, delta, l))
     gaps = np.asarray(gaps)
     # drop points at the double-precision floor (the true gap decays past
     # representable range within a few steps)

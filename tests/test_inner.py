@@ -11,7 +11,8 @@ from beamwkb.model import CoefficientSet
 from dense_forms import (A_entries, A_matrices, N_of_S, barycentric_eval,
                          cheb_antideriv_values_loop, cheb_diff_matrix,
                          det_g_closed_form, g_matrix, gamma_values,
-                         interface_quantities, phi_apply_at, phi_matrices,
+                         interface_quantities, interface_tables,
+                         phi_apply_at, phi_matrices,
                          talg_apply_per_call, transport_solve_full, w_values)
 
 
@@ -130,12 +131,11 @@ def test_g_delta_degenerates_at_guard_poles():
 def test_quantization_identity(uniform_artifact):
     ph = uniform_artifact.phase
     quant = inner.quantize(ph, 0.3, (1, 60))
-    ls = sorted(quant.epsilons)
-    assert ls[0] == quant.l0
-    eps = np.array([quant.eps(l) for l in ls])
+    ls = range(quant.l0, 61)
+    eps = np.array([inner.epsilon_l(ph.S1, ph.alpha1, 0.3, l) for l in ls])
     assert np.all(np.diff(eps) < 0.0)
-    for l in ls[:31]:
-        gam = ph.gamma1(quant.eps(l))
+    for l, e in zip(ls[:31], eps):
+        gam = ph.gamma1(e)
         assert abs(gam - (0.3 + 2.0 * math.pi * l)) < 1e-12
 
 
@@ -155,6 +155,16 @@ def test_quantize_guard_and_empty_range(uniform_artifact):
         inner.quantize(ph, 0.0, (1, 1))     # l0 = 2 for the uniform beam
 
 
+def test_epsilon_l_denominator(uniform_artifact):
+    ph = uniform_artifact.phase
+    eps = inner.epsilon_l(ph.S1, ph.alpha1, 0.3, 12)
+    assert eps == ph.S1 / (0.3 + 2.0 * math.pi * 12 - ph.alpha1)
+    assert uniform_artifact.epsilon(12) == inner.epsilon_l(
+        ph.S1, ph.alpha1, uniform_artifact.delta, 12)
+    with pytest.raises(ValueError, match="not positive at l=1"):
+        inner.epsilon_l(1.0, 2.0 * math.pi + 0.5, 0.5, 1)     # den = 0
+
+
 # ---------------------------------------------------------------------------
 # leading coefficient and transport solves
 # ---------------------------------------------------------------------------
@@ -172,7 +182,7 @@ def test_beta0_delta_zero_pattern(uniform_artifact):
     ph = uniform_artifact.phase
     s = uniform_artifact.mode.vpp_minus0
     f0 = inner.solve_f0(ph, 0.0, s)
-    c = 0.5 * ph.q_38_at(-1) * ph.sprime_at(-1) ** -2 * s
+    c = 0.5 * ph.at(ph.q_38, -1) * ph.at(ph.Sp, -1) ** -2 * s
     np.testing.assert_allclose(f0.beta, c * np.array([-1.0, -1.0, 1.0, -1.0]),
                                rtol=1e-12)
 
@@ -186,7 +196,7 @@ def test_f0_boundary_system_residual(uniform_artifact):
     ph = uniform_artifact.phase
     s = uniform_artifact.mode.vpp_minus0
     f0 = inner.solve_f0(ph, 0.3, s)
-    g = np.array([ph.q_38_at(-1) * ph.sprime_at(-1) ** -2 * s, 0.0, 0.0, 0.0])
+    g = np.array([ph.at(ph.q_38, -1) * ph.at(ph.Sp, -1) ** -2 * s, 0.0, 0.0, 0.0])
     res = inner.g_delta_matrix(0.3) @ f0.beta - g
     assert np.max(np.abs(res)) < 1e-12 * abs(s)
 
@@ -219,14 +229,14 @@ def test_transport_general_path_reproduces_f0(uniform_artifact):
     ph = art.phase
     s = art.mode.vpp_minus0
     f0 = inner.solve_f0(ph, 0.0, s)
-    sigma = np.array([ph.sprime_at(-1) ** -2 * s, 0.0, 0.0, 0.0])
-    y = inner.transport_solve(ph, 0.0, 0, sigma, w_stack=None)
+    sigma = np.array([ph.at(ph.Sp, -1) ** -2 * s, 0.0, 0.0, 0.0])
+    y = inner.transport_solve(ph, 0.0, sigma, w_stack=None)
     np.testing.assert_allclose(y.beta, f0.beta, rtol=1e-13)
     np.testing.assert_allclose(y.f_values(0), f0.f_values(0), atol=1e-13)
 
 
 def test_transport_zero_data_zero_solution(uniform_artifact):
-    y = inner.transport_solve(uniform_artifact.phase, 0.7, 0, np.zeros(4))
+    y = inner.transport_solve(uniform_artifact.phase, 0.7, np.zeros(4))
     assert np.max(np.abs(y.f_values(0))) == 0.0
 
 
@@ -240,7 +250,7 @@ def test_principal_solution_exponential_estimate(uniform_artifact):
     w_stack = lambda r: wvals if r == 0 else None
     sigma = np.array([0.7, -0.3, 0.4, 1.1])
     delta = 0.3
-    ystar = inner.transport_solve(ph, delta, -1, sigma, w_stack=w_stack)
+    ystar = inner.transport_solve(ph, delta, sigma, w_stack=w_stack)
     ys = ystar.f_values(0)
     A = A_matrices(ph, xs)
     gaps, gammas = [], []
@@ -372,7 +382,7 @@ def test_talg_coefficients_evaluated_once_per_build(variable_coeffs,
     assert len(held) == 28
     assert set(grid_evals) == held
     assert max(grid_evals.values()) == 1
-    assert n_polyder[0] == 123
+    assert n_polyder[0] == 118
 
 
 def test_talg_apply_matches_per_call_evaluation(vphase):
@@ -393,6 +403,30 @@ def test_cheb_antideriv_values_matches_loop(uphase, vphase, variable_artifact):
     for vals, nodes in cases:
         assert np.array_equal(inner.cheb_antideriv_values(vals, nodes),
                               cheb_antideriv_values_loop(vals, nodes))
+
+
+def test_cheb_nodes_end_exactly_at_plus_minus_one():
+    # cheb_antideriv_values and PhaseData.at read xi = -1 and +1 off the
+    # first and last node
+    for n in range(16, 1025):
+        x = inner.cheb_nodes(n)
+        assert x[0] == -1.0 and x[-1] == 1.0
+
+
+def test_phase_at_matches_point_evaluation(uniform_artifact, asym_artifact,
+                                           variable_artifact):
+    # grid-end values equal a fresh evaluation at the point, bit for bit
+    for art in (uniform_artifact, asym_artifact, variable_artifact):
+        ph = art.phase
+        for side in (-1, +1):
+            x = np.array([float(side)])
+            sp = ph.Sp
+            for u in range(3):
+                got = np.float64(ph.at(ph.Sp, side, u))
+                assert got.tobytes() == sp(x)[0].tobytes()
+                sp = sp.deriv()
+            for qf in (ph.q_m38, ph.q_38):
+                assert np.float64(ph.at(qf, side)).tobytes() == qf(x)[0].tobytes()
 
 
 def test_w_stack_matches_direct_chi_sum(variable_artifact):
@@ -433,25 +467,19 @@ def test_chi_needs_lower_terms(uniform_artifact):
 # interface quantities
 # ---------------------------------------------------------------------------
 
-def _tables(art):
-    mode, corr = art.mode, art.corrections
-    return {-1: [mode.endpoint_minus] + [t.endpoint_minus for t in corr],
-            +1: [mode.endpoint_plus] + [t.endpoint_plus for t in corr]}
-
-
 def test_interface_quantities_low_orders(uniform_artifact):
     art = uniform_artifact
     ph = art.phase
-    iq0 = interface_quantities(ph, 0, art.f_terms, _tables(art))
+    iq0 = interface_quantities(ph, 0, art.f_terms, interface_tables(art))
     for key, val in iq0.items():
         assert np.max(np.abs(np.atleast_1d(val))) == 0.0
-    iq1 = interface_quantities(ph, 1, art.f_terms, _tables(art))
+    iq1 = interface_quantities(ph, 1, art.f_terms, interface_tables(art))
     assert iq1["F_minus"] == 0.0 and iq1["F_plus"] == 0.0
     # D_1 = 2 S' T^3 f0' + S'' T^3 f0 at both traces
     f0 = art.f_terms[0]
     for side, key in ((-1, "D_minus"), (+1, "D_plus")):
         idx = 0 if side == -1 else -1
-        sp = ph.sprime_at(side)
+        sp = ph.at(ph.Sp, side)
         spp = float(ph.Sp.deriv()(np.array([float(side)]))[0])
         hand = 2.0 * sp * (T_POWERS[3] @ f0.f_values(1)[:, idx]) + \
             spp * (T_POWERS[3] @ f0.f_values(0)[:, idx])
@@ -460,7 +488,7 @@ def test_interface_quantities_low_orders(uniform_artifact):
 
 def test_f2_interface_is_third_derivative(uniform_artifact):
     art = uniform_artifact
-    iq2 = interface_quantities(art.phase, 2, art.f_terms, _tables(art))
+    iq2 = interface_quantities(art.phase, 2, art.f_terms, interface_tables(art))
     assert iq2["F_minus"] == pytest.approx(art.mode.vppp_minus0, rel=1e-12)
 
 
@@ -470,12 +498,12 @@ def test_phi_coords_of_f0_is_beta(variable_artifact):
     art = variable_artifact
     f0 = art.f_terms[0]
     np.testing.assert_allclose(f0.phi_coords(0, -1), f0.beta, rtol=1e-14)
-    qm = art.phase.q_m38_at(-1)
+    qm = art.phase.at(art.phase.q_m38, -1)
     inner_V4 = qm * float(np.dot(f0.beta, inner.N_MINUS))
-    bd = outer.boundary_data(4, art.mode, art.corrections, art.phase,
-                             art.f_terms, art.delta)
+    bd = outer.boundary_data(4, interface_tables(art), art.phase, art.f_terms,
+                             art.delta)
     # the inner trace enters V_4(-0) on top of the outer Taylor shift
-    tabs = _tables(art)[-1]
+    tabs = interface_tables(art)[-1]
     taylor = sum((-1.0) ** j / math.factorial(j) * tabs[4 - j].deriv(j)
                  for j in range(1, 5))
     assert bd["V_minus"] == pytest.approx(inner_V4 - taylor, rel=1e-10)
@@ -484,8 +512,8 @@ def test_phi_coords_of_f0_is_beta(variable_artifact):
 def test_boundary_data_range_check(uniform_artifact):
     art = uniform_artifact
     with pytest.raises(outer.SolvabilityError, match="has not been computed"):
-        outer.boundary_data(4, art.mode, art.corrections, art.phase,
-                            art.f_terms, art.delta)
+        outer.boundary_data(4, interface_tables(art), art.phase, art.f_terms,
+                            art.delta)
 
 
 # ---------------------------------------------------------------------------
@@ -495,8 +523,7 @@ def test_boundary_data_range_check(uniform_artifact):
 def test_trace_vectors_at_quantized_eps(uniform_artifact):
     art = uniform_artifact
     ph = art.phase
-    quant = inner.quantize(ph, art.delta, (2, 40))
-    eps = quant.eps(12)
+    eps = inner.epsilon_l(ph.S1, ph.alpha1, art.delta, 12)
     N = N_of_S(ph, eps, np.array([-1.0, 1.0]))
     np.testing.assert_allclose(N[:, 0], [1.0, 0.0, 1.0, 0.0], atol=1e-10)
     g1 = ph.gamma1(eps)

@@ -55,8 +55,8 @@ def test_runspec_validation():
     with pytest.raises(ConfigError):
         RunSpec(mode_index=0)
     run = RunSpec(tolerances={"tol_eig": 1e-7})
-    assert run.tol("tol_eig") == 1e-7
-    assert run.tol("guard") == 0.1
+    assert run.tolerances["tol_eig"] == 1e-7
+    assert run.tolerances["guard"] == 0.1
 
 
 def test_taylor_examples():

@@ -74,18 +74,15 @@ def test_gap_and_degeneracy_flags(uniform_mode, asym_coeffs):
     assert asym.gap_right > 500
 
 
-def test_strict_multiplicity_error(uniform_coeffs):
-    with pytest.raises(outer.ThreePointMultiplicityError, match="multiple"):
-        outer.solve_three_point_eigen(uniform_coeffs, 1, outer_grid=64,
-                                      strict=True)
-
-
 def test_compute_lambda1_examples(uniform_mode, closed_form_mode):
-    fake = dataclasses.replace(uniform_mode, vpp_minus0=2.0)
-    assert outer.compute_lambda1(fake) == pytest.approx(4.0)
+    def with_kink(vpp, **changes):
+        tab = outer.EndpointData(np.array([0.0, 0.0, vpp, 0.0]))
+        return dataclasses.replace(uniform_mode, endpoint_minus=tab, **changes)
+
+    assert outer.compute_lambda1(with_kink(2.0)) == pytest.approx(4.0)
     k3 = CoefficientSet(a=-1.0, b=1.0, k0=(3.0,))
-    assert outer.compute_lambda1(
-        dataclasses.replace(uniform_mode, vpp_minus0=0.0), k3) == 0.0
+    assert outer.compute_lambda1(with_kink(2.0, coeffs=k3)) == pytest.approx(12.0)
+    assert outer.compute_lambda1(with_kink(0.0, coeffs=k3)) == 0.0
     lam1 = outer.compute_lambda1(uniform_mode)
     assert lam1 == pytest.approx(closed_form_mode["vpp"] ** 2, rel=2e-7)
 
@@ -163,10 +160,11 @@ def test_endpoint_recurrence_manufactured():
 
 def test_boundary_data_low_orders(uniform_artifact):
     art = uniform_artifact
-    mode, corr, phase = art.mode, art.corrections, art.phase
-    bd0 = outer.boundary_data(0, mode, [], phase, [], art.delta)
+    mode, phase = art.mode, art.phase
+    tables = {-1: [mode.endpoint_minus], +1: [mode.endpoint_plus]}
+    bd0 = outer.boundary_data(0, tables, phase, [], art.delta)
     assert bd0 == {"V_minus": 0.0, "W_minus": 0.0, "V_plus": 0.0, "W_plus": 0.0}
-    bd1 = outer.boundary_data(1, mode, [], phase, [], art.delta)
+    bd1 = outer.boundary_data(1, tables, phase, [], art.delta)
     assert bd1["V_minus"] == pytest.approx(0.0, abs=1e-12)
     assert bd1["W_minus"] == pytest.approx(mode.vpp_minus0, rel=1e-12)
     assert bd1["V_plus"] == 0.0 and bd1["W_plus"] == 0.0
@@ -176,8 +174,10 @@ def test_boundary_data_pure_outer_sums(uniform_artifact):
     # zeroed inner data: V2, W2 reduce to the Taylor shift of v0, v1
     art = uniform_artifact
     mode, corr = art.mode, art.corrections
-    bd = outer.boundary_data(2, mode, corr[:1], art.phase, [], art.delta)
-    t0, t1 = mode.endpoint_minus, corr[0].endpoint_minus
+    tables = {-1: [mode.endpoint_minus, corr[0].endpoint_minus],
+              +1: [mode.endpoint_plus, corr[0].endpoint_plus]}
+    bd = outer.boundary_data(2, tables, art.phase, [], art.delta)
+    t0, t1 = tables[-1]
     assert bd["V_minus"] == pytest.approx(t1.deriv(1) - 0.5 * t0.deriv(2),
                                           rel=1e-12)
     assert bd["W_minus"] == pytest.approx(t1.deriv(2) - 0.5 * t0.deriv(3),
@@ -187,12 +187,10 @@ def test_boundary_data_pure_outer_sums(uniform_artifact):
 def test_solve_correction_homogeneous_is_zero(uniform_mode):
     zero_l = hermite.HermiteFunction.zero(uniform_mode.left_asm.nodes)
     zero_r = hermite.HermiteFunction.zero(uniform_mode.right_asm.nodes)
-    tab = outer.EndpointData(0.0, 0.0, 0.0, 0.0, np.zeros(10))
+    tab = outer.EndpointData(np.zeros(10))
     fake_v1 = outer.CorrectionTerm(
         order=1, lambda_i=0.0, v_left=zero_l, v_right=zero_r,
-        V_minus=0.0, V_plus=0.0, W_minus=0.0, W_plus=0.0,
-        endpoint_minus=tab, endpoint_plus=tab,
-        solvability_residual=0.0, right_resonant=False)
+        endpoint_minus=tab, endpoint_plus=tab, solvability_residual=0.0)
     term = outer.solve_correction(uniform_mode, 2, [uniform_mode.lambda0, 0.0],
                                   [fake_v1], 0.0, 0.0, 0.0, 0.0)
     assert term.lambda_i == 0.0
@@ -202,11 +200,13 @@ def test_solve_correction_homogeneous_is_zero(uniform_mode):
 
 def test_correction_interface_values_imposed(asym_artifact):
     for term in asym_artifact.corrections:
-        assert term.v_left(0.0) == pytest.approx(term.V_minus, abs=1e-10)
-        assert term.v_left(0.0, 1) == pytest.approx(term.W_minus, abs=1e-10)
+        tab = term.endpoint_minus
+        assert term.v_left(0.0) == pytest.approx(tab.deriv(0), abs=1e-10)
+        assert term.v_left(0.0, 1) == pytest.approx(tab.deriv(1), abs=1e-10)
         if term.v_right is not None:
-            assert term.v_right(0.0) == pytest.approx(term.V_plus, abs=1e-10)
-            assert term.v_right(0.0, 1) == pytest.approx(term.W_plus, abs=1e-10)
+            tab = term.endpoint_plus
+            assert term.v_right(0.0) == pytest.approx(tab.deriv(0), abs=1e-10)
+            assert term.v_right(0.0, 1) == pytest.approx(tab.deriv(1), abs=1e-10)
             b = asym_artifact.coeffs.b
             assert abs(term.v_right(b)) < 1e-10
             assert abs(term.v_right(b, 1)) < 1e-10
@@ -229,7 +229,7 @@ def test_correction_orthogonality_and_residual(asym_artifact):
 def test_uniform_right_resonance_skip(uniform_artifact):
     # order 2 carries nonzero slope data into the resonant right interval
     t2 = uniform_artifact.corrections[1]
-    assert t2.right_resonant
+    assert uniform_artifact.mode.degenerate_right
     assert t2.v_right is None
     assert "resonant" in t2.right_skip_reason
     # while order 1 has zero data and the zero solution
@@ -244,7 +244,7 @@ def test_lambda2_closed_form_uniform(uniform_artifact):
     art = uniform_artifact
     s = art.mode.vpp_minus0
     t = art.mode.vppp_minus0
-    w = art.corrections[0].endpoint_minus.vpp
+    w = art.corrections[0].endpoint_minus.deriv(2)
     mu = art.lambdas[0] ** 0.25
     lam2_hand = s * (-(s / mu) + w - 0.5 * t) - t * (s / 2.0)
     assert art.lambdas[2] == pytest.approx(lam2_hand, rel=1e-12)

@@ -1,0 +1,90 @@
+"""Print one sha256 per program output, for byte-identity checks.
+
+Outputs covered:
+
+* the expansion artifact JSON of every fixture in ``bench/workloads.py``
+  at every deformation angle listed there;
+* the CSV and JSON reports of ``beamwkb validate`` on the asym artifact
+  (n = 2, l = 8..40) at the first three of those angles.
+
+Run it once against each tree and compare the output with ``diff``:
+
+    python3 tools/output_digest.py --src path/to/old/src > old.txt
+    python3 tools/output_digest.py --src src > new.txt
+
+``--src`` is the directory holding the ``beamwkb`` package; the fixture
+configurations are always read from the ``bench/`` next to this script,
+so both trees are fed the same inputs.  BLAS pools are pinned to one
+thread so that no reduction order depends on the thread count.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+VALIDATE_DELTAS = 3
+
+
+def _sha(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--src", default=str(ROOT / "src"),
+                    help="directory holding the beamwkb package")
+    args = ap.parse_args(argv)
+    src = Path(args.src).resolve()
+    if not (src / "beamwkb" / "__init__.py").is_file():
+        print(f"error: no beamwkb package under {src}", file=sys.stderr)
+        return 2
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
+    sys.path[:0] = [str(src), str(ROOT / "bench")]
+    import beamwkb
+    if Path(beamwkb.__file__).resolve().parent != src / "beamwkb":
+        print(f"error: imported beamwkb from {beamwkb.__file__}", file=sys.stderr)
+        return 2
+    from beamwkb import cli, harness
+    from beamwkb.model import load_config
+    from workloads import DELTAS, FIXTURES, VALIDATE_L, Validate, write_config
+
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for name in FIXTURES:
+            for delta in DELTAS:
+                art = harness.build_expansion(
+                    *load_config(write_config(tmp, name, delta)))
+                path = tmp / "artifact.json"
+                harness.save_artifact(art, path)
+                print(f"{_sha(path)}  artifact {name} delta={delta!r}")
+        for delta in DELTAS[:VALIDATE_DELTAS]:
+            art = harness.build_expansion(
+                *load_config(write_config(tmp, "asym", delta)))
+            path = tmp / "asym.artifact.json"
+            harness.save_artifact(art, path)
+            csv, js = tmp / "report.csv", tmp / "report.json"
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main([
+                    "validate", "--artifact", str(path), "--n", str(Validate.n),
+                    "--l", f"{VALIDATE_L[0]}:{VALIDATE_L[1]}",
+                    "--csv", str(csv), "--json", str(js)])
+            if code != 0:
+                print(f"error: validate exited with {code} at delta={delta!r}",
+                      file=sys.stderr)
+                return 1
+            print(f"{_sha(csv)}  validate csv delta={delta!r}")
+            print(f"{_sha(js)}  validate json delta={delta!r}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
