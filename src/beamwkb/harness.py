@@ -82,19 +82,30 @@ class ExpansionArtifact:
         return float(sum(self.lambdas[i] * eps ** i for i in range(n + 1)))
 
     def outer_value(self, x, eps: float, n: int):
-        """Truncated outer expansion at points x (vectorized)."""
+        """Truncated outer expansion at points x (vectorized).
+
+        The terms of one side share a mesh, so the sum is one Hermite
+        function per side, with nodal data sum_i eps^i v_i.
+        """
         x = np.asarray(x, dtype=float)
         out = np.zeros_like(x)
         left = x < 0.0
-        for i in range(n + 1):
-            if np.any(left):
-                out[left] += eps ** i * self.outer_left[i](x[left])
-            if np.any(~left):
-                vr = self.outer_right[i]
-                if vr is None:
+        for mask, terms, side in ((left, self.outer_left, "(a, 0)"),
+                                  (~left, self.outer_right, "(0, b)")):
+            if not np.any(mask):
+                continue
+            terms = [terms[i] for i in range(n + 1)]
+            for i, v in enumerate(terms):
+                if v is None:
                     raise inner.MissingDataError(
-                        f"order-{i} outer term unavailable on (0, b)")
-                out[~left] += eps ** i * vr(x[~left])
+                        f"order-{i} outer term unavailable on {side}")
+                if not np.array_equal(v.nodes, terms[0].nodes):
+                    raise ValueError(f"outer terms on {side} differ in mesh")
+            out[mask] = HermiteFunction(
+                terms[0].nodes,
+                sum(eps ** i * v.values for i, v in enumerate(terms)),
+                sum(eps ** i * v.slopes for i, v in enumerate(terms)),
+            )(x[mask])
         return out
 
     def inner_value(self, xi, eps: float, n: int):

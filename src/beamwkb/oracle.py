@@ -132,14 +132,15 @@ class SpectralResult:
 def solve_near(problem: DiscreteProblem, target: float):
     """Eigenpair nearest to ``target`` plus flanking eigenvalues.
 
-    Deterministic shift-invert (all-ones start vector).  Only the reported
-    pair is polished; ``neighbors`` are the other Ritz values, and the
-    returned gap is the distance to the nearest of them, supporting the
-    isolation checks.
+    Deterministic shift-invert (all-ones start vector) for four Ritz
+    pairs: the one nearest the target and its three nearest neighbours,
+    enough for a flank on each side.  Only the reported pair is polished;
+    ``neighbors`` are the other Ritz values, and the returned gap is the
+    distance to the nearest of them, supporting the isolation checks.
     """
     if target <= 0.0:
         raise OracleInputError("target must be positive")
-    vals, vecs = hermite.eigs_near(problem.asm, sigma=target, k=6)
+    vals, vecs = hermite.eigs_near(problem.asm, sigma=target, k=4)
     idx = int(np.argmin(np.abs(vals - target)))
     lam, v = hermite.polish(problem.asm, vals[idx], vecs[:, idx])
     lam = float(lam)
@@ -167,11 +168,15 @@ def normalize_weighted(result: SpectralResult, problem: DiscreteProblem,
     fn = HermiteFunction.from_dofs(problem.nodes, dofs)
     corr = 0.0
     if reference is not None:
-        p_at = problem.coeffs.p_at
-        corr = hermite.inner_product(problem.nodes, fn, reference,
-                                     weight_fn=p_at, hi=-problem.eps)
-        ref_nrm2 = hermite.inner_product(problem.nodes, reference, reference,
-                                         weight_fn=p_at, hi=-problem.eps)
+        # both integrals over (a, -eps) read one evaluation of reference
+        # and p; -eps is a node, so those elements end at or left of it
+        xg, wg = hermite.gauss_points(problem.nodes)
+        left = problem.nodes[1:] <= -problem.eps
+        xg, wg = xg[left], wg[left]
+        ref = reference(xg)
+        p = problem.coeffs.p_at(xg)
+        corr = float(np.sum(fn(xg) * ref * p * wg))
+        ref_nrm2 = float(np.sum(ref * ref * p * wg))
         rel = abs(corr) / math.sqrt(max(ref_nrm2, 1e-300))
         if rel < MIN_CORRELATION:
             raise ModeCaptureError(

@@ -232,26 +232,6 @@ def compute_lambda1(mode: OuterMode):
     return float(mode.coeffs.k0_at(0.0)) * mode.vpp_minus0 ** 2
 
 
-def correction_residual(mode: OuterMode, prev_terms, term: CorrectionTerm,
-                        lambdas):
-    """Relative discrete-L2 residual of the order-i equation on (a, 0).
-
-    Evaluates (K - lambda0 M) v_i - sum_{j>=1} lambda_j M v_{i-j} over the
-    free dofs in extended precision and measures it in the mass-inverse
-    norm, relative to the forcing magnitude.
-    """
-    i = term.order
-    left = mode.left_asm
-    funcs = [mode.v_left] + [t.v_left for t in prev_terms] + [term.v_left]
-    forcing_dofs = np.zeros(left.ndof)
-    for j in range(1, i + 1):
-        forcing_dofs += lambdas[j] * funcs[i - j].dofs()
-    r = left.pencil_apply(term.v_left.dofs(), mode.lambda0,
-                          mass_vec=forcing_dofs)
-    scale = math.sqrt(max(left.mass(forcing_dofs), 1e-300))
-    return left.mass_inverse_norm(r) / scale
-
-
 def solvability_lambda(mode: OuterMode, V_minus: float, W_minus: float):
     """lambda_i from the interface data via the solvability condition."""
     k00 = mode.coeffs.k0_at(0.0)

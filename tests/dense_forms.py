@@ -220,6 +220,43 @@ def window_rows(report):
     return [r for r in report.rows if r["valid"] and r["in_window"]]
 
 
+def inner_product(nodes, f, g, weight_fn=None, lo=None, hi=None):
+    """Integral of f * g (optionally weighted) over [lo, hi] via element Gauss rules."""
+    nodes = np.asarray(nodes, float)
+    xg, wg = hermite.gauss_points(nodes)
+    if lo is not None or hi is not None:
+        mids = 0.5 * (nodes[:-1] + nodes[1:])
+        mask = np.ones(mids.size, dtype=bool)
+        if lo is not None:
+            mask &= mids > lo
+        if hi is not None:
+            mask &= mids < hi
+        xg, wg = xg[mask], wg[mask]
+    vals = f(xg) * g(xg)
+    if weight_fn is not None:
+        vals = vals * weight_fn(xg)
+    return float(np.sum(vals * wg))
+
+
+def correction_residual(mode, prev_terms, term, lambdas):
+    """Relative discrete-L2 residual of the order-i equation on (a, 0).
+
+    Evaluates (K - lambda0 M) v_i - sum_{j>=1} lambda_j M v_{i-j} over the
+    free dofs in extended precision and measures it in the mass-inverse
+    norm, relative to the forcing magnitude.
+    """
+    i = term.order
+    left = mode.left_asm
+    funcs = [mode.v_left] + [t.v_left for t in prev_terms] + [term.v_left]
+    forcing_dofs = np.zeros(left.ndof)
+    for j in range(1, i + 1):
+        forcing_dofs += lambdas[j] * funcs[i - j].dofs()
+    r = left.pencil_apply(term.v_left.dofs(), mode.lambda0,
+                          mass_vec=forcing_dofs)
+    scale = math.sqrt(max(left.mass(forcing_dofs), 1e-300))
+    return left.mass_inverse_norm(r) / scale
+
+
 # ---------------------------------------------------------------------------
 # straightforward forms of the fast kernels
 # ---------------------------------------------------------------------------
@@ -334,3 +371,20 @@ def save_artifact_streaming(art, path):
     with open(path, "w") as fh:
         json.dump(harness.artifact_to_dict(art), fh)
         fh.write("\n")
+
+
+def outer_value_per_order(art, x, eps, n):
+    """``ExpansionArtifact.outer_value`` as a sum of n + 1 evaluations per side."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros_like(x)
+    left = x < 0.0
+    for i in range(n + 1):
+        if np.any(left):
+            out[left] += eps ** i * art.outer_left[i](x[left])
+        if np.any(~left):
+            vr = art.outer_right[i]
+            if vr is None:
+                raise inner.MissingDataError(
+                    f"order-{i} outer term unavailable on (0, b)")
+            out[~left] += eps ** i * vr(x[~left])
+    return out

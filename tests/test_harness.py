@@ -9,7 +9,8 @@ from beamwkb import (CSV_HEADER, build_expansion, cli, emit_report, fit_rate,
                      save_artifact)
 from beamwkb.harness import artifact_to_dict, drop_one_spread
 from beamwkb.model import RunSpec
-from dense_forms import save_artifact_streaming, save_config
+from dense_forms import (outer_value_per_order, save_artifact_streaming,
+                         save_config)
 
 
 def test_build_is_deterministic(uniform_coeffs):
@@ -63,6 +64,44 @@ def test_save_artifact_matches_streaming_json(tmp_path, name, request):
     save_artifact_streaming(art, tmp_path / "streaming.json")
     assert (tmp_path / "one_shot.json").read_bytes() == \
         (tmp_path / "streaming.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", ["uniform_artifact", "asym_artifact",
+                                  "variable_artifact"])
+def test_outer_value_matches_per_order_sum(name, request):
+    art = request.getfixturevalue(name)
+    a, b = art.coeffs.a, art.coeffs.b
+    xs = np.concatenate([np.linspace(a, b, 97), [a, -1e-3, 0.0, 1e-3, b]])
+    for l in (8, 20):
+        eps = art.epsilon(l)
+        for n in range(art.n_max + 1):
+            for x in (xs, xs[xs < 0.0]):
+                try:
+                    ref = outer_value_per_order(art, x, eps, n)
+                except inner.MissingDataError:
+                    # the mirror-symmetric beam has no order-2 term on (0, b)
+                    with pytest.raises(inner.MissingDataError,
+                                       match=r"order-2 .* on \(0, b\)"):
+                        art.outer_value(x, eps, n)
+                    continue
+                got = art.outer_value(x, eps, n)
+                scale = np.max(np.abs(ref))
+                assert np.max(np.abs(got - ref)) <= 1e-13 * scale
+
+
+def test_outer_value_rejects_terms_on_different_meshes(asym_artifact):
+    # one Hermite function per side needs one mesh per side; an artifact
+    # file whose terms disagree is refused, not summed nodewise
+    art = asym_artifact
+    v1 = art.outer_left[1]
+    moved = harness.HermiteFunction(v1.nodes * 0.999, v1.values, v1.slopes)
+    bad = dataclasses.replace(art, outer_left=[art.outer_left[0], moved,
+                                               *art.outer_left[2:]])
+    xs = np.array([-0.5, 0.5])
+    eps = art.epsilon(12)
+    bad.outer_value(xs, eps, 0)
+    with pytest.raises(ValueError, match="differ in mesh"):
+        bad.outer_value(xs, eps, 1)
 
 
 def test_lambda_trunc_bounds(uniform_artifact):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
-from beamwkb import hermite
+from beamwkb import hermite, oracle
 from dense_forms import (hermite_call_all_stacks, load_vector_add_at,
                          pencil_apply_add_at)
 
@@ -64,3 +65,21 @@ def test_hermite_function_matches_all_stack_basis(variable_artifact):
                               hermite_call_all_stacks(fn, xs, deriv))
         x0 = float(xs[-1])
         assert fn(x0, deriv) == hermite_call_all_stacks(fn, x0, deriv)
+
+
+def test_ritz_values_at_ritz_tol_match_machine_precision(asym_artifact):
+    # stopped at RITZ_TOL, ARPACK's Ritz values (not only the polished
+    # pairs) still agree with its machine-precision default (tol=0)
+    art = asym_artifact
+    eps = art.epsilon(20)
+    prob = oracle.assemble(art.coeffs, eps, art.S1)
+    for asm, sigma in ((prob.asm, art.lambda_trunc(eps, art.n_max)),
+                       (art.mode.left_asm, 0.0),
+                       (art.mode.right_asm, art.lambdas[0])):
+        vals, _ = hermite.eigs_near(asm, sigma=sigma, k=6)
+        Kff, Mff = asm.free_blocks
+        n = Kff.shape[0]
+        ref = np.sort(scipy.sparse.linalg.eigsh(
+            Kff.tocsc(), k=6, M=Mff.tocsc(), sigma=sigma, which="LM",
+            v0=np.ones(n) / np.sqrt(n), tol=0)[0])
+        np.testing.assert_allclose(vals, ref, rtol=1e-12, atol=0)

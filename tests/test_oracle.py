@@ -176,3 +176,62 @@ def test_eigenvalue_ordering_stable_under_refinement(uniform_coeffs,
         vals.append(np.sort(v))
     rel = np.abs(vals[0] - vals[1]) / np.abs(vals[0])
     assert np.max(rel) < 1e-3
+
+
+def _direct_flanks(prob, lam, target):
+    # twelve Ritz pairs at ARPACK's machine-precision default, bracketing lam
+    Kff, Mff = prob.asm.free_blocks
+    n = Kff.shape[0]
+    vals = np.sort(scipy.sparse.linalg.eigsh(
+        Kff.tocsc(), k=12, M=Mff.tocsc(), sigma=target, which="LM",
+        v0=np.ones(n) / np.sqrt(n), tol=0)[0])
+    j = int(np.argmin(np.abs(vals - lam)))
+    assert 0 < j < vals.size - 1
+    return vals[j - 1], vals[j + 1]
+
+
+@pytest.mark.parametrize("name, ls", [("uniform", (6, 12, 18)),
+                                      ("asym", (8, 20, 40)),
+                                      ("variable", (8, 24, 44))])
+def test_flanks_match_machine_precision_solve(name, ls, request):
+    # four Ritz pairs at RITZ_TOL still give both flanks, each the true
+    # neighbouring eigenvalue of the pencil; the uniform beam is
+    # mirror-symmetric, the hardest case for a flank below
+    art = request.getfixturevalue(f"{name}_artifact")
+    for l in ls:
+        eps = art.epsilon(l)
+        target = art.lambda_trunc(eps, art.n_max)
+        prob = oracle.assemble(art.coeffs, eps, art.S1)
+        res = oracle.solve_near(prob, target)
+        lo, hi = res.flanking()
+        assert lo is not None and hi is not None
+        lo_ref, hi_ref = _direct_flanks(prob, res.eigenvalue, target)
+        assert lo == pytest.approx(lo_ref, rel=1e-12, abs=0)
+        assert hi == pytest.approx(hi_ref, rel=1e-12, abs=0)
+        assert res.gap == min(res.eigenvalue - lo, hi - res.eigenvalue)
+
+
+def test_solve_near_shift_invert_work(asym_artifact, monkeypatch):
+    # eigsh gets its OPinv the way scipy builds it (an LU of A - sigma M),
+    # wrapped to count applications; tol=0 with six pairs makes about 41
+    art = asym_artifact
+    eigsh = scipy.sparse.linalg.eigsh
+    applied = []
+
+    def counting_eigsh(A, k=6, M=None, sigma=None, **kwargs):
+        lu = scipy.sparse.linalg.splu((A - sigma * M).tocsc())
+
+        def matvec(x):
+            applied.append(1)
+            return lu.solve(np.asarray(x, dtype=float))
+
+        op = scipy.sparse.linalg.LinearOperator(A.shape, matvec=matvec,
+                                                dtype=float)
+        return eigsh(A, k=k, M=M, sigma=sigma, OPinv=op, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counting_eigsh)
+    eps = art.epsilon(20)
+    prob = oracle.assemble(art.coeffs, eps, art.S1)
+    res = oracle.solve_near(prob, art.lambda_trunc(eps, art.n_max))
+    assert res.flanking()[0] is not None and res.flanking()[1] is not None
+    assert 0 < len(applied) <= 25

@@ -8,6 +8,7 @@ from scipy.sparse.linalg import SuperLU
 
 from beamwkb import build_expansion, hermite, inner, outer
 from beamwkb.model import CoefficientSet
+from dense_forms import correction_residual, inner_product
 
 
 def test_lambda0_matches_characteristic_root(uniform_mode, beam_root):
@@ -33,8 +34,7 @@ def test_v0_boundary_and_normalization(uniform_mode):
     v = uniform_mode.v_left
     assert abs(v.values[0]) < 1e-12 and abs(v.slopes[0]) < 1e-12
     assert abs(v.values[-1]) < 1e-12 and abs(v.slopes[-1]) < 1e-12
-    nrm = hermite.inner_product(v.nodes, v, v,
-                                weight_fn=lambda x: np.ones_like(x))
+    nrm = inner_product(v.nodes, v, v, weight_fn=lambda x: np.ones_like(x))
     assert nrm == pytest.approx(1.0, abs=1e-12)
     assert uniform_mode.vpp_minus0 > 0
     assert np.all(uniform_mode.v_right.values == 0.0)
@@ -94,10 +94,10 @@ def test_solve_v1_contract(uniform_coeffs):
     t1 = outer.solve_v1(mode)
     assert t1.v_left(0.0, 1) - mode.vpp_minus0 == pytest.approx(0.0, abs=1e-10)
     assert abs(t1.v_left(0.0)) < 1e-12
-    orth = hermite.inner_product(mode.left_asm.nodes, t1.v_left, mode.v_left,
-                                 weight_fn=lambda x: np.ones_like(x))
+    orth = inner_product(mode.left_asm.nodes, t1.v_left, mode.v_left,
+                         weight_fn=lambda x: np.ones_like(x))
     assert abs(orth) < 1e-12
-    res = outer.correction_residual(mode, [], t1, [mode.lambda0, t1.lambda_i])
+    res = correction_residual(mode, [], t1, [mode.lambda0, t1.lambda_i])
     assert res < 1e-8
     assert np.all(t1.v_right.values == 0.0)
 
@@ -217,11 +217,11 @@ def test_correction_orthogonality_and_residual(asym_artifact):
     mode = art.mode
     one = lambda x: np.ones_like(x)
     for i, term in enumerate(art.corrections):
-        orth = hermite.inner_product(mode.left_asm.nodes, term.v_left,
-                                     mode.v_left, weight_fn=one)
+        orth = inner_product(mode.left_asm.nodes, term.v_left,
+                             mode.v_left, weight_fn=one)
         assert abs(orth) < 1e-10
-        res = outer.correction_residual(mode, art.corrections[:i], term,
-                                        art.lambdas)
+        res = correction_residual(mode, art.corrections[:i], term,
+                                  art.lambdas)
         assert res < 2e-7
         assert abs(term.solvability_residual) < 1e-4
 

@@ -10,8 +10,8 @@ full n + 1 decay and the eigenfunction estimates hold as claimed.
 import numpy as np
 import pytest
 
-from beamwkb import fit_rate, hermite, oracle, run_convergence
-from dense_forms import window_rows
+from beamwkb import fit_rate, oracle, run_convergence
+from dense_forms import inner_product, window_rows
 
 
 @pytest.fixture(scope="module")
@@ -37,8 +37,8 @@ def test_rate_fits_are_robust(asym_reports):
 
 
 def _left_norm(fn):
-    return np.sqrt(hermite.inner_product(fn.nodes, fn, fn,
-                                         weight_fn=lambda x: np.ones_like(x)))
+    return np.sqrt(inner_product(fn.nodes, fn, fn,
+                                 weight_fn=lambda x: np.ones_like(x)))
 
 
 def test_eigenfunction_rates(asym_artifact, asym_reports):
@@ -97,7 +97,7 @@ def test_right_interval_mass_is_second_order(asym_artifact, asym_coeffs):
         res = oracle.solve_near(prob, art.lambda_trunc(eps, 3))
         res = oracle.normalize_weighted(res, prob,
                                         lambda x: art.outer_left[0](x))
-        rmass = np.sqrt(hermite.inner_product(
+        rmass = np.sqrt(inner_product(
             prob.nodes, res.eigenfunction, res.eigenfunction,
             lo=prob.eps, hi=None))
         assert rmass == pytest.approx(eps ** 2 * v2_norm, rel=0.2)
