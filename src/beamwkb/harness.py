@@ -275,18 +275,23 @@ def load_artifact(path) -> ExpansionArtifact:
 # rate fitting
 # ---------------------------------------------------------------------------
 
-def fit_rate(eps_values, err_values):
-    """Least-squares slope of log(err) against log(eps).
-
-    Returns (slope, intercept, rms_residual); requires at least 4 points.
-    """
+def _log_points(eps_values, err_values):
+    """(log eps, log err) over the rows with a positive finite error;
+    raises ValueError below the 4 rows a rate fit needs."""
     eps_values = np.asarray(eps_values, float)
     err_values = np.asarray(err_values, float)
     mask = (err_values > 0) & np.isfinite(err_values)
     if mask.sum() < 4:
         raise ValueError(f"rate fit needs >= 4 valid rows, got {int(mask.sum())}")
-    x = np.log(eps_values[mask])
-    y = np.log(err_values[mask])
+    return np.log(eps_values[mask]), np.log(err_values[mask])
+
+
+def fit_rate(eps_values, err_values):
+    """Least-squares slope of log(err) against log(eps).
+
+    Returns (slope, intercept, rms_residual); requires at least 4 points.
+    """
+    x, y = _log_points(eps_values, err_values)
     A = np.vstack([x, np.ones_like(x)]).T
     sol, *_ = np.linalg.lstsq(A, y, rcond=None)
     res = y - A @ sol
@@ -294,20 +299,23 @@ def fit_rate(eps_values, err_values):
 
 
 def drop_one_spread(eps_values, err_values):
-    """Max change of the fitted slope when any single row is removed."""
-    eps_values = np.asarray(eps_values, float)
-    err_values = np.asarray(err_values, float)
-    base, _, _ = fit_rate(eps_values, err_values)
-    spread = 0.0
-    for i in range(eps_values.size):
-        sub = np.ones(eps_values.size, bool)
-        sub[i] = False
-        try:
-            s, _, _ = fit_rate(eps_values[sub], err_values[sub])
-        except ValueError:
-            continue
-        spread = max(spread, abs(s - base))
-    return spread
+    """Max change of the fitted slope when any single row is removed.
+
+    Closed form from centered sums: removing point i moves the slope b by
+    -dx_i r_i / (Sxx (1 - h_i)), with dx_i its centered abscissa, r_i its
+    residual and h_i = 1/n + dx_i^2 / Sxx its leverage.  A removal that
+    would leave fewer than 4 points is skipped, as is a row without a
+    positive finite error (removing it changes nothing).
+    """
+    x, y = _log_points(eps_values, err_values)
+    n = x.size
+    if n < 5:
+        return 0.0
+    dx = x - x.mean()
+    dy = y - y.mean()
+    sxx = dx @ dx
+    r = dy - (dx @ dy / sxx) * dx
+    return float(np.max(np.abs(dx * r) / ((n - 1) / n * sxx - dx ** 2)))
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,12 @@ polynomial coefficient degrees this package admits.
 Every mesh here is clamped at both ends, so ``Assembly`` owns the split
 into the four clamped dofs and the contiguous free range between them,
 together with the factorizations of the free block of the pencil
-K - lambda M: the shifted LU, the cached mass LU behind the mass-inverse
-residual norm, and the shift-invert eigensolve.
+K - lambda M: the shifted LU, the shift-invert eigensolve, and the cached
+banded Cholesky factor of the mass block behind the mass-inverse residual
+norm.  Neighbouring elements share one node's two dofs, so both forms
+have half-bandwidth MASS_BANDWIDTH = 3; the mass block is symmetric
+positive definite, which LAPACK's banded Cholesky factors in O(n) with
+no pivoting.
 
 Element matrices are accumulated in extended precision: the 1/h^3
 stiffness scaling otherwise pollutes eigenvalues near the 1e-9 relative
@@ -31,6 +35,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -70,6 +75,7 @@ def _reference_basis(s, deriv):
 
 
 _PHI, _DPHI, _DDPHI = (_reference_basis(_GS, d) for d in range(3))
+MASS_BANDWIDTH = 3        # element e couples dofs 2e..2e+3
 
 
 def gauss_points(nodes):
@@ -96,7 +102,12 @@ def _basis_blocks(h):
 
 @dataclass
 class Assembly:
-    """Assembled bilinear forms plus extended-precision element data."""
+    """Assembled bilinear forms plus extended-precision element data.
+
+    Also the clamped/free dof split and the free-block factorizations:
+    ``factor`` (shifted LU) and ``mass_inverse_norm`` (banded Cholesky of
+    M_ff, factored once and cached).
+    """
 
     nodes: np.ndarray
     K: sp.csr_matrix
@@ -124,8 +135,22 @@ class Assembly:
         return self.K[self.free, self.free], self.M[self.free, self.free]
 
     @cached_property
-    def _mass_lu(self):
-        return spla.splu(self.free_blocks[1].tocsc())
+    def _mass_cholesky(self):
+        """Upper banded Cholesky factor of M_ff.
+
+        The band is filled from the stored entries of M_ff; an entry
+        outside MASS_BANDWIDTH raises ValueError rather than being lost.
+        """
+        Mff = self.free_blocks[1].tocoo()
+        off = Mff.col - Mff.row
+        if np.any(np.abs(off) > MASS_BANDWIDTH):
+            raise ValueError(f"mass block has entries beyond half-bandwidth "
+                             f"{MASS_BANDWIDTH}")
+        upper = off >= 0
+        band = np.zeros((MASS_BANDWIDTH + 1, Mff.shape[0]))
+        np.add.at(band, (MASS_BANDWIDTH - off[upper], Mff.col[upper]),
+                  Mff.data[upper])
+        return sla.cholesky_banded(band, lower=False)
 
     def factor(self, shift):
         """LU of K_ff - shift M_ff; an exactly singular shift is nudged."""
@@ -142,7 +167,8 @@ class Assembly:
         residuals, and are dropped.
         """
         rf = np.asarray(r[self.free], dtype=float)
-        return math.sqrt(abs(float(rf @ self._mass_lu.solve(rf))))
+        y = sla.cho_solve_banded((self._mass_cholesky, False), rf)
+        return math.sqrt(abs(float(rf @ y)))
 
     def edof(self):
         return 2 * np.arange(self.nodes.size - 1)[:, None] + np.arange(4)[None, :]

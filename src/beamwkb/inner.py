@@ -42,7 +42,9 @@ T2 = np.array([[-1.0, 0.0], [0.0, 1.0]])
 T_MAT = np.block([[T1, np.zeros((2, 2))], [np.zeros((2, 2)), T2]])
 T_POWERS = [np.eye(4), T_MAT, T_MAT @ T_MAT, T_MAT @ T_MAT @ T_MAT]
 N_MINUS = np.array([1.0, 0.0, 1.0, 0.0])
-CHEB_BLOCK = 512       # cheb_eval points per block of the T_j(x) matrix
+# cheb_eval: Chebyshev degrees per block of the T_j(x) recurrence, so its
+# buffer holds CHEB_BLOCK + 2 rows of points, never one row per degree
+CHEB_BLOCK = 16
 
 
 class MissingDataError(RuntimeError):
@@ -193,23 +195,32 @@ def cheb_antideriv_values(values, nodes):
 def cheb_eval(values, x):
     """Chebyshev interpolant of grid values (1d, or (k, n) rows) at 1d x.
 
-    T_j(x) comes from the three-term recurrence, CHEB_BLOCK points at a
-    time, and each block is one product with the coefficient matrix.
+    T_j(x) comes from the three-term recurrence over all points at once,
+    CHEB_BLOCK degrees at a time; each block is one product with the
+    matching coefficient columns, accumulated into the output, and
+    T_{j-2}, T_{j-1} carry over to the next block.  Memory stays of the
+    order of the output: (CHEB_BLOCK + 2) rows of T plus one product
+    buffer.
     """
     a = cheb_coeffs(np.asarray(values).T).T
     x = np.asarray(x, dtype=float)
+    n = a.shape[-1]
     out = np.empty(a.shape[:-1] + x.shape)
-    T = np.empty((a.shape[-1], min(x.size, CHEB_BLOCK)))
-    for lo in range(0, x.size, CHEB_BLOCK):
-        xb = x[lo:lo + CHEB_BLOCK]
-        x2 = 2.0 * xb
-        Tb = T[:, :xb.size]
-        Tb[0] = 1.0
-        Tb[1] = xb
-        for j in range(2, Tb.shape[0]):
-            np.multiply(x2, Tb[j - 1], out=Tb[j])
-            Tb[j] -= Tb[j - 2]
-        out[..., lo:lo + xb.size] = a @ Tb
+    prod = np.empty_like(out)
+    x2 = 2.0 * x
+    # rows 0, 1: T_{lo-2}, T_{lo-1}; rows 2 + r: T_{lo+r}
+    T = np.empty((CHEB_BLOCK + 2, x.size))
+    T[2] = 1.0
+    T[3] = x
+    for lo in range(0, n, CHEB_BLOCK):
+        m = min(CHEB_BLOCK, n - lo)
+        for r in range(0 if lo else 2, m):
+            np.multiply(x2, T[r + 1], out=T[r + 2])
+            T[r + 2] -= T[r]
+        np.matmul(a[..., lo:lo + m], T[2:2 + m], out=prod if lo else out)
+        if lo:
+            out += prod
+        T[:2] = T[-2:]
     return out
 
 

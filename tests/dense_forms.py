@@ -8,7 +8,8 @@ matrices and the barycentric interpolant to check those fast paths.
 The second half keeps the straightforward forms of the package's fast
 kernels (np.add.at scatters, the loop antiderivative, the all-derivatives
 Hermite basis, per-call coefficient evaluation, streaming JSON writes),
-which the fast kernels must match bit for bit.
+which the fast kernels must match bit for bit, and the refit-per-row
+drop-one spread that the closed form must match to round-off.
 """
 
 import json
@@ -388,3 +389,21 @@ def outer_value_per_order(art, x, eps, n):
                     f"order-{i} outer term unavailable on (0, b)")
             out[~left] += eps ** i * vr(x[~left])
     return out
+
+
+def drop_one_spread_loop(eps_values, err_values):
+    """Max change of the fitted slope when any single row is removed,
+    by one ``fit_rate`` refit per row."""
+    eps_values = np.asarray(eps_values, float)
+    err_values = np.asarray(err_values, float)
+    base, _, _ = harness.fit_rate(eps_values, err_values)
+    spread = 0.0
+    for i in range(eps_values.size):
+        sub = np.ones(eps_values.size, bool)
+        sub[i] = False
+        try:
+            s, _, _ = harness.fit_rate(eps_values[sub], err_values[sub])
+        except ValueError:
+            continue
+        spread = max(spread, abs(s - base))
+    return spread

@@ -9,8 +9,8 @@ from beamwkb import (CSV_HEADER, build_expansion, cli, emit_report, fit_rate,
                      save_artifact)
 from beamwkb.harness import artifact_to_dict, drop_one_spread
 from beamwkb.model import RunSpec
-from dense_forms import (outer_value_per_order, save_artifact_streaming,
-                         save_config)
+from dense_forms import (drop_one_spread_loop, outer_value_per_order,
+                         save_artifact_streaming, save_config)
 
 
 def test_build_is_deterministic(uniform_coeffs):
@@ -157,6 +157,27 @@ def test_fit_rate_contract():
     with pytest.raises(ValueError, match=">= 4"):
         fit_rate(eps[:3], errs[:3])
     assert drop_one_spread(eps, errs) < 1e-10
+
+
+def test_drop_one_spread_matches_refit_loop_on_random_data():
+    # the closed form against one lstsq refit per row, with rows that the
+    # fit masks out (zero, nan) and the 4-row floor where every drop skips;
+    # agreement is absolute, in slope units: the refits' differences carry
+    # the round-off of two O(1) slopes
+    rng = np.random.default_rng(5)
+    for trial in range(60):
+        n = int(rng.integers(4, 15))
+        eps = np.sort(rng.uniform(0.02, 0.3, n))
+        errs = np.exp(rng.uniform(0.5, 4.0) * np.log(eps) +
+                      rng.uniform(-1.0, 1.0) + rng.normal(0.0, 0.3, n))
+        if trial % 3 == 1:
+            errs[rng.integers(n)] = (0.0, np.nan)[trial % 2]
+        if np.count_nonzero(np.isfinite(errs) & (errs > 0)) < 4:
+            with pytest.raises(ValueError, match=">= 4"):
+                drop_one_spread(eps, errs)
+            continue
+        ref = drop_one_spread_loop(eps, errs)
+        assert abs(drop_one_spread(eps, errs) - ref) <= 1e-12
 
 
 def test_run_convergence_rows_and_window(uniform_artifact):

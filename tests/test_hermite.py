@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg
@@ -21,6 +23,39 @@ def test_mass_inverse_norm_matches_dense(asm):
     rf = r[2:-2]
     expect = np.sqrt(rf @ np.linalg.solve(Mff, rf))
     assert asm.mass_inverse_norm(r) == pytest.approx(expect, rel=1e-12)
+
+
+@pytest.mark.parametrize("name, l", [("asym_artifact", 40),
+                                     ("uniform_artifact", 18),
+                                     ("variable_artifact", 44)])
+def test_mass_inverse_norm_matches_dense_on_oracle_pencils(name, l, request,
+                                                           monkeypatch):
+    # the inner mass carries eps^-8 q(x/eps): at asym l = 40 its entries
+    # outweigh the outer ones by about eps^-8; the banded Cholesky must
+    # hold 1e-12 there and factor without SuperLU
+    art = request.getfixturevalue(name)
+    eps = art.epsilon(l)
+    asm = oracle.assemble(art.coeffs, eps, art.S1).asm
+    calls = []
+    monkeypatch.setattr(scipy.sparse.linalg, "splu",
+                        lambda *args, **kwargs: calls.append(args))
+    rng = np.random.default_rng(6)
+    Mff = asm.M.toarray()[2:-2, 2:-2]
+    for r in (rng.standard_normal(asm.ndof),
+              asm.M @ rng.standard_normal(asm.ndof)):
+        rf = r[2:-2]
+        expect = np.sqrt(rf @ np.linalg.solve(Mff, rf))
+        assert asm.mass_inverse_norm(r) == pytest.approx(expect, rel=1e-12)
+    assert calls == []
+
+
+def test_mass_inverse_norm_rejects_entry_outside_band(asm):
+    far = 2 + hermite.MASS_BANDWIDTH + 1
+    M = asm.M.tolil()
+    M[2, far] = M[far, 2] = 1e-3
+    bad = dataclasses.replace(asm, M=M.tocsr())
+    with pytest.raises(ValueError, match="half-bandwidth"):
+        bad.mass_inverse_norm(np.ones(asm.ndof))
 
 
 def test_factor_solves_free_block(asm):

@@ -1,5 +1,6 @@
 import collections
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -586,16 +587,38 @@ def test_cheb_eval_returns_grid_values_at_nodes(variable_artifact):
 
 
 def test_cheb_eval_matches_barycentric_off_grid(variable_artifact):
-    # point counts straddle the evaluation block
-    ph = variable_artifact.phase
-    rows, scale = _grid_rows(variable_artifact)
+    # the artifact's rows, then smooth rows on grids whose degree count
+    # straddles the CHEB_BLOCK-degree recurrence blocks
     block = inner.CHEB_BLOCK
-    for n_points in (1, 301, block, block + 1, 2 * block + 37):
-        xi = np.random.default_rng(3).uniform(-1.0, 1.0, n_points)
-        got = inner.cheb_eval(rows, xi)
-        ref = barycentric_eval(ph.nodes, rows, xi)
-        assert got.shape == ref.shape
-        assert np.all(np.abs(got - ref) <= 1e-13 * scale)
+    grids = [(variable_artifact.phase.nodes, _grid_rows(variable_artifact)[0])]
+    for n_nodes in (2, 3, block + 1, block + 2, 2 * block + 3, 128):
+        x = inner.cheb_nodes(n_nodes)
+        grids.append((x, np.vstack([np.cos(3.0 * x + 1.0), np.exp(x),
+                                    1.0 / (2.0 + x), np.sin(20.0 * x)])))
+    for nodes, rows in grids:
+        scale = np.max(np.abs(rows), axis=1, keepdims=True)
+        for n_points in (1, 301, 512, 513, 1061):
+            xi = np.random.default_rng(3).uniform(-1.0, 1.0, n_points)
+            got = inner.cheb_eval(rows, xi)
+            ref = barycentric_eval(nodes, rows, xi)
+            assert got.shape == ref.shape
+            assert np.all(np.abs(got - ref) <= 1e-13 * scale)
+
+
+def test_cheb_eval_memory_is_of_the_order_of_its_output(variable_artifact):
+    # 18 rows at 20,000 points: the output alone is 18 doubles per point;
+    # one T row per degree (128 here) would exceed the bound by itself
+    rows, _ = _grid_rows(variable_artifact)
+    assert rows.shape == (18, 128)
+    xi = np.random.default_rng(4).uniform(-1.0, 1.0, 20_000)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        inner.cheb_eval(rows, xi)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 8 * xi.size
 
 
 def test_evaluate_inner_at_grid_nodes_matches_direct_form(variable_artifact):

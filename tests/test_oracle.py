@@ -87,8 +87,9 @@ def test_solve_near_contract(uniform_coeffs, uniform_artifact):
 def test_solve_near_polishes_only_the_reported_pair(uniform_coeffs,
                                                     uniform_artifact,
                                                     monkeypatch):
-    # one shifted LU per polish step of the reported pair, plus the mass LU
-    # of the residual norm; ARPACK's own factorization does not pass here
+    # one shifted LU per polish step of the reported pair; the residual
+    # norm's mass factor is a banded Cholesky, and ARPACK's own
+    # factorization does not pass here
     art = uniform_artifact
     eps = art.epsilon(14)
     prob = oracle.assemble(uniform_coeffs, eps, art.S1)
@@ -101,7 +102,7 @@ def test_solve_near_polishes_only_the_reported_pair(uniform_coeffs,
 
     monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
     oracle.solve_near(prob, art.lambda_trunc(eps, 1))
-    assert len(calls) == hermite.POLISH_STEPS + 1
+    assert len(calls) == hermite.POLISH_STEPS
 
 
 def test_solve_near_determinism(uniform_coeffs, uniform_artifact):

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -27,7 +28,7 @@ def test_summarize_synthetic_pairs():
     pairs = [{"parent": _record(p, 85.0), "change": _record(c, 85.0 + i % 2)}
              for i, (p, c) in enumerate(zip(parent_walls, change_walls))]
     pairs[2]["change"] = _record(1.2, 85.0, correct=False, failed=2)
-    s = paired_bench.summarize(pairs)
+    s = paired_bench.summarize(pairs, {})
     assert s["pairs"] == 5
     wall = s["metrics"]["wall_s"]
     assert wall["unit"] == "s"
@@ -50,7 +51,61 @@ def test_summarize_synthetic_pairs():
 
 def test_summarize_single_pair():
     s = paired_bench.summarize([{"parent": _record(1.0, 80.0),
-                                 "change": _record(0.5, 80.0)}])
+                                 "change": _record(0.5, 80.0)}], {})
     wall = s["metrics"]["wall_s"]
     assert wall["parent"] == {"median": 1.0, "q1": 1.0, "q3": 1.0}
     assert wall["change_wins"] == 1
+
+
+def test_load_bounds(tmp_path):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({
+        "end_to_end": [{"name": "wall_s", "unit": "s", "better": "lower",
+                        "bound": 0.25},
+                       {"name": "peak_rss_mb", "unit": "MB",
+                        "better": "lower", "bound": 0.05}],
+        "per_layer": [{"name": "inner.evaluate.s", "unit": "s",
+                       "better": "lower"}]}))
+    assert paired_bench.load_bounds(tmp_path) == {"wall_s": 0.25,
+                                                  "peak_rss_mb": 0.05}
+
+
+def test_verdict_rules():
+    parent = [84.2, 84.3, 84.3, 84.4, 84.5, 84.3, 84.2, 84.4, 84.3, 84.5]
+    # 9 of 10 wins and a median 5 MB below a 0.2 MB parent IQR
+    gain = [79.1] * 9 + [84.6]
+    assert paired_bench.verdict(parent, gain, 0.05) == "gain"
+    assert paired_bench.verdict(parent, gain, None) == "gain"
+    # 8 of 10 wins is no gain, however large the median change
+    assert paired_bench.verdict(parent, [79.1] * 8 + [84.6] * 2,
+                                0.05) == "within bound"
+    # 10 wins by less than the parent IQR is no gain either
+    assert paired_bench.verdict(parent, [p - 0.01 for p in parent],
+                                0.05) == "within bound"
+    assert paired_bench.verdict(parent, [p - 0.01 for p in parent],
+                                None) == "-"
+    # median 6 % above the parent's against a 5 % bound
+    assert paired_bench.verdict(parent, [89.4] * 10, 0.05) == "worse"
+    assert paired_bench.verdict(parent, [88.0] * 10, 0.05) == "within bound"
+    # a parent spread wider than the bound decides nothing ...
+    noisy = [1.0, 0.6, 1.4, 0.8, 1.2, 0.7, 1.3, 0.9, 1.1, 1.0]
+    assert paired_bench.verdict(noisy, [1.0] * 10, 0.25) == "unresolved"
+    assert paired_bench.verdict(noisy, [0.3] * 10, 0.25) == "gain"
+    # ... unless every change run reads below every parent run
+    skewed = [0.9, 0.9, 0.9, 0.9, 0.95, 1.0, 1.5, 2.0, 2.5, 3.0]
+    assert paired_bench.verdict(skewed, [0.85] * 10, 0.25) == "within bound"
+    assert paired_bench.verdict(skewed, [0.85] * 9 + [0.95],
+                                0.25) == "unresolved"
+
+
+def test_summarize_reports_median_change_and_verdict():
+    parent_rss = [84.2, 84.3, 84.3, 84.4, 84.5, 84.3, 84.2, 84.4, 84.3, 84.5]
+    pairs = [{"parent": _record(0.86, p), "change": _record(0.86, p - 5.2)}
+             for p in parent_rss]
+    s = paired_bench.summarize(pairs, {"wall_s": 0.25})
+    rss, wall = s["metrics"]["peak_rss_mb"], s["metrics"]["wall_s"]
+    assert rss["median_change_pct"] == pytest.approx(-520 / 84.3)
+    assert (rss["bound"], rss["verdict"]) == (None, "gain")
+    assert wall["median_change_pct"] == 0.0
+    assert (wall["bound"], wall["verdict"]) == (0.25, "within bound")
+    text = paired_bench.format_summary(s)
+    assert "-6.2%" in text and "gain" in text and "within bound" in text

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from beamwkb import fit_rate, oracle, run_convergence
-from dense_forms import inner_product, window_rows
+from dense_forms import drop_one_spread_loop, inner_product, window_rows
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +34,25 @@ def test_eigenvalue_rates_to_order_two(asym_reports):
 def test_rate_fits_are_robust(asym_reports):
     for n in (0, 1, 2):
         assert asym_reports[n].fits["abs_err"]["drop_one_spread"] < 0.15
+
+
+def _assert_spreads_match_refit_loop(report):
+    es = np.array([r["epsilon"] for r in window_rows(report)])
+    for key, fit in report.fits.items():
+        vals = np.array([r[key] for r in window_rows(report)], dtype=float)
+        ok = np.isfinite(vals) & (vals > 0)
+        ref = drop_one_spread_loop(es[ok], vals[ok])
+        assert abs(fit["drop_one_spread"] - ref) <= 1e-12
+
+
+def test_drop_one_spread_matches_refit_loop_on_report_windows(
+        asym_reports, variable_artifact):
+    for rep in asym_reports.values():
+        _assert_spreads_match_refit_loop(rep)
+    rep = run_convergence(variable_artifact, 3, l_values=range(12, 45, 4),
+                          compare_functions=False)
+    assert set(rep.fits) == {"abs_err", "gap"}
+    _assert_spreads_match_refit_loop(rep)
 
 
 def _left_norm(fn):

@@ -10,11 +10,21 @@ fall on the same side.  Every metric ``bench/run.py`` reports is taken as
 lower-is-better (times and memory).
 
 Per metric the report gives each side's median and quartiles, the spread
-of the parent (q3 - q1) / median, and the number of pairs in which the
-change reads lower.  It also gives the runs each side reported as correct
-and the operations each side failed.  The last line is the same summary
-as JSON.  Standard library only; nothing outside ``bench/`` of either
-checkout is read.
+of the parent (q3 - q1) / median, the number of pairs in which the change
+reads lower, the change of the median in percent, and a verdict:
+
+* ``gain``: the change wins at least 9 of 10 pairs and its median is
+  lower than the parent's by more than the parent's q3 - q1;
+* ``worse``: the change's median exceeds the parent's by more than the
+  metric's bound;
+* ``unresolved``: the parent's spread exceeds the bound, unless every run
+  of the change reads lower than every run of the parent;
+* ``within bound`` otherwise, and ``-`` for a metric without a bound.
+
+It also gives the runs each side reported as correct and the operations
+each side failed.  The last line is the same summary as JSON.  Standard
+library only.  Besides ``bench/`` of either checkout, only the change's
+root ``BENCHMARK.json`` is read, for the end-to-end metrics' bounds.
 """
 
 from __future__ import annotations
@@ -52,6 +62,30 @@ def run_side(tree, workload, seed, seconds):
                          f"no record:\n{proc.stdout[-2000:]}{proc.stderr[-2000:]}")
 
 
+def load_bounds(tree):
+    """{metric: bound} over the end-to-end metrics of tree's BENCHMARK.json;
+    a bound is the largest tolerated relative worsening of the median."""
+    data = json.loads((Path(tree) / "BENCHMARK.json").read_text())
+    return {m["name"]: m["bound"] for m in data["end_to_end"]}
+
+
+def verdict(parent, change, bound):
+    """gain / worse / unresolved / within bound (or '-' without a bound)
+    for one metric's per-pair values, lower being better."""
+    p_med, c_med = statistics.median(parent), statistics.median(change)
+    q1, q3 = _quartiles(parent)
+    wins = sum(c < p for p, c in zip(parent, change))
+    if 10 * wins >= 9 * len(parent) and p_med - c_med > q3 - q1:
+        return "gain"
+    if bound is None:
+        return "-"
+    if c_med > p_med * (1.0 + bound):
+        return "worse"
+    if q3 - q1 > bound * p_med and max(change) >= min(parent):
+        return "unresolved"
+    return "within bound"
+
+
 def _quartiles(values):
     if len(values) < 2:
         return values[0], values[0]
@@ -59,12 +93,14 @@ def _quartiles(values):
     return q1, q3
 
 
-def summarize(pairs):
-    """Per-metric medians, quartiles, parent spread and wins.
+def summarize(pairs, bounds):
+    """Per-metric medians, quartiles, parent spread, wins, median change
+    and verdict.
 
     ``pairs`` is a list of {"parent": record, "change": record}, each record
     as ``bench/run.py`` prints it last: {"correct", "attempted", "failed",
-    "metrics": {name: {"value", "unit"}}}.
+    "metrics": {name: {"value", "unit"}}}.  ``bounds`` maps a metric name to
+    its bound (``load_bounds``); a metric missing from it gets no bound.
     """
     out = {"pairs": len(pairs), "metrics": {}}
     for side in SIDES:
@@ -86,6 +122,12 @@ def summarize(pairs):
                                   if par["median"] else None)
         entry["change_wins"] = sum(c < p for p, c in zip(values["parent"],
                                                          values["change"]))
+        entry["median_change_pct"] = (
+            100.0 * (entry["change"]["median"] / par["median"] - 1.0)
+            if par["median"] else None)
+        entry["bound"] = bounds.get(name)
+        entry["verdict"] = verdict(values["parent"], values["change"],
+                                   entry["bound"])
         out["metrics"][name] = entry
     return out
 
@@ -93,14 +135,19 @@ def summarize(pairs):
 def format_summary(summary):
     n = summary["pairs"]
     lines = [f"{'metric':14s} {'parent median [q1, q3]':>34s} "
-             f"{'change median [q1, q3]':>34s} {'IQR/med':>8s} {'wins':>6s}"]
+             f"{'change median [q1, q3]':>34s} {'IQR/med':>8s} {'wins':>6s} "
+             f"{'change':>8s} {'bound':>6s}  verdict"]
     for name, e in summary["metrics"].items():
         cells = [f"{e[s]['median']:10.4g} [{e[s]['q1']:.4g}, {e[s]['q3']:.4g}]"
                  for s in SIDES]
-        spread = e["parent_spread"]
+        spread, pct, bound = (e["parent_spread"], e["median_change_pct"],
+                              e["bound"])
         lines.append(f"{name:14s} {cells[0]:>34s} {cells[1]:>34s} "
                      f"{'-' if spread is None else f'{spread:.3f}':>8s} "
-                     f"{e['change_wins']:>2d}/{n:<3d}")
+                     f"{e['change_wins']:>2d}/{n:<3d} "
+                     f"{'-' if pct is None else f'{pct:+.1f}%':>8s} "
+                     f"{'-' if bound is None else f'{bound:g}':>6s}  "
+                     f"{e['verdict']}")
     for side in SIDES:
         s = summary[side]
         lines.append(f"{side}: correct {s['correct']}/{n} runs, failed "
@@ -120,6 +167,9 @@ def main(argv=None):
     for side, tree in trees.items():
         if not (tree / "bench" / "run.py").is_file():
             ap.error(f"--{side}: no bench/run.py under {tree}")
+    if not (args.change / "BENCHMARK.json").is_file():
+        ap.error(f"--change: no BENCHMARK.json under {args.change}")
+    bounds = load_bounds(args.change)
 
     pairs = []
     for i, seed in enumerate(args.seeds):
@@ -133,7 +183,7 @@ def main(argv=None):
                           for side in order)
         print(f"pair {i + 1}/{len(args.seeds)} seed {seed}: {walls}",
               flush=True)
-    summary = summarize(pairs)
+    summary = summarize(pairs, bounds)
     summary.update(workload=args.workload, seeds=args.seeds,
                    seconds=args.seconds)
     print(format_summary(summary))
