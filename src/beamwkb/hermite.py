@@ -8,12 +8,13 @@ polynomial coefficient degrees this package admits.
 Every mesh here is clamped at both ends, so ``Assembly`` owns the split
 into the four clamped dofs and the contiguous free range between them,
 together with the factorizations of the free block of the pencil
-K - lambda M: the shifted LU, the shift-invert eigensolve, and the cached
-banded Cholesky factor of the mass block behind the mass-inverse residual
-norm.  Neighbouring elements share one node's two dofs, so both forms
-have half-bandwidth MASS_BANDWIDTH = 3; the mass block is symmetric
-positive definite, which LAPACK's banded Cholesky factors in O(n) with
-no pivoting.
+K - lambda M.  Neighbouring elements share one node's two dofs, so both
+forms have half-bandwidth MASS_BANDWIDTH = 3 and are kept once in LAPACK
+band storage.  It feeds the O(n) shifted band LU (dgbtrf), on which the
+oracle runs ARPACK's shift-invert and its polish steps, and the cached
+banded Cholesky factor of the mass block behind the mass-inverse
+residual norm.  The outer chain keeps SuperLU (``factor``, and the LU
+``eigsh`` builds itself), whose rounding its lambda_i digest pins.
 
 Element matrices are accumulated in extended precision: the 1/h^3
 stiffness scaling otherwise pollutes eigenvalues near the 1e-9 relative
@@ -105,8 +106,8 @@ class Assembly:
     """Assembled bilinear forms plus extended-precision element data.
 
     Also the clamped/free dof split and the free-block factorizations:
-    ``factor`` (shifted LU) and ``mass_inverse_norm`` (banded Cholesky of
-    M_ff, factored once and cached).
+    ``band_factor`` and ``factor`` (shifted band and sparse LU) and
+    ``mass_inverse_norm`` (banded Cholesky of M_ff, cached).
     """
 
     nodes: np.ndarray
@@ -135,25 +136,52 @@ class Assembly:
         return self.K[self.free, self.free], self.M[self.free, self.free]
 
     @cached_property
-    def _mass_cholesky(self):
-        """Upper banded Cholesky factor of M_ff.
+    def _bands(self):
+        """(K_ff, M_ff) in dgbtrf's band storage, kl = ku = MASS_BANDWIDTH.
 
-        The band is filled from the stored entries of M_ff; an entry
-        outside MASS_BANDWIDTH raises ValueError rather than being lost.
+        Entry (i, j) sits in row 2 MASS_BANDWIDTH + i - j of column j, below
+        dgbtrf's MASS_BANDWIDTH rows of pivoting fill.  An entry outside
+        the band raises ValueError rather than being lost.
         """
-        Mff = self.free_blocks[1].tocoo()
-        off = Mff.col - Mff.row
-        if np.any(np.abs(off) > MASS_BANDWIDTH):
-            raise ValueError(f"mass block has entries beyond half-bandwidth "
-                             f"{MASS_BANDWIDTH}")
-        upper = off >= 0
-        band = np.zeros((MASS_BANDWIDTH + 1, Mff.shape[0]))
-        np.add.at(band, (MASS_BANDWIDTH - off[upper], Mff.col[upper]),
-                  Mff.data[upper])
-        return sla.cholesky_banded(band, lower=False)
+        bw = MASS_BANDWIDTH
+        bands = []
+        for A in self.free_blocks:
+            A = A.tocoo()             # CSR entries: no duplicates to sum
+            off = A.row - A.col
+            if np.any(np.abs(off) > bw):
+                raise ValueError(f"pencil has entries beyond half-bandwidth "
+                                 f"{bw}")
+            band = np.zeros((3 * bw + 1, A.shape[0]), order="F")
+            band[2 * bw + off, A.col] = A.data
+            bands.append(band)
+        return tuple(bands)
+
+    @cached_property
+    def _mass_cholesky(self):
+        """Upper banded Cholesky factor of M_ff."""
+        bw = MASS_BANDWIDTH
+        return sla.cholesky_banded(self._bands[1][bw:2 * bw + 1], lower=False)
+
+    def band_factor(self, shift):
+        """LAPACK band LU of K_ff - shift M_ff, returned as its solve b -> x.
+
+        An exactly singular shift is nudged; any other failure raises.
+        """
+        bw, (Kb, Mb) = MASS_BANDWIDTH, self._bands
+        lu, piv, info = sla.lapack.dgbtrf(Kb - shift * Mb, bw, bw)
+        if info > 0:              # an exactly zero pivot
+            lu, piv, info = sla.lapack.dgbtrf(
+                Kb - shift * (1.0 + 1e-11) * Mb, bw, bw)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dgbtrf failed with info={info}")
+        return lambda b: sla.lapack.dgbtrs(lu, bw, bw, b, piv)[0]
 
     def factor(self, shift):
-        """LU of K_ff - shift M_ff; an exactly singular shift is nudged."""
+        """SuperLU of K_ff - shift M_ff; an exactly singular shift is nudged.
+
+        Kept for the outer chain only, whose lambda_i the band LU moves past
+        the benchmark digest's gate; goes when ROADMAP item 2 re-records it.
+        """
         Kff, Mff = self.free_blocks
         try:
             return spla.splu((Kff - shift * Mff).tocsc())
@@ -328,7 +356,7 @@ class EigenConvergenceError(RuntimeError):
     """Shift-invert iteration failed to converge near the requested target."""
 
 
-def eigs_near(asm: Assembly, sigma, k=6):
+def eigs_near(asm: Assembly, sigma, k=6, factor=None):
     """Ritz pairs of the clamped pencil nearest to sigma, unpolished.
 
     ARPACK shift-invert with a deterministic all-ones start vector.  The
@@ -341,16 +369,21 @@ def eigs_near(asm: Assembly, sigma, k=6):
     for digits that only gaps and flanks read; a caller polishes every
     pair it reports.
 
+    ``factor`` (such as ``asm.band_factor``) maps sigma to ARPACK's
+    shift-invert solve; by default ``eigsh`` builds its own SuperLU.
+
     Returns (values ascending, vectors as columns in full dof numbering,
     zero on the clamped dofs).
     """
     Kff, Mff = asm.free_blocks
     n = Kff.shape[0]
     v0 = np.ones(n) / np.sqrt(n)
+    opinv = None if factor is None else spla.LinearOperator(
+        (n, n), matvec=factor(sigma), dtype=float)
     try:
         vals, vecs = spla.eigsh(Kff.tocsc(), k=min(k, n - 2), M=Mff.tocsc(),
                                 sigma=sigma, which="LM", v0=v0,
-                                tol=RITZ_TOL)
+                                tol=RITZ_TOL, OPinv=opinv)
     except spla.ArpackNoConvergence as exc:
         raise EigenConvergenceError(
             f"shift-invert failed to converge at sigma={sigma!r}") from exc
@@ -360,18 +393,20 @@ def eigs_near(asm: Assembly, sigma, k=6):
     return vals[order], out_vecs
 
 
-def polish(asm: Assembly, lam, v):
+def polish(asm: Assembly, lam, v, factor=None):
     """One eigenpair refined by POLISH_STEPS inverse-iteration steps.
 
-    Each step solves with K_ff - lam M_ff, M-normalizes, and updates lam
-    to the extended-precision Rayleigh quotient.  ``v`` is in full dof
+    Each step solves with K_ff - lam M_ff (by ``factor(lam)``, default
+    ``asm.factor``), M-normalizes, and updates lam to the
+    extended-precision Rayleigh quotient.  ``v`` is in full dof
     numbering; returns (lam, vector in full dof numbering).
     """
+    factor = factor or (lambda shift: asm.factor(shift).solve)
     Mff = asm.free_blocks[1]
     vf = v[asm.free]
     out = np.zeros(asm.ndof)
     for _ in range(POLISH_STEPS):
-        w = asm.factor(lam).solve(Mff @ vf)
+        w = factor(lam)(Mff @ vf)
         nrm = np.sqrt(abs(w @ (Mff @ w)))
         if not np.isfinite(nrm) or nrm == 0.0:
             break

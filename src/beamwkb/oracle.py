@@ -4,7 +4,9 @@ Ground truth for validating the asymptotic construction: Hermite-cubic
 discretization of the clamped eigenvalue problem with the concentrated
 density eps^-8 q(x/eps) on (-eps, eps), mesh nodes aligned exactly at
 +-eps, and ARPACK shift-invert targeting; the reported eigenpair is
-polished to an extended-precision Rayleigh quotient.
+polished to an extended-precision Rayleigh quotient.  Each row factors
+only by LAPACK band LU (``Assembly.band_factor``): one at the target for
+ARPACK's shift-invert operator and one per polish step.
 """
 
 from __future__ import annotations
@@ -133,16 +135,18 @@ def solve_near(problem: DiscreteProblem, target: float):
     """Eigenpair nearest to ``target`` plus flanking eigenvalues.
 
     Deterministic shift-invert (all-ones start vector) for four Ritz
-    pairs: the one nearest the target and its three nearest neighbours,
-    enough for a flank on each side.  Only the reported pair is polished;
-    ``neighbors`` are the other Ritz values, and the returned gap is the
-    distance to the nearest of them, supporting the isolation checks.
+    pairs on the band LU: the one nearest the target and its three
+    nearest neighbours, enough for a flank on each side.  Only the
+    reported pair is polished; ``neighbors`` are the other Ritz values,
+    and the returned gap is the distance to the nearest of them,
+    supporting the isolation checks.
     """
     if target <= 0.0:
         raise OracleInputError("target must be positive")
-    vals, vecs = hermite.eigs_near(problem.asm, sigma=target, k=4)
+    band = problem.asm.band_factor
+    vals, vecs = hermite.eigs_near(problem.asm, sigma=target, k=4, factor=band)
     idx = int(np.argmin(np.abs(vals - target)))
-    lam, v = hermite.polish(problem.asm, vals[idx], vecs[:, idx])
+    lam, v = hermite.polish(problem.asm, vals[idx], vecs[:, idx], factor=band)
     lam = float(lam)
     residual = problem.residual_norm(v, lam) / abs(lam)
     others = np.delete(vals, idx)

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 import scipy.sparse.linalg
 
 from beamwkb import hermite, oracle
@@ -49,21 +50,62 @@ def test_mass_inverse_norm_matches_dense_on_oracle_pencils(name, l, request,
     assert calls == []
 
 
-def test_mass_inverse_norm_rejects_entry_outside_band(asm):
+def _widened(asm, name):
+    # the form `name` with one symmetric pair just outside the band
     far = 2 + hermite.MASS_BANDWIDTH + 1
-    M = asm.M.tolil()
-    M[2, far] = M[far, 2] = 1e-3
-    bad = dataclasses.replace(asm, M=M.tocsr())
+    A = getattr(asm, name).tolil()
+    A[2, far] = A[far, 2] = 1e-3
+    return dataclasses.replace(asm, **{name: A.tocsr()})
+
+
+def test_mass_inverse_norm_rejects_entry_outside_band(asm):
     with pytest.raises(ValueError, match="half-bandwidth"):
-        bad.mass_inverse_norm(np.ones(asm.ndof))
+        _widened(asm, "M").mass_inverse_norm(np.ones(asm.ndof))
 
 
-def test_factor_solves_free_block(asm):
+@pytest.mark.parametrize("name", ["K", "M"])
+def test_band_factor_rejects_entry_outside_band(asm, name):
+    with pytest.raises(ValueError, match="half-bandwidth"):
+        _widened(asm, name).band_factor(37.5)
+
+
+def _shifted_solve_residual(asm, factor):
     shift = 37.5
     A = (asm.K - shift * asm.M).toarray()[2:-2, 2:-2]
     b = np.random.default_rng(2).standard_normal(A.shape[0])
-    x = asm.factor(shift).solve(b)
-    assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
+    x = factor(shift)(b)
+    return np.linalg.norm(A @ x - b) / np.linalg.norm(b)
+
+
+def test_factor_solves_free_block(asm):
+    assert _shifted_solve_residual(
+        asm, lambda shift: asm.factor(shift).solve) <= 1e-10
+
+
+def test_band_factor_solves_free_block(asm):
+    assert _shifted_solve_residual(asm, asm.band_factor) <= 1e-10
+
+
+def test_band_factor_nudges_an_exactly_singular_shift(asm):
+    # K = M makes K - 1 M exactly zero; the nudged shift 1 + 1e-11 leaves
+    # about -1e-11 M, which the factorization must solve
+    same = dataclasses.replace(asm, K=asm.M)
+    A = (asm.M - (1.0 + 1e-11) * asm.M).toarray()[2:-2, 2:-2]
+    b = np.random.default_rng(5).standard_normal(A.shape[0])
+    x = same.band_factor(1.0)(b)
+    np.testing.assert_allclose(x, np.linalg.solve(A, b), rtol=1e-10, atol=0)
+
+
+def test_band_factor_raises_on_illegal_lapack_argument(asm, monkeypatch):
+    dgbtrf = scipy.linalg.lapack.dgbtrf
+
+    def illegal(*args, **kwargs):
+        lu, piv, _ = dgbtrf(*args, **kwargs)
+        return lu, piv, -3
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dgbtrf", illegal)
+    with pytest.raises(np.linalg.LinAlgError, match="info=-3"):
+        asm.band_factor(37.5)
 
 
 def test_eigs_near_vectors_vanish_on_clamped_dofs(asm):
@@ -104,17 +146,22 @@ def test_hermite_function_matches_all_stack_basis(variable_artifact):
 
 def test_ritz_values_at_ritz_tol_match_machine_precision(asym_artifact):
     # stopped at RITZ_TOL, ARPACK's Ritz values (not only the polished
-    # pairs) still agree with its machine-precision default (tol=0)
+    # pairs) still agree with its machine-precision default (tol=0) on
+    # the same shift-invert operator: the oracle's band LU, the outer
+    # chain's own SuperLU
     art = asym_artifact
     eps = art.epsilon(20)
     prob = oracle.assemble(art.coeffs, eps, art.S1)
-    for asm, sigma in ((prob.asm, art.lambda_trunc(eps, art.n_max)),
-                       (art.mode.left_asm, 0.0),
-                       (art.mode.right_asm, art.lambdas[0])):
-        vals, _ = hermite.eigs_near(asm, sigma=sigma, k=6)
+    for asm, sigma, factor in (
+            (prob.asm, art.lambda_trunc(eps, art.n_max), prob.asm.band_factor),
+            (art.mode.left_asm, 0.0, None),
+            (art.mode.right_asm, art.lambdas[0], None)):
+        vals, _ = hermite.eigs_near(asm, sigma=sigma, k=6, factor=factor)
         Kff, Mff = asm.free_blocks
         n = Kff.shape[0]
+        opinv = None if factor is None else scipy.sparse.linalg.LinearOperator(
+            (n, n), matvec=factor(sigma), dtype=float)
         ref = np.sort(scipy.sparse.linalg.eigsh(
             Kff.tocsc(), k=6, M=Mff.tocsc(), sigma=sigma, which="LM",
-            v0=np.ones(n) / np.sqrt(n), tol=0)[0])
+            v0=np.ones(n) / np.sqrt(n), tol=0, OPinv=opinv)[0])
         np.testing.assert_allclose(vals, ref, rtol=1e-12, atol=0)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 import scipy.sparse.linalg
 
 from beamwkb import hermite, oracle
@@ -87,22 +88,27 @@ def test_solve_near_contract(uniform_coeffs, uniform_artifact):
 def test_solve_near_polishes_only_the_reported_pair(uniform_coeffs,
                                                     uniform_artifact,
                                                     monkeypatch):
-    # one shifted LU per polish step of the reported pair; the residual
-    # norm's mass factor is a banded Cholesky, and ARPACK's own
-    # factorization does not pass here
+    # one band LU for ARPACK's shift-invert operator and one per polish
+    # step of the reported pair, and no SuperLU at all; the residual
+    # norm's mass factor is a banded Cholesky
     art = uniform_artifact
     eps = art.epsilon(14)
     prob = oracle.assemble(uniform_coeffs, eps, art.S1)
     splu = scipy.sparse.linalg.splu
-    calls = []
+    dgbtrf = scipy.linalg.lapack.dgbtrf
+    calls = {"splu": 0, "dgbtrf": 0}
 
-    def counting_splu(A, *args, **kwargs):
-        calls.append(A.shape)
-        return splu(A, *args, **kwargs)
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
 
-    monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counting("splu", splu))
+    monkeypatch.setattr(scipy.linalg.lapack, "dgbtrf",
+                        counting("dgbtrf", dgbtrf))
     oracle.solve_near(prob, art.lambda_trunc(eps, 1))
-    assert len(calls) == hermite.POLISH_STEPS
+    assert calls == {"splu": 0, "dgbtrf": hermite.POLISH_STEPS + 1}
 
 
 def test_solve_near_determinism(uniform_coeffs, uniform_artifact):
@@ -180,20 +186,28 @@ def test_eigenvalue_ordering_stable_under_refinement(uniform_coeffs,
 
 
 def _direct_flanks(prob, lam, target):
-    # twelve Ritz pairs at ARPACK's machine-precision default, bracketing lam
+    # twelve Ritz pairs at ARPACK's machine-precision default, bracketing
+    # lam, on the shift-invert operator that solve_near uses
     Kff, Mff = prob.asm.free_blocks
     n = Kff.shape[0]
+    opinv = scipy.sparse.linalg.LinearOperator(
+        (n, n), matvec=prob.asm.band_factor(target), dtype=float)
     vals = np.sort(scipy.sparse.linalg.eigsh(
         Kff.tocsc(), k=12, M=Mff.tocsc(), sigma=target, which="LM",
-        v0=np.ones(n) / np.sqrt(n), tol=0)[0])
+        v0=np.ones(n) / np.sqrt(n), tol=0, OPinv=opinv)[0])
     j = int(np.argmin(np.abs(vals - lam)))
     assert 0 < j < vals.size - 1
     return vals[j - 1], vals[j + 1]
 
 
-@pytest.mark.parametrize("name, ls", [("uniform", (6, 12, 18)),
-                                      ("asym", (8, 20, 40)),
-                                      ("variable", (8, 24, 44))])
+FIXTURE_LS = [("uniform", (6, 12, 18)), ("asym", (8, 20, 40)),
+              ("variable", (8, 24, 44))]
+# measured on these nine rows: at most 3.4e-10 (uniform l = 18, upper
+# flank), 1.5e-11 on asym and 2.9e-11 on variable
+FLANK_POLISH_RTOL = 1e-9
+
+
+@pytest.mark.parametrize("name, ls", FIXTURE_LS)
 def test_flanks_match_machine_precision_solve(name, ls, request):
     # four Ritz pairs at RITZ_TOL still give both flanks, each the true
     # neighbouring eigenvalue of the pencil; the uniform beam is
@@ -212,23 +226,42 @@ def test_flanks_match_machine_precision_solve(name, ls, request):
         assert res.gap == min(res.eigenvalue - lo, hi - res.eigenvalue)
 
 
+@pytest.mark.parametrize("name, ls", FIXTURE_LS)
+def test_flanks_match_their_polished_eigenvalues(name, ls, request):
+    # each Ritz flank against its own pair polished on the band LU: a
+    # check independent of ARPACK's tolerance and of the tol=0 reference
+    art = request.getfixturevalue(f"{name}_artifact")
+    for l in ls:
+        eps = art.epsilon(l)
+        target = art.lambda_trunc(eps, art.n_max)
+        prob = oracle.assemble(art.coeffs, eps, art.S1)
+        band = prob.asm.band_factor
+        res = oracle.solve_near(prob, target)
+        vals, vecs = hermite.eigs_near(prob.asm, sigma=target, k=4,
+                                       factor=band)
+        for flank in res.flanking():
+            j = int(np.argmin(np.abs(vals - flank)))
+            assert vals[j] == flank
+            lam = hermite.polish(prob.asm, vals[j], vecs[:, j],
+                                 factor=band)[0]
+            assert flank == pytest.approx(lam, rel=FLANK_POLISH_RTOL, abs=0)
+
+
 def test_solve_near_shift_invert_work(asym_artifact, monkeypatch):
-    # eigsh gets its OPinv the way scipy builds it (an LU of A - sigma M),
-    # wrapped to count applications; tol=0 with six pairs makes about 41
+    # counts applications of the OPinv that solve_near hands to eigsh
+    # (its band LU); tol=0 with six pairs makes about 41
     art = asym_artifact
     eigsh = scipy.sparse.linalg.eigsh
     applied = []
 
-    def counting_eigsh(A, k=6, M=None, sigma=None, **kwargs):
-        lu = scipy.sparse.linalg.splu((A - sigma * M).tocsc())
-
+    def counting_eigsh(A, *args, OPinv, **kwargs):
         def matvec(x):
             applied.append(1)
-            return lu.solve(np.asarray(x, dtype=float))
+            return OPinv.matvec(x)
 
-        op = scipy.sparse.linalg.LinearOperator(A.shape, matvec=matvec,
+        op = scipy.sparse.linalg.LinearOperator(OPinv.shape, matvec=matvec,
                                                 dtype=float)
-        return eigsh(A, k=k, M=M, sigma=sigma, OPinv=op, **kwargs)
+        return eigsh(A, *args, OPinv=op, **kwargs)
 
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counting_eigsh)
     eps = art.epsilon(20)
