@@ -20,6 +20,13 @@ def _parse_l_range(text):
     return int(lo), int(hi or lo)
 
 
+def _positive_float(text):
+    value = float(text)
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="beamwkb",
@@ -39,7 +46,7 @@ def build_parser():
     p.add_argument("--csv", default=None, help="CSV output path")
     p.add_argument("--json", dest="json_path", default=None,
                    help="JSON output path")
-    p.add_argument("--refine", type=float, default=1.0,
+    p.add_argument("--refine", type=_positive_float, default=1.0,
                    help="oracle mesh refinement factor")
 
     p = sub.add_parser("oracle", help="solve one (epsilon, target) pair directly")

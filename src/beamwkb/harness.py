@@ -370,9 +370,7 @@ def compare_eigenfunction(art: ExpansionArtifact, prob, result, eps, n):
         safe(lambda xs: art.inner_value(xs / eps, eps, n), xf[mid]) \
         if n < n_avail else None
 
-    scale = eps ** (-float(art.coeffs.m))
-    rho = np.where(np.abs(xf) < eps, scale * art.coeffs.q_at(xf / eps),
-                   art.coeffs.p_at(xf))
+    rho = art.coeffs.density(xf, eps)
     num = 0.0
     den = 0.0
     for mask, V in ((left, V_left), (right, V_right), (mid, V_mid_pad)):

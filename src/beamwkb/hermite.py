@@ -8,13 +8,12 @@ polynomial coefficient degrees this package admits.
 Every mesh here is clamped at both ends, so ``Assembly`` owns the split
 into the four clamped dofs and the contiguous free range between them,
 together with the factorizations of the free block of the pencil
-K - lambda M.  Neighbouring elements share one node's two dofs, so both
-forms have half-bandwidth MASS_BANDWIDTH = 3 and are kept once in LAPACK
-band storage.  It feeds the O(n) shifted band LU (dgbtrf), on which the
-oracle runs ARPACK's shift-invert and its polish steps, and the cached
-banded Cholesky factor of the mass block behind the mass-inverse
-residual norm.  The outer chain keeps SuperLU (``factor``, and the LU
-``eigsh`` builds itself), whose rounding its lambda_i digest pins.
+K - lambda M.  Both forms have half-bandwidth MASS_BANDWIDTH = 3 and are
+kept once, in one LAPACK band store over all dofs that every product
+(summed in CSR order) and factorization reads.  The free block is its
+column slice: the oracle's shifted band LU (dgbtrf), the banded Cholesky
+of the mass block, ARPACK's mass operator.  The outer chain keeps SuperLU
+of a CSC copy (``factor``), whose rounding its lambda_i digest pins.
 
 Element matrices are accumulated in extended precision: the 1/h^3
 stiffness scaling otherwise pollutes eigenvalues near the 1e-9 relative
@@ -33,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.linalg as sla
@@ -111,8 +110,7 @@ class Assembly:
     """
 
     nodes: np.ndarray
-    K: sp.csr_matrix
-    M: sp.csr_matrix
+    bands: np.ndarray         # (2, 3 MASS_BANDWIDTH + 1, ndof): K, M
     Ke: np.ndarray            # (n_elem, 4, 4) longdouble
     Me: np.ndarray            # (n_elem, 4, 4) longdouble
 
@@ -130,63 +128,66 @@ class Assembly:
         """The free dofs: everything between the two clamped nodes."""
         return slice(2, self.ndof - 2)
 
-    @cached_property
-    def free_blocks(self):
-        """(K_ff, M_ff), the pencil restricted to the free dofs."""
-        return self.K[self.free, self.free], self.M[self.free, self.free]
+    def pencil(self, shift):
+        """K - shift M over all dofs, in the band storage of ``bands``."""
+        return self.bands[0] - shift * self.bands[1]
 
-    @cached_property
-    def _bands(self):
-        """(K_ff, M_ff) in dgbtrf's band storage, kl = ku = MASS_BANDWIDTH.
+    @staticmethod
+    def product(band, x):
+        """A x for the square matrix A held in ``band``.
 
-        Entry (i, j) sits in row 2 MASS_BANDWIDTH + i - j of column j, below
-        dgbtrf's MASS_BANDWIDTH rows of pivoting fill.  An entry outside
-        the band raises ValueError rather than being lost.
+        Entry (i, j) sits in row 2 MASS_BANDWIDTH + i - j of column j, as
+        dgbtrf stores it.  Each row sums in increasing j, as CSR and CSC
+        do, so the result is theirs bit for bit; cells outside the matrix
+        are never read.
         """
+        bw, n = MASS_BANDWIDTH, x.size
+        y = np.zeros(n)
+        for d in range(-bw, bw + 1):          # column offset j - i
+            i, j, m = max(0, -d), max(0, d), n - abs(d)
+            y[i:i + m] += band[2 * bw - d, j:j + m] * x[j:j + m]
+        return y
+
+    def pencil_csc(self, shift):
+        """K_ff - shift M_ff as CSC, zero entries and corner cells dropped."""
         bw = MASS_BANDWIDTH
-        bands = []
-        for A in self.free_blocks:
-            A = A.tocoo()             # CSR entries: no duplicates to sum
-            off = A.row - A.col
-            if np.any(np.abs(off) > bw):
-                raise ValueError(f"pencil has entries beyond half-bandwidth "
-                                 f"{bw}")
-            band = np.zeros((3 * bw + 1, A.shape[0]), order="F")
-            band[2 * bw + off, A.col] = A.data
-            bands.append(band)
-        return tuple(bands)
+        band = self.pencil(shift)[bw:, self.free]
+        return sp.dia_array((band, np.arange(bw, -bw - 1, -1)),
+                            shape=(band.shape[1],) * 2).tocsc()
 
     @cached_property
     def _mass_cholesky(self):
         """Upper banded Cholesky factor of M_ff."""
         bw = MASS_BANDWIDTH
-        return sla.cholesky_banded(self._bands[1][bw:2 * bw + 1], lower=False)
+        return sla.cholesky_banded(self.bands[1, bw:2 * bw + 1, self.free],
+                                   lower=False)
 
     def band_factor(self, shift):
         """LAPACK band LU of K_ff - shift M_ff, returned as its solve b -> x.
 
         An exactly singular shift is nudged; any other failure raises.
         """
-        bw, (Kb, Mb) = MASS_BANDWIDTH, self._bands
-        lu, piv, info = sla.lapack.dgbtrf(Kb - shift * Mb, bw, bw)
+        bw = MASS_BANDWIDTH
+        lu, piv, info = sla.lapack.dgbtrf(self.pencil(shift)[:, self.free],
+                                          bw, bw)
         if info > 0:              # an exactly zero pivot
             lu, piv, info = sla.lapack.dgbtrf(
-                Kb - shift * (1.0 + 1e-11) * Mb, bw, bw)
+                self.pencil(shift * (1.0 + 1e-11))[:, self.free], bw, bw)
         if info != 0:
             raise np.linalg.LinAlgError(f"dgbtrf failed with info={info}")
         return lambda b: sla.lapack.dgbtrs(lu, bw, bw, b, piv)[0]
 
     def factor(self, shift):
-        """SuperLU of K_ff - shift M_ff; an exactly singular shift is nudged.
+        """SuperLU of K_ff - shift M_ff, returned as its solve b -> x.
 
-        Kept for the outer chain only, whose lambda_i the band LU moves past
-        the benchmark digest's gate; goes when ROADMAP item 2 re-records it.
+        An exactly singular shift is nudged.  Outer chain only, whose
+        lambda_i digest pins its rounding, until ROADMAP item 2.
         """
-        Kff, Mff = self.free_blocks
         try:
-            return spla.splu((Kff - shift * Mff).tocsc())
+            lu = spla.splu(self.pencil_csc(shift))
         except RuntimeError:
-            return spla.splu((Kff - shift * (1.0 + 1e-11) * Mff).tocsc())
+            lu = spla.splu(self.pencil_csc(shift * (1.0 + 1e-11)))
+        return lu.solve
 
     def mass_inverse_norm(self, r):
         """sqrt(r_f^T M_ff^-1 r_f) for a residual r over all dofs.
@@ -272,16 +273,15 @@ def assemble(nodes, k0_fn, k1_fn, k2_fn, weight_fn):
     wgt = weight_fn(xg).astype(np.longdouble) * wg
     Me = np.einsum("eg,eig,ejg->eij", wgt, B0, B0)
 
-    n_elem = h.size
-    ndof = 2 * nodes.size
-    edof = 2 * np.arange(n_elem)[:, None] + np.arange(4)[None, :]
-    rows = np.repeat(edof, 4, axis=1).ravel()
-    cols = np.tile(edof, (1, 4)).ravel()
-    K = sp.coo_matrix((Ke.astype(float).ravel(), (rows, cols)),
-                      shape=(ndof, ndof)).tocsr()
-    M = sp.coo_matrix((Me.astype(float).ravel(), (rows, cols)),
-                      shape=(ndof, ndof)).tocsr()
-    return Assembly(nodes=nodes, K=K, M=M, Ke=Ke, Me=Me)
+    # element e couples dofs 2e..2e+3; each block is rounded to double
+    # before it is added, and no entry has more than two addends
+    n_elem, bw = h.size, MASS_BANDWIDTH
+    bands = np.zeros((2, 3 * bw + 1, 2 * nodes.size))
+    blocks = np.stack([Ke, Me]).astype(float)
+    for i in range(4):
+        for j in range(4):
+            bands[:, 2 * bw + i - j, j:j + 2 * n_elem:2] += blocks[:, :, i, j]
+    return Assembly(nodes=nodes, bands=bands, Ke=Ke, Me=Me)
 
 
 def poly_fn(coeff):
@@ -356,7 +356,7 @@ class EigenConvergenceError(RuntimeError):
     """Shift-invert iteration failed to converge near the requested target."""
 
 
-def eigs_near(asm: Assembly, sigma, k=6, factor=None):
+def eigs_near(asm: Assembly, sigma, factor, k=6):
     """Ritz pairs of the clamped pencil nearest to sigma, unpolished.
 
     ARPACK shift-invert with a deterministic all-ones start vector.  The
@@ -369,21 +369,21 @@ def eigs_near(asm: Assembly, sigma, k=6, factor=None):
     for digits that only gaps and flanks read; a caller polishes every
     pair it reports.
 
-    ``factor`` (such as ``asm.band_factor``) maps sigma to ARPACK's
-    shift-invert solve; by default ``eigsh`` builds its own SuperLU.
+    ``factor`` (``asm.band_factor`` or ``asm.factor``) maps sigma to
+    ARPACK's shift-invert solve; the mass operator is the band product.
 
     Returns (values ascending, vectors as columns in full dof numbering,
     zero on the clamped dofs).
     """
-    Kff, Mff = asm.free_blocks
-    n = Kff.shape[0]
+    Kf, Mf = asm.bands[..., asm.free]
+    n = Kf.shape[1]
     v0 = np.ones(n) / np.sqrt(n)
-    opinv = None if factor is None else spla.LinearOperator(
-        (n, n), matvec=factor(sigma), dtype=float)
+    K, M, opinv = (spla.LinearOperator((n, n), matvec=f, dtype=float)
+                   for f in (partial(asm.product, Kf),
+                             partial(asm.product, Mf), factor(sigma)))
     try:
-        vals, vecs = spla.eigsh(Kff.tocsc(), k=min(k, n - 2), M=Mff.tocsc(),
-                                sigma=sigma, which="LM", v0=v0,
-                                tol=RITZ_TOL, OPinv=opinv)
+        vals, vecs = spla.eigsh(K, k=min(k, n - 2), M=M, sigma=sigma,
+                                which="LM", v0=v0, tol=RITZ_TOL, OPinv=opinv)
     except spla.ArpackNoConvergence as exc:
         raise EigenConvergenceError(
             f"shift-invert failed to converge at sigma={sigma!r}") from exc
@@ -393,21 +393,20 @@ def eigs_near(asm: Assembly, sigma, k=6, factor=None):
     return vals[order], out_vecs
 
 
-def polish(asm: Assembly, lam, v, factor=None):
+def polish(asm: Assembly, lam, v, factor):
     """One eigenpair refined by POLISH_STEPS inverse-iteration steps.
 
-    Each step solves with K_ff - lam M_ff (by ``factor(lam)``, default
-    ``asm.factor``), M-normalizes, and updates lam to the
-    extended-precision Rayleigh quotient.  ``v`` is in full dof
-    numbering; returns (lam, vector in full dof numbering).
+    Each step solves with K_ff - lam M_ff (by ``factor(lam)``),
+    M-normalizes, and updates lam to the extended-precision Rayleigh
+    quotient.  ``v`` is in full dof numbering; returns (lam, vector in
+    full dof numbering).
     """
-    factor = factor or (lambda shift: asm.factor(shift).solve)
-    Mff = asm.free_blocks[1]
+    Mff = asm.bands[1, :, asm.free]
     vf = v[asm.free]
     out = np.zeros(asm.ndof)
     for _ in range(POLISH_STEPS):
-        w = factor(lam)(Mff @ vf)
-        nrm = np.sqrt(abs(w @ (Mff @ w)))
+        w = factor(lam)(asm.product(Mff, vf))
+        nrm = np.sqrt(abs(w @ asm.product(Mff, w)))
         if not np.isfinite(nrm) or nrm == 0.0:
             break
         vf = w / nrm

@@ -130,6 +130,12 @@ class CoefficientSet:
     def q_at(self, x, deriv=0):
         return eval_coefficient(self.q, x, deriv)
 
+    def density(self, x, eps):
+        """Density of the epsilon-problem: eps^-m q(x/eps) on (-eps, eps),
+        p outside."""
+        return np.where(np.abs(x) < eps, eps ** (-float(self.m)) *
+                        self.q_at(x / eps), self.p_at(x))
+
 
 def guard_band_message(delta: float, guard: float = GUARD_BAND):
     """Why delta is inadmissible (within guard of a pole of det G_delta
@@ -169,9 +175,14 @@ class RunSpec:
         self.validate()
 
     def validate(self):
+        unknown = set(self.tolerances) - set(_DEFAULT_TOLERANCES)
+        if unknown:
+            raise ConfigError(f"unknown tolerances keys: {sorted(unknown)}")
         guard = self.tolerances["guard"]
         if guard <= 0.0:
             raise ConfigError("guard band must be positive")
+        if not self.tolerances["gap_min_rel"] > 0.0:
+            raise ConfigError("gap_min_rel must be positive")
         d = self.delta
         if not (0.0 <= d < 2.0 * math.pi):
             raise ConfigError(f"delta must lie in [0, 2*pi), got {d}")
@@ -189,6 +200,11 @@ class RunSpec:
             raise ConfigError("inner_grid too coarse (need >= 16 Chebyshev nodes)")
         if self.outer_grid < 8:
             raise ConfigError("outer_grid too coarse (need >= 8 elements per unit length)")
+        if self.oracle_nodes_per_wavelength < 1:
+            raise ConfigError("oracle_nodes_per_wavelength must be >= 1")
+        if not self.oracle_outer_h > 0.0:
+            raise ConfigError(
+                f"oracle_outer_h must be positive, got {self.oracle_outer_h}")
 
 
 _CONFIG_KEYS = {

@@ -4,9 +4,10 @@ Ground truth for validating the asymptotic construction: Hermite-cubic
 discretization of the clamped eigenvalue problem with the concentrated
 density eps^-8 q(x/eps) on (-eps, eps), mesh nodes aligned exactly at
 +-eps, and ARPACK shift-invert targeting; the reported eigenpair is
-polished to an extended-precision Rayleigh quotient.  Each row factors
-only by LAPACK band LU (``Assembly.band_factor``): one at the target for
-ARPACK's shift-invert operator and one per polish step.
+polished to an extended-precision Rayleigh quotient.  A row builds no
+sparse matrix: it factors only by LAPACK band LU (``Assembly.band_factor``),
+one at the target for ARPACK's shift-invert operator and one per polish
+step, and every product is the band product.
 """
 
 from __future__ import annotations
@@ -55,7 +56,8 @@ class DiscreteProblem:
         Bounds the eigenvalue error: min_j |lam - lam_j| is at most
         ||K v - lam M v||_{M^-1} / ||v||_M.
         """
-        r = self.asm.K @ dofs - lam * (self.asm.M @ dofs)
+        K, M = self.asm.bands
+        r = self.asm.product(K, dofs) - lam * self.asm.product(M, dofs)
         return self.asm.mass_inverse_norm(r) / self.weighted_norm(dofs)
 
 
@@ -93,19 +95,11 @@ def assemble(coeffs: CoefficientSet, eps: float, S1: float,
         raise MeshResolutionError(
             f"{n_inner} inner elements < {nodes_per_wavelength} per wavelength "
             f"x {wavecount:.2f} wavelengths")
-    scale = eps ** (-float(coeffs.m))
-
-    def rho(x):
-        inside = np.abs(x) < eps
-        out = coeffs.p_at(x)
-        if np.any(inside):
-            out = np.where(inside, scale * coeffs.q_at(x / eps), out)
-        return out
-
     k0 = hermite.poly_fn(coeffs.k0)
     k1 = hermite.poly_fn(coeffs.k1)
     k2 = hermite.poly_fn(coeffs.k2)
-    asm = hermite.assemble(nodes, k0, k1, k2, rho)
+    asm = hermite.assemble(nodes, k0, k1, k2,
+                           lambda x: coeffs.density(x, eps))
     return DiscreteProblem(coeffs=coeffs, eps=eps, nodes=nodes, asm=asm,
                            n_inner=n_inner,
                            nodes_per_wavelength=n_inner / wavecount)
@@ -144,9 +138,9 @@ def solve_near(problem: DiscreteProblem, target: float):
     if target <= 0.0:
         raise OracleInputError("target must be positive")
     band = problem.asm.band_factor
-    vals, vecs = hermite.eigs_near(problem.asm, sigma=target, k=4, factor=band)
+    vals, vecs = hermite.eigs_near(problem.asm, target, band, k=4)
     idx = int(np.argmin(np.abs(vals - target)))
-    lam, v = hermite.polish(problem.asm, vals[idx], vecs[:, idx], factor=band)
+    lam, v = hermite.polish(problem.asm, vals[idx], vecs[:, idx], band)
     lam = float(lam)
     residual = problem.residual_norm(v, lam) / abs(lam)
     others = np.delete(vals, idx)

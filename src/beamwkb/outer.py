@@ -136,31 +136,29 @@ class OuterMode:
 def _left_factors(mode: OuterMode):
     """Bordered lambda0-pencil on (a, 0): its LU and the parts of its data.
 
-    Returns ((K - lambda0 M)[free, clamped], M v0, border scale s, s c, LU).
+    Returns (K - lambda0 M in band storage, M v0 (the p-weighted
+    projection onto v0), border scale s, s c, LU).
     """
     if "left" not in mode.factors:
         left = mode.left_asm
-        free = left.free
-        A_full = (left.K - mode.lambda0 * left.M).tocsr()
-        A = A_full[free, free]
-        c_full = left.M @ mode.v_left.dofs()        # p-weighted projection onto v0
-        c = c_full[free]
+        A = left.pencil_csc(mode.lambda0)
+        c_full = left.product(left.bands[1], mode.v_left.dofs())
+        c = c_full[left.free]
         # scale the border to the stiffness magnitude so the factorization is balanced
         s = max(abs(A).max(), 1.0) / max(np.max(np.abs(c)), 1e-30)
         sc = s * c
         B = sp.bmat([[A, sc[:, None]], [sp.csr_matrix(sc[None, :]), None]],
                     format="csc")
-        mode.factors["left"] = (A_full[free, left.clamped], c_full, s, sc,
+        mode.factors["left"] = (left.pencil(mode.lambda0), c_full, s, sc,
                                 spla.splu(B))
     return mode.factors["left"]
 
 
 def _right_factors(mode: OuterMode):
-    """(K - lambda0 M)[free, clamped] on (0, b) and the LU of its free block."""
+    """K - lambda0 M on (0, b) in band storage and its free block's solve."""
     if "right" not in mode.factors:
         right = mode.right_asm
-        A_full = (right.K - mode.lambda0 * right.M).tocsr()
-        mode.factors["right"] = (A_full[right.free, right.clamped],
+        mode.factors["right"] = (right.pencil(mode.lambda0),
                                  right.factor(mode.lambda0))
     return mode.factors["right"]
 
@@ -184,18 +182,18 @@ def solve_three_point_eigen(coeffs: CoefficientSet, mode_index: int = 1,
     right = _interval_assembly(coeffs, 0.0, coeffs.b, n_right)
 
     k_want = mode_index + 4
-    vals_l, vecs_l = hermite.eigs_near(left, sigma=0.0, k=k_want)
+    vals_l, vecs_l = hermite.eigs_near(left, 0.0, left.factor, k=k_want)
     if mode_index > vals_l.size:
         raise ValueError(f"mode_index {mode_index} beyond computed spectrum")
     lam0, v = hermite.polish(left, vals_l[mode_index - 1],
-                             vecs_l[:, mode_index - 1])
+                             vecs_l[:, mode_index - 1], left.factor)
     lam0 = float(lam0)
 
     # a mirror-symmetric beam has gap_right ~ 0, below the Ritz error of
     # the right pair, so that pair is polished; gap_left uses Ritz values
-    vals_r, vecs_r = hermite.eigs_near(right, sigma=lam0, k=6)
+    vals_r, vecs_r = hermite.eigs_near(right, lam0, right.factor, k=6)
     j = int(np.argmin(np.abs(vals_r - lam0)))
-    lam_r, _ = hermite.polish(right, vals_r[j], vecs_r[:, j])
+    lam_r, _ = hermite.polish(right, vals_r[j], vecs_r[:, j], right.factor)
 
     others = np.delete(vals_l, mode_index - 1)
     gap_left = float(np.min(np.abs(others - lam0))) if others.size else np.inf
@@ -320,15 +318,15 @@ def solve_correction(mode: OuterMode, i: int, lambdas, prev_terms,
 
     fixed, free = left.clamped, left.free
     fixed_vals = np.array([0.0, 0.0, V_minus, W_minus])
-    A_fixed, c_full, s, sc, lu = _left_factors(mode)
-    rhs = F[free] - A_fixed @ fixed_vals
+    A, c_full, s, sc, lu = _left_factors(mode)
+    v_dofs = np.zeros(left.ndof)
+    v_dofs[fixed] = fixed_vals
+    rhs = F[free] - left.product(A, v_dofs)[free]
     v0_dofs = mode.v_left.dofs()
     d = -float(c_full[fixed] @ fixed_vals)
     sol = lu.solve(np.concatenate([rhs, [s * d]]))
     # mixed-precision refinement: residuals against the extended-precision
     # element data push the bordered solve to its true floor
-    v_dofs = np.zeros(left.ndof)
-    v_dofs[fixed] = fixed_vals
     for _ in range(3):
         v_dofs[free] = sol[:-1]
         nu = sol[-1]
@@ -375,15 +373,14 @@ def solve_correction(mode: OuterMode, i: int, lambdas, prev_terms,
         pairs, g_derivs = forcing
         Fr = _load(nodes_r, p_fn, pairs)
         fixed_r, free_r = right.clamped, right.free
-        fixed_vals_r = np.array([V_plus, W_plus, 0.0, 0.0])
-        A_fixed_r, lu_r = _right_factors(mode)
-        w = lu_r.solve(Fr[free_r] - A_fixed_r @ fixed_vals_r)
+        A_r, solve_r = _right_factors(mode)
         v_dofs_r = np.zeros(right.ndof)
-        v_dofs_r[fixed_r] = fixed_vals_r
+        v_dofs_r[fixed_r] = [V_plus, W_plus, 0.0, 0.0]
+        w = solve_r(Fr[free_r] - right.product(A_r, v_dofs_r)[free_r])
         for _ in range(2):
             v_dofs_r[free_r] = w
             pen_r = right.pencil_apply(v_dofs_r, lam0)
-            w = w + lu_r.solve(Fr[free_r] - np.asarray(pen_r[free_r], float))
+            w = w + solve_r(Fr[free_r] - np.asarray(pen_r[free_r], float))
         v_dofs_r[free_r] = w
         v_right_fn = HermiteFunction.from_dofs(nodes_r, v_dofs_r)
         ep_plus = _endpoint_data(coeffs, right, v_dofs_r, lam0, Fr, "right",

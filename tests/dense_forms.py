@@ -6,16 +6,18 @@ through their Chebyshev coefficients.  The tests use these literal
 matrices and the barycentric interpolant to check those fast paths.
 
 The second half keeps the straightforward forms of the package's fast
-kernels (np.add.at scatters, the loop antiderivative, the all-derivatives
-Hermite basis, per-call coefficient evaluation, streaming JSON writes),
-which the fast kernels must match bit for bit, and the refit-per-row
-drop-one spread that the closed form must match to round-off.
+kernels (np.add.at scatters, the COO -> CSR assembly of the Hermite
+forms, the loop antiderivative, the all-derivatives Hermite basis,
+per-call coefficient evaluation, streaming JSON writes), which the fast
+kernels must match bit for bit, and the refit-per-row drop-one spread
+that the closed form must match to round-off.
 """
 
 import json
 import math
 
 import numpy as np
+import scipy.sparse as sp
 
 from beamwkb import harness, hermite, inner
 from beamwkb.inner import T_POWERS
@@ -276,6 +278,40 @@ def pencil_apply_add_at(asm, v, lam, mass_vec=None, load=None):
     if load is not None:
         out = out - np.asarray(load, dtype=np.longdouble)
     return out
+
+
+def csr_forms(asm):
+    """(K, M) over all dofs as CSR, assembled from the element blocks.
+
+    Each block is rounded to double and the COO -> CSR conversion sums
+    the entries two neighbouring elements share.
+    """
+    edof = asm.edof()
+    rows = np.repeat(edof, 4, axis=1).ravel()
+    cols = np.tile(edof, (1, 4)).ravel()
+    return tuple(sp.coo_matrix((E.astype(float).ravel(), (rows, cols)),
+                               shape=(asm.ndof, asm.ndof)).tocsr()
+                 for E in (asm.Ke, asm.Me))
+
+
+def free_blocks(asm):
+    """(K_ff, M_ff): the COO -> CSR forms restricted to the free dofs."""
+    return tuple(A[asm.free, asm.free] for A in csr_forms(asm))
+
+
+def band_of(A):
+    """A sparse matrix in dgbtrf band storage, kl = ku = MASS_BANDWIDTH.
+
+    Entry (i, j) goes to row 2 MASS_BANDWIDTH + i - j of column j; every
+    other cell is zero.  Raises AssertionError on an entry outside the band.
+    """
+    bw = hermite.MASS_BANDWIDTH
+    A = A.tocoo()
+    A.sum_duplicates()
+    assert np.all(np.abs(A.row - A.col) <= bw)
+    band = np.zeros((3 * bw + 1, A.shape[1]))
+    band[2 * bw + A.row - A.col, A.col] = A.data
+    return band
 
 
 def load_vector_add_at(nodes, rhs_fn):

@@ -328,3 +328,24 @@ def test_cli_exit_codes(tmp_path, config_path):
                      "--out", str(tmp_path / "x.json")]) == 2
     assert cli.main(["validate", "--artifact", str(tmp_path / "missing.json"),
                      "--n", "0"]) == 1
+
+
+def test_cli_rejects_invalid_oracle_settings(tmp_path, config_path, capsys):
+    # an artifact whose run asks for oracle_outer_h = 0 is a configuration
+    # error (exit 2), and so is --refine <= 0 (argparse's exit 2); both
+    # used to end in ZeroDivisionError (exit 1)
+    art_path = tmp_path / "art.json"
+    assert cli.main(["expand", "--config", str(config_path),
+                     "--out", str(art_path)]) == 0
+    data = json.loads(art_path.read_text())
+    data["config"]["oracle_outer_h"] = 0.0
+    bad = tmp_path / "bad_art.json"
+    bad.write_text(json.dumps(data))
+    assert cli.main(["validate", "--artifact", str(bad), "--n", "1"]) == 2
+    assert "oracle_outer_h must be positive" in capsys.readouterr().err
+    for refine in ("0", "-1", "nan"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["validate", "--artifact", str(art_path), "--n", "1",
+                      "--refine", refine])
+        assert exc.value.code == 2
+        assert "--refine: must be positive" in capsys.readouterr().err

@@ -6,7 +6,8 @@ import scipy.linalg.lapack
 import scipy.sparse.linalg
 
 from beamwkb import hermite, oracle
-from dense_forms import (hermite_call_all_stacks, load_vector_add_at,
+from dense_forms import (band_of, csr_forms, free_blocks,
+                         hermite_call_all_stacks, load_vector_add_at,
                          pencil_apply_add_at)
 
 
@@ -20,7 +21,7 @@ def asm():
 def test_mass_inverse_norm_matches_dense(asm):
     rng = np.random.default_rng(1)
     r = rng.standard_normal(asm.ndof)
-    Mff = asm.M.toarray()[2:-2, 2:-2]
+    Mff = free_blocks(asm)[1].toarray()
     rf = r[2:-2]
     expect = np.sqrt(rf @ np.linalg.solve(Mff, rf))
     assert asm.mass_inverse_norm(r) == pytest.approx(expect, rel=1e-12)
@@ -41,45 +42,27 @@ def test_mass_inverse_norm_matches_dense_on_oracle_pencils(name, l, request,
     monkeypatch.setattr(scipy.sparse.linalg, "splu",
                         lambda *args, **kwargs: calls.append(args))
     rng = np.random.default_rng(6)
-    Mff = asm.M.toarray()[2:-2, 2:-2]
+    M = csr_forms(asm)[1]
+    Mff = M.toarray()[2:-2, 2:-2]
     for r in (rng.standard_normal(asm.ndof),
-              asm.M @ rng.standard_normal(asm.ndof)):
+              M @ rng.standard_normal(asm.ndof)):
         rf = r[2:-2]
         expect = np.sqrt(rf @ np.linalg.solve(Mff, rf))
         assert asm.mass_inverse_norm(r) == pytest.approx(expect, rel=1e-12)
     assert calls == []
 
 
-def _widened(asm, name):
-    # the form `name` with one symmetric pair just outside the band
-    far = 2 + hermite.MASS_BANDWIDTH + 1
-    A = getattr(asm, name).tolil()
-    A[2, far] = A[far, 2] = 1e-3
-    return dataclasses.replace(asm, **{name: A.tocsr()})
-
-
-def test_mass_inverse_norm_rejects_entry_outside_band(asm):
-    with pytest.raises(ValueError, match="half-bandwidth"):
-        _widened(asm, "M").mass_inverse_norm(np.ones(asm.ndof))
-
-
-@pytest.mark.parametrize("name", ["K", "M"])
-def test_band_factor_rejects_entry_outside_band(asm, name):
-    with pytest.raises(ValueError, match="half-bandwidth"):
-        _widened(asm, name).band_factor(37.5)
-
-
 def _shifted_solve_residual(asm, factor):
     shift = 37.5
-    A = (asm.K - shift * asm.M).toarray()[2:-2, 2:-2]
+    Kff, Mff = free_blocks(asm)
+    A = (Kff - shift * Mff).toarray()
     b = np.random.default_rng(2).standard_normal(A.shape[0])
     x = factor(shift)(b)
     return np.linalg.norm(A @ x - b) / np.linalg.norm(b)
 
 
 def test_factor_solves_free_block(asm):
-    assert _shifted_solve_residual(
-        asm, lambda shift: asm.factor(shift).solve) <= 1e-10
+    assert _shifted_solve_residual(asm, asm.factor) <= 1e-10
 
 
 def test_band_factor_solves_free_block(asm):
@@ -89,8 +72,9 @@ def test_band_factor_solves_free_block(asm):
 def test_band_factor_nudges_an_exactly_singular_shift(asm):
     # K = M makes K - 1 M exactly zero; the nudged shift 1 + 1e-11 leaves
     # about -1e-11 M, which the factorization must solve
-    same = dataclasses.replace(asm, K=asm.M)
-    A = (asm.M - (1.0 + 1e-11) * asm.M).toarray()[2:-2, 2:-2]
+    same = dataclasses.replace(asm, bands=asm.bands[[1, 1]])
+    Mff = free_blocks(asm)[1]
+    A = (Mff - (1.0 + 1e-11) * Mff).toarray()
     b = np.random.default_rng(5).standard_normal(A.shape[0])
     x = same.band_factor(1.0)(b)
     np.testing.assert_allclose(x, np.linalg.solve(A, b), rtol=1e-10, atol=0)
@@ -109,7 +93,7 @@ def test_band_factor_raises_on_illegal_lapack_argument(asm, monkeypatch):
 
 
 def test_eigs_near_vectors_vanish_on_clamped_dofs(asm):
-    vals, vecs = hermite.eigs_near(asm, sigma=0.0, k=4)
+    vals, vecs = hermite.eigs_near(asm, 0.0, asm.factor, k=4)
     assert vecs.shape == (asm.ndof, vals.size)
     assert np.all(vecs[asm.clamped] == 0.0)
     assert np.all(np.abs(vecs[asm.free]).max(axis=0) > 0.0)
@@ -148,20 +132,65 @@ def test_ritz_values_at_ritz_tol_match_machine_precision(asym_artifact):
     # stopped at RITZ_TOL, ARPACK's Ritz values (not only the polished
     # pairs) still agree with its machine-precision default (tol=0) on
     # the same shift-invert operator: the oracle's band LU, the outer
-    # chain's own SuperLU
+    # chain's SuperLU
     art = asym_artifact
     eps = art.epsilon(20)
     prob = oracle.assemble(art.coeffs, eps, art.S1)
+    left, right = art.mode.left_asm, art.mode.right_asm
     for asm, sigma, factor in (
             (prob.asm, art.lambda_trunc(eps, art.n_max), prob.asm.band_factor),
-            (art.mode.left_asm, 0.0, None),
-            (art.mode.right_asm, art.lambdas[0], None)):
-        vals, _ = hermite.eigs_near(asm, sigma=sigma, k=6, factor=factor)
-        Kff, Mff = asm.free_blocks
+            (left, 0.0, left.factor),
+            (right, art.lambdas[0], right.factor)):
+        vals, _ = hermite.eigs_near(asm, sigma, factor, k=6)
+        Kff, Mff = free_blocks(asm)
         n = Kff.shape[0]
-        opinv = None if factor is None else scipy.sparse.linalg.LinearOperator(
+        opinv = scipy.sparse.linalg.LinearOperator(
             (n, n), matvec=factor(sigma), dtype=float)
         ref = np.sort(scipy.sparse.linalg.eigsh(
             Kff.tocsc(), k=6, M=Mff.tocsc(), sigma=sigma, which="LM",
             v0=np.ones(n) / np.sqrt(n), tol=0, OPinv=opinv)[0])
         np.testing.assert_allclose(vals, ref, rtol=1e-12, atol=0)
+
+
+def _assemblies(art):
+    # the outer interval assemblies and the oracle's at l = 8 and 40
+    yield art.mode.left_asm
+    yield art.mode.right_asm
+    for l in (8, 40):
+        yield oracle.assemble(art.coeffs, art.epsilon(l), art.S1).asm
+
+
+@pytest.mark.parametrize("name", ["uniform_artifact", "asym_artifact",
+                                  "variable_artifact"])
+def test_band_store_matches_csr_assembly(name, request):
+    # the band store holds the COO -> CSR assembly entry for entry, and
+    # its row-ordered product equals the CSR and CSC products bit for bit,
+    # over all dofs and over the free block (whose corner cells hold the
+    # clamped couplings)
+    rng = np.random.default_rng(7)
+    for asm in _assemblies(request.getfixturevalue(name)):
+        free = asm.free
+        for band, A in zip(asm.bands, csr_forms(asm)):
+            assert np.array_equal(band, band_of(A))
+            for part, B in ((band, A), (band[:, free], A[free, free])):
+                x = rng.standard_normal(B.shape[0])
+                got = asm.product(part, x)
+                assert np.array_equal(got, B @ x)
+                assert np.array_equal(got, B.tocsc() @ x)
+
+
+@pytest.mark.parametrize("name", ["uniform_artifact", "asym_artifact",
+                                  "variable_artifact"])
+def test_pencil_csc_matches_csr_pencil(name, request):
+    # the SuperLU input: structure and values of K_ff - shift M_ff as the
+    # CSR difference builds it, entries that cancel to zero dropped
+    art = request.getfixturevalue(name)
+    for asm in _assemblies(art):
+        Kff, Mff = free_blocks(asm)
+        for shift in (0.0, art.lambdas[0]):
+            got = asm.pencil_csc(shift)
+            ref = (Kff - shift * Mff).tocsc()
+            ref.eliminate_zeros()
+            assert got.has_sorted_indices and ref.has_sorted_indices
+            for attr in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(got, attr), getattr(ref, attr))

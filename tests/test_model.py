@@ -54,9 +54,35 @@ def test_runspec_validation():
         RunSpec(l_range=(5, 2))
     with pytest.raises(ConfigError):
         RunSpec(mode_index=0)
-    run = RunSpec(tolerances={"tol_eig": 1e-7})
-    assert run.tolerances["tol_eig"] == 1e-7
+    run = RunSpec(tolerances={"gap_min_rel": 1e-4})
+    assert run.tolerances["gap_min_rel"] == 1e-4
     assert run.tolerances["guard"] == 0.1
+
+
+def test_unknown_tolerance_key_rejected():
+    # a misspelt key used to be kept silently, leaving the default in force
+    with pytest.raises(ConfigError,
+                       match=r"unknown tolerances keys: \['gap_min'\]"):
+        RunSpec(tolerances={"gap_min": 0.5})
+
+
+@pytest.mark.parametrize("value", [0.0, -1e-3])
+def test_gap_min_rel_must_be_positive(value):
+    with pytest.raises(ConfigError, match="gap_min_rel must be positive"):
+        RunSpec(tolerances={"gap_min_rel": value})
+
+
+@pytest.mark.parametrize("value", [0.0, -0.01])
+def test_oracle_outer_h_must_be_positive(value):
+    # 0 divided the outer span by zero; -0.01 solved on the 8-element floor
+    with pytest.raises(ConfigError, match="oracle_outer_h must be positive"):
+        RunSpec(oracle_outer_h=value)
+
+
+@pytest.mark.parametrize("value", [0, -5])
+def test_oracle_nodes_per_wavelength_at_least_one(value):
+    with pytest.raises(ConfigError, match="oracle_nodes_per_wavelength"):
+        RunSpec(oracle_nodes_per_wavelength=value)
 
 
 def test_taylor_examples():

@@ -5,6 +5,7 @@ import scipy.sparse.linalg
 
 from beamwkb import hermite, oracle
 from beamwkb.model import CoefficientSet
+from dense_forms import csr_forms, free_blocks
 
 
 @pytest.fixture(scope="module")
@@ -33,7 +34,7 @@ def test_eps_out_of_range(uniform_coeffs, uniform_artifact):
 
 
 def test_assembled_symmetry(uprob):
-    K = uprob.asm.K
+    K = csr_forms(uprob.asm)[0]
     diff = (K - K.T).toarray()
     assert np.max(np.abs(diff)) / np.max(np.abs(K.toarray())) < 1e-14
 
@@ -62,8 +63,9 @@ def test_no_mass_reproduces_clamped_spectrum(uniform_coeffs, beam_root,
         nodes = np.linspace(-1.0, 1.0, n_el + 1)
         one = lambda x: np.ones_like(x)
         asm = hermite.assemble(nodes, one, None, None, one)
-        vals, vecs = hermite.eigs_near(asm, sigma=10.0, k=4)
-        vals = [hermite.polish(asm, vals[i], vecs[:, i])[0] for i in (0, 1)]
+        vals, vecs = hermite.eigs_near(asm, 10.0, asm.factor, k=4)
+        vals = [hermite.polish(asm, vals[i], vecs[:, i], asm.factor)[0]
+                for i in (0, 1)]
         expect = [(beam_root / 2.0) ** 4, (beam_root_2 / 2.0) ** 4]
         assert vals[0] == pytest.approx(expect[0], rel=1e-8)
         assert vals[1] == pytest.approx(expect[1], rel=1e-7)
@@ -111,6 +113,28 @@ def test_solve_near_polishes_only_the_reported_pair(uniform_coeffs,
     assert calls == {"splu": 0, "dgbtrf": hermite.POLISH_STEPS + 1}
 
 
+def test_oracle_row_builds_no_sparse_matrix(variable_artifact, monkeypatch):
+    # assembly, solve, residual norm and normalization of a row read the
+    # band store only; the variable beam brings k1, k2, p and q in
+    init = scipy.sparse._base._spbase.__init__
+    made = []
+
+    def counting(self, *args, **kwargs):
+        made.append(type(self).__name__)
+        return init(self, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse._base._spbase, "__init__", counting)
+    scipy.sparse.dia_array((2, 2))
+    assert made == ["dia_array"]          # the probe sees a construction
+    made.clear()
+    art = variable_artifact
+    eps = art.epsilon(20)
+    prob = oracle.assemble(art.coeffs, eps, art.S1)
+    res = oracle.solve_near(prob, art.lambda_trunc(eps, art.n_max))
+    oracle.normalize_weighted(res, prob, art.outer_left[0])
+    assert made == []
+
+
 def test_solve_near_determinism(uniform_coeffs, uniform_artifact):
     eps = 0.11
     t = uniform_artifact.lambda_trunc(eps, 1)
@@ -156,7 +180,7 @@ def test_local_mode_capture_detected(uniform_coeffs, uniform_artifact):
     art = uniform_artifact
     eps = 0.15
     prob = oracle.assemble(uniform_coeffs, eps, art.S1)
-    vals, _ = hermite.eigs_near(prob.asm, sigma=1e-6, k=3)
+    vals, _ = hermite.eigs_near(prob.asm, 1e-6, prob.asm.factor, k=3)
     assert vals[0] < 1e-2 * art.lambdas[0] * eps ** 4 * 100
     res = oracle.solve_near(prob, max(vals[0], 1e-9))
     with pytest.raises(oracle.ModeCaptureError, match="correlation"):
@@ -179,7 +203,7 @@ def test_eigenvalue_ordering_stable_under_refinement(uniform_coeffs,
     for refine in (1.0, 1.5):
         prob = oracle.assemble(uniform_coeffs, eps, uniform_artifact.S1,
                                refine=refine)
-        v, _ = hermite.eigs_near(prob.asm, sigma=1e-6, k=20)
+        v, _ = hermite.eigs_near(prob.asm, 1e-6, prob.asm.factor, k=20)
         vals.append(np.sort(v))
     rel = np.abs(vals[0] - vals[1]) / np.abs(vals[0])
     assert np.max(rel) < 1e-3
@@ -188,7 +212,7 @@ def test_eigenvalue_ordering_stable_under_refinement(uniform_coeffs,
 def _direct_flanks(prob, lam, target):
     # twelve Ritz pairs at ARPACK's machine-precision default, bracketing
     # lam, on the shift-invert operator that solve_near uses
-    Kff, Mff = prob.asm.free_blocks
+    Kff, Mff = free_blocks(prob.asm)
     n = Kff.shape[0]
     opinv = scipy.sparse.linalg.LinearOperator(
         (n, n), matvec=prob.asm.band_factor(target), dtype=float)
@@ -237,13 +261,11 @@ def test_flanks_match_their_polished_eigenvalues(name, ls, request):
         prob = oracle.assemble(art.coeffs, eps, art.S1)
         band = prob.asm.band_factor
         res = oracle.solve_near(prob, target)
-        vals, vecs = hermite.eigs_near(prob.asm, sigma=target, k=4,
-                                       factor=band)
+        vals, vecs = hermite.eigs_near(prob.asm, target, band, k=4)
         for flank in res.flanking():
             j = int(np.argmin(np.abs(vals - flank)))
             assert vals[j] == flank
-            lam = hermite.polish(prob.asm, vals[j], vecs[:, j],
-                                 factor=band)[0]
+            lam = hermite.polish(prob.asm, vals[j], vecs[:, j], band)[0]
             assert flank == pytest.approx(lam, rel=FLANK_POLISH_RTOL, abs=0)
 
 

@@ -4,15 +4,37 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 from numpy.polynomial import polynomial as P
+from scipy.optimize import brentq
 from scipy.sparse.linalg import SuperLU
 
 from beamwkb import build_expansion, hermite, inner, outer
 from beamwkb.model import CoefficientSet
-from dense_forms import correction_residual, inner_product
+from dense_forms import correction_residual, csr_forms, inner_product
 
 
 def test_lambda0_matches_characteristic_root(uniform_mode, beam_root):
     assert uniform_mode.lambda0 == pytest.approx(beam_root ** 4, rel=5e-9)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_limit_pair_matches_closed_form(asym_coeffs, k):
+    # k0 = p = 1 on (a, 0): lambda0 = (beta_k / |a|)^4 with beta_k the k-th
+    # positive root of cos(beta) cosh(beta) = 1, and lambda1 = k0(0)
+    # v0''(0-)^2 = 4 lambda0 / |a|.  Measured at outer_grid 256, k = 1..4,
+    # relative: lambda0 1.6e-10, 1.2e-9, 4.7e-9, 1.3e-8; lambda1 6.2e-10,
+    # 1.8e-9, 9.4e-9, 2.6e-8
+    beta = brentq(lambda b: np.cos(b) - 1.0 / np.cosh(b),
+                  (k + 0.5) * np.pi - 0.5, (k + 0.5) * np.pi + 0.5,
+                  xtol=1e-14, rtol=1e-15)
+    assert beta == pytest.approx((4.7300407448627, 7.8532046240958,
+                                  10.995607838002, 14.137165491257)[k - 1],
+                                 rel=1e-12)
+    length = -asym_coeffs.a
+    mode = outer.solve_three_point_eigen(asym_coeffs, k, outer_grid=256)
+    lam0 = (beta / length) ** 4
+    assert mode.lambda0 == pytest.approx(lam0, rel=1e-7, abs=0)
+    assert outer.compute_lambda1(mode) == pytest.approx(4.0 * lam0 / length,
+                                                        rel=1e-7, abs=0)
 
 
 def test_lambda0_mesh_refinement(uniform_coeffs, uniform_mode):
@@ -107,10 +129,10 @@ def test_correction_chain_factors_each_pencil_once(asym_coeffs,
                                                    uniform_coeffs,
                                                    uniform_artifact,
                                                    monkeypatch):
-    # per build: two polish LUs on each interval for the three-point pair,
-    # then one bordered LU on (a, 0) and one LU on (0, b) shared by every
-    # order; the resonant uniform beam never solves on (0, b).  ARPACK's
-    # own factorization does not pass here.  The build drops the LUs.
+    # per build: on each interval one LU for ARPACK's shift-invert and two
+    # polish LUs for the three-point pair, then one bordered LU on (a, 0)
+    # and one LU on (0, b) shared by every order; the resonant uniform
+    # beam never solves on (0, b).  The build drops the LUs.
     splu = scipy.sparse.linalg.splu
     calls = []
 
@@ -120,10 +142,10 @@ def test_correction_chain_factors_each_pencil_once(asym_coeffs,
 
     monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
     for coeffs, run, n_max, want in (
-            (asym_coeffs, asym_artifact.run, 1, 6),
-            (asym_coeffs, asym_artifact.run, 2, 6),
-            (asym_coeffs, asym_artifact.run, 3, 6),
-            (uniform_coeffs, uniform_artifact.run, 2, 5)):
+            (asym_coeffs, asym_artifact.run, 1, 8),
+            (asym_coeffs, asym_artifact.run, 2, 8),
+            (asym_coeffs, asym_artifact.run, 3, 8),
+            (uniform_coeffs, uniform_artifact.run, 2, 7)):
         calls.clear()
         art = build_expansion(coeffs, dataclasses.replace(run, n_max=n_max))
         assert len(calls) == want, (n_max, calls)
@@ -254,8 +276,8 @@ def test_symmetry_and_nonnegative_spectrum(uniform_coeffs):
     cset = CoefficientSet(a=-1.0, b=1.0, k0=(1.0, 0.2), k1=(0.1,),
                           k2=(0.3,), p=(1.0,), q=(1.0,))
     asm = outer._interval_assembly(cset, cset.a, 0.0, 64)
-    K = asm.K.toarray()
+    K = csr_forms(asm)[0].toarray()
     assert np.max(np.abs(K - K.T)) / np.max(np.abs(K)) < 1e-14
-    vals, _ = hermite.eigs_near(asm, sigma=0.0, k=6)
+    vals, _ = hermite.eigs_near(asm, 0.0, asm.factor, k=6)
     assert np.all(vals > 0.0)
     assert np.all(np.imag(vals) == 0.0)

@@ -4,8 +4,12 @@ Outputs covered:
 
 * the expansion artifact JSON of every fixture in ``bench/workloads.py``
   at every deformation angle listed there;
-* the CSV and JSON reports of ``beamwkb validate`` on the asym artifact
-  (n = 2, l = 8..40) at the first three of those angles.
+* the CSV and JSON reports of ``beamwkb validate`` (n = 2, l = 8..40) on
+  the asym and the variable artifact at the first three of those angles.
+  Asym has constant coefficients; the variable fixture is the one whose
+  k1, k2, p and q reach the oracle's assembly.
+
+That is 44 lines: 32 artifacts and 12 reports.
 
 Run it once against each tree and compare the output with ``diff``:
 
@@ -31,6 +35,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 VALIDATE_DELTAS = 3
+VALIDATE_FIXTURES = ("asym", "variable")
 
 
 def _sha(path):
@@ -66,23 +71,25 @@ def main(argv=None):
                 path = tmp / "artifact.json"
                 harness.save_artifact(art, path)
                 print(f"{_sha(path)}  artifact {name} delta={delta!r}")
-        for delta in DELTAS[:VALIDATE_DELTAS]:
-            art = harness.build_expansion(
-                *load_config(write_config(tmp, "asym", delta)))
-            path = tmp / "asym.artifact.json"
-            harness.save_artifact(art, path)
-            csv, js = tmp / "report.csv", tmp / "report.json"
-            with contextlib.redirect_stdout(io.StringIO()):
-                code = cli.main([
-                    "validate", "--artifact", str(path), "--n", str(Validate.n),
-                    "--l", f"{VALIDATE_L[0]}:{VALIDATE_L[1]}",
-                    "--csv", str(csv), "--json", str(js)])
-            if code != 0:
-                print(f"error: validate exited with {code} at delta={delta!r}",
-                      file=sys.stderr)
-                return 1
-            print(f"{_sha(csv)}  validate csv delta={delta!r}")
-            print(f"{_sha(js)}  validate json delta={delta!r}")
+        for name in VALIDATE_FIXTURES:
+            for delta in DELTAS[:VALIDATE_DELTAS]:
+                art = harness.build_expansion(
+                    *load_config(write_config(tmp, name, delta)))
+                path = tmp / f"{name}.artifact.json"
+                harness.save_artifact(art, path)
+                csv, js = tmp / "report.csv", tmp / "report.json"
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = cli.main([
+                        "validate", "--artifact", str(path),
+                        "--n", str(Validate.n),
+                        "--l", f"{VALIDATE_L[0]}:{VALIDATE_L[1]}",
+                        "--csv", str(csv), "--json", str(js)])
+                if code != 0:
+                    print(f"error: validate exited with {code} on {name} at "
+                          f"delta={delta!r}", file=sys.stderr)
+                    return 1
+                print(f"{_sha(csv)}  validate {name} csv delta={delta!r}")
+                print(f"{_sha(js)}  validate {name} json delta={delta!r}")
     return 0
 
 
