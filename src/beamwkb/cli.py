@@ -17,7 +17,10 @@ EXIT_CONFIG = 2
 
 def _parse_l_range(text):
     lo, _, hi = text.partition(":")
-    return int(lo), int(hi or lo)
+    lo, hi = int(lo), int(hi or lo)
+    if lo > hi or lo < 1:             # the rule RunSpec applies to l_range
+        raise argparse.ArgumentTypeError(f"need 1 <= lo <= hi, got {text}")
+    return lo, hi
 
 
 def _positive_float(text):

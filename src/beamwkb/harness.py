@@ -1,9 +1,9 @@
 """Construction chain, oracle sweeps, rate fits and report emission.
 
-``build_expansion`` runs the chain
-lambda0 -> v0 -> lambda1 -> v1 -> quantization -> f0 -> ... ->
-lambda_i -> v_i -> f_{i-1}, recording any term that a degenerate
-configuration makes unavailable instead of aborting the whole build.
+``build_expansion`` runs the chain lambda0 -> v0 -> quantization -> f0,
+then one step per order i >= 1: interface data -> lambda_i -> v_i ->
+f_{i-1}, recording any term that a degenerate configuration makes
+unavailable instead of aborting the whole build.
 ``run_convergence`` compares truncations against the direct solver along
 the quantized sequence and fits decay rates.
 """
@@ -18,7 +18,8 @@ import numpy as np
 
 from . import hermite, inner, oracle, outer
 from .hermite import HermiteFunction
-from .model import CoefficientSet, RunSpec, config_from_dict, config_to_dict
+from .model import (CoefficientSet, ConfigError, RunSpec, config_from_dict,
+                    config_to_dict)
 
 SCHEMA_VERSION = 1
 WINDOW_FRACTION = 0.2         # fit window of run_convergence
@@ -122,9 +123,12 @@ class ExpansionArtifact:
 def build_expansion(coeffs: CoefficientSet, run: RunSpec) -> ExpansionArtifact:
     """Run the construction chain to order run.n_max.
 
-    Terms that a multiple limit eigenvalue makes unsolvable (right-interval
-    resonance with nonzero data) are recorded as missing; the eigenvalue
-    chain continues as long as its left-interface data exist.
+    Each order i = 1..n_max is one step: boundary_data, solve_correction,
+    then f_{i-1} by transport (f0 comes from solve_f0).  The pencil LUs
+    that every order shares live only in this call.  Terms that a
+    multiple limit eigenvalue makes unsolvable (right-interval resonance
+    with nonzero data) are recorded as missing; the eigenvalue chain
+    continues as long as its left-interface data exist.
     """
     tol = run.tolerances
     mode = outer.solve_three_point_eigen(
@@ -141,33 +145,27 @@ def build_expansion(coeffs: CoefficientSet, run: RunSpec) -> ExpansionArtifact:
     corrections = []
     # endpoint tables of the outer terms at x = 0- (-1) and 0+ (+1), by order
     tables = {-1: [mode.endpoint_minus], +1: [mode.endpoint_plus]}
-
-    def add(lam, term):
-        lambdas.append(lam)
-        corrections.append(term)
-        tables[-1].append(term.endpoint_minus)
-        tables[+1].append(term.endpoint_plus)
-
     f_terms = [inner.solve_f0(phase, run.delta, mode.vpp_minus0)]
     notes = {}
-    if run.n_max >= 1:
-        add(lam1, outer.solve_v1(mode, table_depth=run.n_max + 5))
-    if run.n_max <= 1:
-        mode.factors.clear()          # no outer order left: free the LUs
-    for i in range(2, run.n_max + 1):
+    # the lambda0-pencil LUs every order shares; they end with this build
+    factors = outer.factor_pencils(mode) if run.n_max else None
+    for i in range(1, run.n_max + 1):
         try:
             bd = outer.boundary_data(i, tables, phase, f_terms, run.delta)
             term = outer.solve_correction(
-                mode, i, lambdas, corrections,
+                mode, factors, i, lambdas, corrections,
                 bd["V_minus"], bd["V_plus"], bd["W_minus"], bd["W_plus"],
                 table_depth=run.n_max + 5)
         except (outer.SolvabilityError, inner.MissingDataError) as exc:
             raise ExpansionError(f"construction stage {i}: {exc}") from exc
-        if i == run.n_max:
-            mode.factors.clear()      # no outer order left: free the LUs
-        add(term.lambda_i, term)
+        lambdas.append(term.lambda_i)
+        corrections.append(term)
+        tables[-1].append(term.endpoint_minus)
+        tables[+1].append(term.endpoint_plus)
         if term.right_skip_reason:
             notes[f"right_order_{i}"] = term.right_skip_reason
+        if i == 1:
+            continue                  # f0 is the leading inner coefficient
         # next inner coefficient f_{i-1}
         try:
             sigma = inner.transport_sigma(phase, i - 1, f_terms, tables,
@@ -404,6 +402,8 @@ def run_convergence(art: ExpansionArtifact, n: int, l_values=None,
     itself is a deterministic reduction ordered by l.
     """
     run = art.run
+    if not 0 <= n <= art.n_max:
+        raise ConfigError(f"truncation order n={n} outside 0..{art.n_max}")
     if l_values is None:
         l_values = range(max(run.l_range[0], art.l0), run.l_range[1] + 1)
     art.ensure_phase()

@@ -217,19 +217,12 @@ class Assembly:
     def rayleigh(self, v):
         return float(self._quad_form(self.Ke, v, v) / self._quad_form(self.Me, v, v))
 
-    def pencil_apply(self, v, lam, mass_vec=None, load=None):
-        """K v - lam M v (- load) over all dofs, accumulated in extended precision.
-
-        ``mass_vec`` optionally subtracts M @ mass_vec as well (inhomogeneous
-        eigen-corrections): the result is K v - lam M v - M mass_vec - load.
-        """
+    def pencil_apply(self, v, lam, load=None):
+        """K v - lam M v (- load) over all dofs, accumulated in extended precision."""
         vl = np.asarray(v, dtype=np.longdouble)
         ed = self.edof()
         re = np.einsum("eij,ej->ei", self.Ke, vl[ed]) - \
             np.longdouble(lam) * np.einsum("eij,ej->ei", self.Me, vl[ed])
-        if mass_vec is not None:
-            ml = np.asarray(mass_vec, dtype=np.longdouble)
-            re = re - np.einsum("eij,ej->ei", self.Me, ml[ed])
         out = _scatter(re, self.ndof)
         if load is not None:
             out = out - np.asarray(load, dtype=np.longdouble)

@@ -754,20 +754,21 @@ def phi_inv_E(phase: PhaseData, i: int, f_terms, side):
     return out
 
 
-def taylor_shift(tables, side, top, first, shift, missing):
+def taylor_shift(tables, side, top, first, shift):
     """sum_{j=first..top} (+-1)^j / j! u_{top-j}^(j+shift)(+-0).
 
     Taylor shift of the outer terms u_k to the interface, read from their
     endpoint derivative tables (``tables[k].deriv(r)``); the sign
-    alternates on the left side (side = -1).  ``missing(k)`` builds the
-    exception raised when the order-k table is absent.
+    alternates on the left side (side = -1).  Raises MissingDataError
+    when the order-k table is absent (not computed, or None).
     """
     total = 0.0
     for j in range(first, top + 1):
         order = top - j
         tab = tables[order] if order < len(tables) else None
         if tab is None:
-            raise missing(order)
+            raise MissingDataError(
+                f"no side {side:+d} outer table of order {order}")
         sgn = (-1.0) ** j if side == -1 else 1.0
         total += sgn / math.factorial(j) * tab.deriv(j + shift)
     return total
@@ -782,14 +783,8 @@ def transport_sigma(phase: PhaseData, i: int, f_terms, tables, delta: float):
         spv = phase.at(phase.Sp, side)
         cD = phi_inv_D(phase, i, f_terms, side)
         cE = phi_inv_E(phase, i, f_terms, side)
-
-        def missing(order):
-            return MissingDataError(
-                f"transport order {i} needs side {side:+d} outer table of "
-                f"order {order}")
-
-        outer_sum = taylor_shift(tables[side], side, i, 0, 2, missing)
-        F = taylor_shift(tables[side], side, i - 2, 0, 3, missing)
+        outer_sum = taylor_shift(tables[side], side, i, 0, 2)
+        F = taylor_shift(tables[side], side, i - 2, 0, 3)
         sig[iT2] = spv ** -2 * (outer_sum - qm38 * float(np.dot(cD, Nv)))
         sig[iT] = spv ** -3 * (F - qm38 * float(np.dot(cE, Nv)))
     return sig

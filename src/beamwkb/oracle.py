@@ -45,7 +45,6 @@ class DiscreteProblem:
     nodes: np.ndarray
     asm: Assembly = field(repr=False)
     n_inner: int
-    nodes_per_wavelength: float
 
     def weighted_norm(self, dofs):
         return math.sqrt(self.asm.mass(dofs))
@@ -101,8 +100,7 @@ def assemble(coeffs: CoefficientSet, eps: float, S1: float,
     asm = hermite.assemble(nodes, k0, k1, k2,
                            lambda x: coeffs.density(x, eps))
     return DiscreteProblem(coeffs=coeffs, eps=eps, nodes=nodes, asm=asm,
-                           n_inner=n_inner,
-                           nodes_per_wavelength=n_inner / wavecount)
+                           n_inner=n_inner)
 
 
 @dataclass
@@ -115,7 +113,6 @@ class SpectralResult:
     residual: float
     gap: float
     neighbors: np.ndarray
-    normalized: bool = False
     sign_correlation: float = 0.0
 
     def flanking(self):
@@ -187,5 +184,5 @@ def normalize_weighted(result: SpectralResult, problem: DiscreteProblem,
     return SpectralResult(
         eigenvalue=result.eigenvalue, eigenfunction=fn, dofs=dofs,
         residual=result.residual, gap=result.gap, neighbors=result.neighbors,
-        normalized=True, sign_correlation=corr,
+        sign_correlation=corr,
     )

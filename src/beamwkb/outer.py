@@ -4,7 +4,8 @@ The leading pair (lambda0, v0) solves the clamped problem on (a, 0) with
 value and slope pinned at both ends, extended by zero across (0, b).
 Higher terms v_i solve nonhomogeneous problems with interface data fed
 back from the inner expansion; each eigenvalue correction lambda_i is
-fixed by the Fredholm solvability condition at the interface.
+fixed by the Fredholm solvability condition at the interface.  Every
+order solves the same lambda0-pencil, factored once by ``factor_pencils``.
 """
 
 from __future__ import annotations
@@ -115,10 +116,6 @@ class OuterMode:
     coeffs: CoefficientSet = field(repr=False)
     endpoint_minus: EndpointData = None
     endpoint_plus: EndpointData = None
-    # order-independent parts of the correction solves, filled on first use;
-    # the build that owns this mode empties it after its last order
-    factors: dict = field(default_factory=dict, init=False, repr=False,
-                          compare=False)
 
     @property
     def gap(self):
@@ -131,36 +128,6 @@ class OuterMode:
     @property
     def vppp_minus0(self):
         return self.endpoint_minus.deriv(3)
-
-
-def _left_factors(mode: OuterMode):
-    """Bordered lambda0-pencil on (a, 0): its LU and the parts of its data.
-
-    Returns (K - lambda0 M in band storage, M v0 (the p-weighted
-    projection onto v0), border scale s, s c, LU).
-    """
-    if "left" not in mode.factors:
-        left = mode.left_asm
-        A = left.pencil_csc(mode.lambda0)
-        c_full = left.product(left.bands[1], mode.v_left.dofs())
-        c = c_full[left.free]
-        # scale the border to the stiffness magnitude so the factorization is balanced
-        s = max(abs(A).max(), 1.0) / max(np.max(np.abs(c)), 1e-30)
-        sc = s * c
-        B = sp.bmat([[A, sc[:, None]], [sp.csr_matrix(sc[None, :]), None]],
-                    format="csc")
-        mode.factors["left"] = (left.pencil(mode.lambda0), c_full, s, sc,
-                                spla.splu(B))
-    return mode.factors["left"]
-
-
-def _right_factors(mode: OuterMode):
-    """K - lambda0 M on (0, b) in band storage and its free block's solve."""
-    if "right" not in mode.factors:
-        right = mode.right_asm
-        mode.factors["right"] = (right.pencil(mode.lambda0),
-                                 right.factor(mode.lambda0))
-    return mode.factors["right"]
 
 
 def solve_three_point_eigen(coeffs: CoefficientSet, mode_index: int = 1,
@@ -226,8 +193,8 @@ def solve_three_point_eigen(coeffs: CoefficientSet, mode_index: int = 1,
 
 
 def compute_lambda1(mode: OuterMode):
-    """First eigenvalue correction: k0(0) times the squared kink of v0."""
-    return float(mode.coeffs.k0_at(0.0)) * mode.vpp_minus0 ** 2
+    """lambda1 = k0(0) v0''(0-)^2: solvability of the data (0, v0''(0-))."""
+    return solvability_lambda(mode, 0.0, mode.vpp_minus0)
 
 
 def solvability_lambda(mode: OuterMode, V_minus: float, W_minus: float):
@@ -285,12 +252,35 @@ def _load(nodes, p_fn, pairs):
     return hermite.load_vector(nodes, density)
 
 
-def solve_correction(mode: OuterMode, i: int, lambdas, prev_terms,
+def factor_pencils(mode: OuterMode):
+    """The lambda0-pencil factorizations that every correction order shares.
+
+    (left, right): on (a, 0) K - lambda0 M in band storage, M v0 (the
+    p-weighted projection onto v0), border scale s, s c and the bordered
+    LU; on (0, b) the band pencil and its free block's solve, or None when
+    the right interval is resonant (``mode.degenerate_right``).
+    """
+    left = mode.left_asm
+    A = left.pencil_csc(mode.lambda0)
+    c_full = left.product(left.bands[1], mode.v_left.dofs())
+    c = c_full[left.free]
+    # scale the border to the stiffness magnitude so the factorization is balanced
+    s = max(abs(A).max(), 1.0) / max(np.max(np.abs(c)), 1e-30)
+    sc = s * c
+    B = sp.bmat([[A, sc[:, None]], [sp.csr_matrix(sc[None, :]), None]],
+                format="csc")
+    right = None if mode.degenerate_right else (
+        mode.right_asm.pencil(mode.lambda0), mode.right_asm.factor(mode.lambda0))
+    return (left.pencil(mode.lambda0), c_full, s, sc, spla.splu(B)), right
+
+
+def solve_correction(mode: OuterMode, factors, i: int, lambdas, prev_terms,
                      V_minus, V_plus, W_minus, W_plus,
                      table_depth: int = 8):
     """Solve the order-i three-point correction problem.
 
-    ``lambdas`` holds lambda_0..lambda_{i-1} and is extended here with the
+    ``factors`` is the pair ``factor_pencils(mode)`` returns.  ``lambdas``
+    holds lambda_0..lambda_{i-1} and is extended here with the
     solvability value lambda_i.  ``prev_terms`` are CorrectionTerm objects
     for orders 1..i-1 (order 0 data comes from ``mode``).
 
@@ -318,7 +308,7 @@ def solve_correction(mode: OuterMode, i: int, lambdas, prev_terms,
 
     fixed, free = left.clamped, left.free
     fixed_vals = np.array([0.0, 0.0, V_minus, W_minus])
-    A, c_full, s, sc, lu = _left_factors(mode)
+    A, c_full, s, sc, lu = factors[0]
     v_dofs = np.zeros(left.ndof)
     v_dofs[fixed] = fixed_vals
     rhs = F[free] - left.product(A, v_dofs)[free]
@@ -373,7 +363,7 @@ def solve_correction(mode: OuterMode, i: int, lambdas, prev_terms,
         pairs, g_derivs = forcing
         Fr = _load(nodes_r, p_fn, pairs)
         fixed_r, free_r = right.clamped, right.free
-        A_r, solve_r = _right_factors(mode)
+        A_r, solve_r = factors[1]
         v_dofs_r = np.zeros(right.ndof)
         v_dofs_r[fixed_r] = [V_plus, W_plus, 0.0, 0.0]
         w = solve_r(Fr[free_r] - right.product(A_r, v_dofs_r)[free_r])
@@ -391,24 +381,6 @@ def solve_correction(mode: OuterMode, i: int, lambdas, prev_terms,
         endpoint_minus=ep_minus, endpoint_plus=ep_plus,
         solvability_residual=mu, right_skip_reason=skip_reason,
     )
-
-
-def solve_v1(mode: OuterMode, lam1: float = None, table_depth: int = 8):
-    """First correction: zero value and kink-matched slope at the interface.
-
-    The solvability condition forces lambda1 = k0(0) v0''(0-)^2; passing a
-    different value raises through the bordered-system residual.
-    """
-    expected = compute_lambda1(mode)
-    if lam1 is not None and not math.isclose(lam1, expected, rel_tol=1e-8,
-                                             abs_tol=1e-12):
-        raise SolvabilityError(
-            f"lambda1={lam1!r} inconsistent with solvability value {expected!r}")
-    term = solve_correction(mode, 1, [mode.lambda0], [],
-                            V_minus=0.0, V_plus=0.0,
-                            W_minus=mode.vpp_minus0, W_plus=0.0,
-                            table_depth=table_depth)
-    return term
 
 
 def boundary_data(i: int, tables, phase, inner_terms, delta: float):
@@ -437,19 +409,8 @@ def boundary_data(i: int, tables, phase, inner_terms, delta: float):
         if np.any(vec != 0.0):
             inner_W = qm38 * float(np.dot(vec, Nv))
 
-        tabs = tables[side]
-
-        def missing(order):
-            if order >= len(tabs):
-                return SolvabilityError(
-                    f"order-{i} interface data needs the order-{order} outer "
-                    f"term, which has not been computed")
-            return SolvabilityError(
-                f"order-{i} interface data needs side {side:+d} derivatives of "
-                f"order-{order} term, which is unavailable")
-
-        sum_V = taylor_shift(tabs, side, i, 1, 0, missing)
-        sum_W = taylor_shift(tabs, side, i, 1, 1, missing)
+        sum_V = taylor_shift(tables[side], side, i, 1, 0)
+        sum_W = taylor_shift(tables[side], side, i, 1, 1)
         key = "minus" if side == -1 else "plus"
         out[f"V_{key}"] = inner_V - sum_V
         out[f"W_{key}"] = inner_W - sum_W

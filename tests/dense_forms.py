@@ -186,17 +186,10 @@ def interface_quantities(phase, i, f_terms, tables):
         at = np.array([float(side)])
         cD = inner.phi_inv_D(phase, i, f_terms, side)
         cE = inner.phi_inv_E(phase, i, f_terms, side)
-
-        def missing(order):
-            return inner.MissingDataError(
-                f"F_{i}({'+' if side > 0 else '-'}0) needs the order-{order} "
-                f"outer term on side {side:+d}")
-
         key = "minus" if side == -1 else "plus"
         out[f"D_{key}"] = phi_apply_at(phase, cD[:, None], at)[:, 0]
         out[f"E_{key}"] = phi_apply_at(phase, cE[:, None], at)[:, 0]
-        out[f"F_{key}"] = inner.taylor_shift(tables[side], side, i - 2, 0, 3,
-                                             missing)
+        out[f"F_{key}"] = inner.taylor_shift(tables[side], side, i - 2, 0, 3)
     return out
 
 
@@ -254,8 +247,8 @@ def correction_residual(mode, prev_terms, term, lambdas):
     forcing_dofs = np.zeros(left.ndof)
     for j in range(1, i + 1):
         forcing_dofs += lambdas[j] * funcs[i - j].dofs()
-    r = left.pencil_apply(term.v_left.dofs(), mode.lambda0,
-                          mass_vec=forcing_dofs)
+    r = pencil_apply_add_at(left, term.v_left.dofs(), mode.lambda0,
+                            mass_vec=forcing_dofs)
     scale = math.sqrt(max(left.mass(forcing_dofs), 1e-300))
     return left.mass_inverse_norm(r) / scale
 

@@ -330,6 +330,40 @@ def test_cli_exit_codes(tmp_path, config_path):
                      "--n", "0"]) == 1
 
 
+@pytest.mark.parametrize("n", ["-1", "2"])
+def test_cli_validate_rejects_order_outside_artifact(tmp_path, config_path,
+                                                     n, capsys):
+    # the artifact holds orders 0..1; n = -1 used to end in IndexError and
+    # n = 2 in MissingDataError (both exit 1)
+    art_path = tmp_path / "art.json"
+    assert cli.main(["expand", "--config", str(config_path),
+                     "--out", str(art_path)]) == 0
+    capsys.readouterr()
+    assert cli.main(["validate", "--artifact", str(art_path), "--n", n]) == 2
+    assert f"truncation order n={n} outside 0..1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", ["-1", "2"])
+def test_cli_sweep_delta_rejects_order_outside_n_max(tmp_path, config_path,
+                                                     monkeypatch, n, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["sweep-delta", "--config", str(config_path),
+                     "--deltas", "0", "--n", n, "--out-prefix", "sw"]) == 2
+    assert f"truncation order n={n} outside 0..1" in capsys.readouterr().err
+    assert not (tmp_path / "sw_delta0.csv").exists()
+
+
+@pytest.mark.parametrize("text", ["12:8", "0:5", "-3"])
+def test_cli_rejects_invalid_index_range(tmp_path, text, capsys):
+    # lo > hi used to write an empty report and exit 0; the rule is the
+    # one RunSpec applies to l_range
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["validate", "--artifact", str(tmp_path / "art.json"),
+                  "--n", "1", "--l", text])
+    assert exc.value.code == 2
+    assert f"need 1 <= lo <= hi, got {text}" in capsys.readouterr().err
+
+
 def test_cli_rejects_invalid_oracle_settings(tmp_path, config_path, capsys):
     # an artifact whose run asks for oracle_outer_h = 0 is a configuration
     # error (exit 2), and so is --refine <= 0 (argparse's exit 2); both

@@ -383,7 +383,8 @@ def test_talg_coefficients_evaluated_once_per_build(variable_coeffs,
     assert len(held) == 28
     assert set(grid_evals) == held
     assert max(grid_evals.values()) == 1
-    assert n_polyder[0] == 118
+    # 119 = 118 for the chain and the phase, plus k0'(0) in compute_lambda1
+    assert n_polyder[0] == 119
 
 
 def test_talg_apply_matches_per_call_evaluation(vphase):
@@ -512,7 +513,8 @@ def test_phi_coords_of_f0_is_beta(variable_artifact):
 
 def test_boundary_data_range_check(uniform_artifact):
     art = uniform_artifact
-    with pytest.raises(outer.SolvabilityError, match="has not been computed"):
+    with pytest.raises(inner.MissingDataError,
+                       match="side -1 outer table of order 3"):
         outer.boundary_data(4, interface_tables(art), art.phase, art.f_terms,
                             art.delta)
 

@@ -109,11 +109,15 @@ def test_compute_lambda1_examples(uniform_mode, closed_form_mode):
     assert lam1 == pytest.approx(closed_form_mode["vpp"] ** 2, rel=2e-7)
 
 
-def test_solve_v1_contract(uniform_coeffs):
-    # grid 128: the discrete residual floor scales with the stiffness norm,
-    # and at this resolution it sits well below the contract tolerance
-    mode = outer.solve_three_point_eigen(uniform_coeffs, 1, outer_grid=128)
-    t1 = outer.solve_v1(mode)
+def test_first_order_term_contract(uniform_coeffs, uniform_artifact):
+    # the chain's order-1 term: zero value and kink-matched slope at the
+    # interface, p-orthogonal to v0, zero on the resonant right interval.
+    # Grid 128: the discrete residual floor scales with the stiffness
+    # norm, and at this resolution it sits well below the contract tolerance
+    art = build_expansion(uniform_coeffs, dataclasses.replace(
+        uniform_artifact.run, n_max=1, outer_grid=128))
+    mode, t1 = art.mode, art.corrections[0]
+    assert t1.order == 1
     assert t1.v_left(0.0, 1) - mode.vpp_minus0 == pytest.approx(0.0, abs=1e-10)
     assert abs(t1.v_left(0.0)) < 1e-12
     orth = inner_product(mode.left_asm.nodes, t1.v_left, mode.v_left,
@@ -124,6 +128,16 @@ def test_solve_v1_contract(uniform_coeffs):
     assert np.all(t1.v_right.values == 0.0)
 
 
+def test_lambda1_has_one_value(uniform_artifact):
+    # k0(0) = 1.5: the solvability value of the order-1 data and
+    # compute_lambda1 are one formula, so they agree bit for bit
+    run = dataclasses.replace(uniform_artifact.run, n_max=1)
+    art = build_expansion(CoefficientSet(a=-1.0, b=0.8, k0=(1.5,)), run)
+    lam1 = outer.compute_lambda1(art.mode)
+    assert art.lambdas[1] == art.corrections[0].lambda_i == lam1
+    assert art.diagnostics["lambda1"] == lam1
+
+
 def test_correction_chain_factors_each_pencil_once(asym_coeffs,
                                                    asym_artifact,
                                                    uniform_coeffs,
@@ -132,7 +146,7 @@ def test_correction_chain_factors_each_pencil_once(asym_coeffs,
     # per build: on each interval one LU for ARPACK's shift-invert and two
     # polish LUs for the three-point pair, then one bordered LU on (a, 0)
     # and one LU on (0, b) shared by every order; the resonant uniform
-    # beam never solves on (0, b).  The build drops the LUs.
+    # beam never solves on (0, b).  The LUs live only in the build.
     splu = scipy.sparse.linalg.splu
     calls = []
 
@@ -149,13 +163,7 @@ def test_correction_chain_factors_each_pencil_once(asym_coeffs,
         calls.clear()
         art = build_expansion(coeffs, dataclasses.replace(run, n_max=n_max))
         assert len(calls) == want, (n_max, calls)
-        assert art.mode.factors == {}
         assert not any(isinstance(v, SuperLU) for v in vars(art.mode).values())
-
-
-def test_solve_v1_rejects_wrong_lambda1(uniform_mode):
-    with pytest.raises(outer.SolvabilityError, match="inconsistent"):
-        outer.solve_v1(uniform_mode, lam1=outer.compute_lambda1(uniform_mode) * 1.01)
 
 
 def test_endpoint_recurrence_manufactured():
@@ -186,10 +194,10 @@ def test_boundary_data_low_orders(uniform_artifact):
     tables = {-1: [mode.endpoint_minus], +1: [mode.endpoint_plus]}
     bd0 = outer.boundary_data(0, tables, phase, [], art.delta)
     assert bd0 == {"V_minus": 0.0, "W_minus": 0.0, "V_plus": 0.0, "W_plus": 0.0}
+    # the chain's order-1 step relies on these being exact
     bd1 = outer.boundary_data(1, tables, phase, [], art.delta)
-    assert bd1["V_minus"] == pytest.approx(0.0, abs=1e-12)
-    assert bd1["W_minus"] == pytest.approx(mode.vpp_minus0, rel=1e-12)
-    assert bd1["V_plus"] == 0.0 and bd1["W_plus"] == 0.0
+    assert bd1 == {"V_minus": 0.0, "W_minus": mode.vpp_minus0,
+                   "V_plus": 0.0, "W_plus": 0.0}
 
 
 def test_boundary_data_pure_outer_sums(uniform_artifact):
@@ -213,7 +221,9 @@ def test_solve_correction_homogeneous_is_zero(uniform_mode):
     fake_v1 = outer.CorrectionTerm(
         order=1, lambda_i=0.0, v_left=zero_l, v_right=zero_r,
         endpoint_minus=tab, endpoint_plus=tab, solvability_residual=0.0)
-    term = outer.solve_correction(uniform_mode, 2, [uniform_mode.lambda0, 0.0],
+    term = outer.solve_correction(uniform_mode,
+                                  outer.factor_pencils(uniform_mode), 2,
+                                  [uniform_mode.lambda0, 0.0],
                                   [fake_v1], 0.0, 0.0, 0.0, 0.0)
     assert term.lambda_i == 0.0
     assert np.max(np.abs(term.v_left.values)) < 1e-10

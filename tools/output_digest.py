@@ -4,12 +4,15 @@ Outputs covered:
 
 * the expansion artifact JSON of every fixture in ``bench/workloads.py``
   at every deformation angle listed there;
+* the asym artifact at n_max 0 and 1 at the first of those angles: the
+  edges of the construction chain's loop over orders, which the
+  fixtures (n_max 2, 3, 4 and 6) never reach;
 * the CSV and JSON reports of ``beamwkb validate`` (n = 2, l = 8..40) on
   the asym and the variable artifact at the first three of those angles.
   Asym has constant coefficients; the variable fixture is the one whose
   k1, k2, p and q reach the oracle's assembly.
 
-That is 44 lines: 32 artifacts and 12 reports.
+That is 46 lines: 34 artifacts and 12 reports.
 
 Run it once against each tree and compare the output with ``diff``:
 
@@ -28,6 +31,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import os
 import sys
 import tempfile
@@ -36,6 +40,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 VALIDATE_DELTAS = 3
 VALIDATE_FIXTURES = ("asym", "variable")
+EDGE_ORDERS = (0, 1)
 
 
 def _sha(path):
@@ -60,7 +65,8 @@ def main(argv=None):
         return 2
     from beamwkb import cli, harness
     from beamwkb.model import load_config
-    from workloads import DELTAS, FIXTURES, VALIDATE_L, Validate, write_config
+    from workloads import (DELTAS, FIXTURES, VALIDATE_L, Validate,
+                           fixture_config, write_config)
 
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -71,6 +77,15 @@ def main(argv=None):
                 path = tmp / "artifact.json"
                 harness.save_artifact(art, path)
                 print(f"{_sha(path)}  artifact {name} delta={delta!r}")
+        for n_max in EDGE_ORDERS:
+            config = tmp / "edge.config.json"
+            config.write_text(json.dumps(
+                {**fixture_config("asym", DELTAS[0]), "n_max": n_max}) + "\n")
+            art = harness.build_expansion(*load_config(config))
+            path = tmp / "artifact.json"
+            harness.save_artifact(art, path)
+            print(f"{_sha(path)}  artifact asym n_max={n_max} "
+                  f"delta={DELTAS[0]!r}")
         for name in VALIDATE_FIXTURES:
             for delta in DELTAS[:VALIDATE_DELTAS]:
                 art = harness.build_expansion(
