@@ -144,20 +144,22 @@ def cmd_oracle(args):
 
 def cmd_sweep_delta(args):
     coeffs, run = load_config(args.config)
-    deltas = [float(t) for t in args.deltas.split(",") if t.strip()]
     n = args.n if args.n is not None else run.n_max
+    harness.check_order(n, run.n_max)
+    # every input is checked before the first build
+    runs = [dataclasses.replace(run, delta=float(t))
+            for t in args.deltas.split(",") if t.strip()]
     summary = []
-    for d in deltas:
-        run_d = dataclasses.replace(run, delta=d)
+    for run_d in runs:
         art = harness.build_expansion(coeffs, run_d)
         report = harness.run_convergence(art, n)
-        tag = f"{args.out_prefix}_delta{d:g}"
+        tag = f"{args.out_prefix}_delta{run_d.delta:g}"
         harness.emit_report(report, "csv", tag + ".csv")
         harness.emit_report(report, "json", tag + ".json")
         fit = report.fits.get("abs_err", {})
-        summary.append({"delta": d, "lambdas": art.lambdas,
+        summary.append({"delta": run_d.delta, "lambdas": art.lambdas,
                         "rate": fit.get("slope")})
-        print(f"delta={d:g}: lambdas={['%.6f' % v for v in art.lambdas]} "
+        print(f"delta={run_d.delta:g}: lambdas={['%.6f' % v for v in art.lambdas]} "
               f"rate={fit.get('slope')}")
     with open(f"{args.out_prefix}_summary.json", "w") as fh:
         fh.write(json.dumps({"n": n, "results": harness._jsonable(summary)})

@@ -151,7 +151,7 @@ def build_expansion(coeffs: CoefficientSet, run: RunSpec) -> ExpansionArtifact:
     factors = outer.factor_pencils(mode) if run.n_max else None
     for i in range(1, run.n_max + 1):
         try:
-            bd = outer.boundary_data(i, tables, phase, f_terms, run.delta)
+            bd = inner.boundary_data(i, tables, phase, f_terms, run.delta)
             term = outer.solve_correction(
                 mode, factors, i, lambdas, corrections,
                 bd["V_minus"], bd["V_plus"], bd["W_minus"], bd["W_plus"],
@@ -191,8 +191,7 @@ def build_expansion(coeffs: CoefficientSet, run: RunSpec) -> ExpansionArtifact:
         coeffs=coeffs, run=run, lambdas=lambdas,
         outer_left=[mode.v_left] + [t.v_left for t in corrections],
         outer_right=[mode.v_right] + [t.v_right for t in corrections],
-        tables_minus=[t.derivs for t in tables[-1]],
-        tables_plus=[None if t is None else t.derivs for t in tables[+1]],
+        tables_minus=tables[-1], tables_plus=tables[+1],
         f_beta=[f.beta for f in f_terms],
         f_h=[f.h for f in f_terms],
         delta=run.delta, l0=quant.l0, S1=phase.S1, alpha1=phase.alpha1,
@@ -388,6 +387,12 @@ def compare_eigenfunction(art: ExpansionArtifact, prob, result, eps, n):
             l2(mid, V_mid_n, stretch=eps))
 
 
+def check_order(n: int, n_max: int):
+    """Reject a truncation order outside the built orders 0..n_max."""
+    if not 0 <= n <= n_max:
+        raise ConfigError(f"truncation order n={n} outside 0..{n_max}")
+
+
 def run_convergence(art: ExpansionArtifact, n: int, l_values=None,
                     refine=1.0, compare_functions: bool = True) -> ValidationReport:
     """Oracle sweep along the quantized sequence with rate fits at order n.
@@ -402,8 +407,7 @@ def run_convergence(art: ExpansionArtifact, n: int, l_values=None,
     itself is a deterministic reduction ordered by l.
     """
     run = art.run
-    if not 0 <= n <= art.n_max:
-        raise ConfigError(f"truncation order n={n} outside 0..{art.n_max}")
+    check_order(n, art.n_max)
     if l_values is None:
         l_values = range(max(run.l_range[0], art.l0), run.l_range[1] + 1)
     art.ensure_phase()

@@ -2,7 +2,8 @@
 
 Builds the phase S, the tilt alpha, the transport system f' = A f + w with
 A = eta I + theta T^3, its fundamental matrix Phi, the quantized parameter
-sequence, and the coefficient vectors f_i by variation of parameters.
+sequence, the coefficient vectors f_i by variation of parameters, and the
+matching at x = 0: outer data (V_i, W_i) and transport data sigma.
 
 Representation choices that keep the numerics exact where possible:
 
@@ -723,9 +724,10 @@ def make_w_stack(phase: PhaseData, s: int, f_terms, lambdas):
 # interface quantities and transport boundary data
 # ---------------------------------------------------------------------------
 
-def _coords_or_zero(f_terms, order, r, side, n4=4):
+def _coords_or_zero(f_terms, order, r, side):
+    """Phi^-1 f_order^(r) at xi = side; zero below order 0."""
     if order < 0:
-        return np.zeros(n4)
+        return np.zeros(4)
     if order >= len(f_terms) or f_terms[order] is None:
         raise MissingDataError(f"need f_{order}")
     return f_terms[order].phi_coords(r, side)
@@ -758,20 +760,45 @@ def taylor_shift(tables, side, top, first, shift):
     """sum_{j=first..top} (+-1)^j / j! u_{top-j}^(j+shift)(+-0).
 
     Taylor shift of the outer terms u_k to the interface, read from their
-    endpoint derivative tables (``tables[k].deriv(r)``); the sign
+    endpoint derivative tables (``tables[k][r]`` = u_k^(r)); the sign
     alternates on the left side (side = -1).  Raises MissingDataError
-    when the order-k table is absent (not computed, or None).
+    when the order-k table is absent (not computed, or None) or too short.
     """
     total = 0.0
     for j in range(first, top + 1):
         order = top - j
         tab = tables[order] if order < len(tables) else None
-        if tab is None:
+        if tab is None or j + shift >= len(tab):
             raise MissingDataError(
-                f"no side {side:+d} outer table of order {order}")
+                f"no side {side:+d} outer table of order {order} up to "
+                f"derivative {j + shift}")
         sgn = (-1.0) ** j if side == -1 else 1.0
-        total += sgn / math.factorial(j) * tab.deriv(j + shift)
+        total += sgn / math.factorial(j) * float(tab[j + shift])
     return total
+
+
+def boundary_data(i: int, tables, phase: PhaseData, f_terms, delta: float):
+    """Dirichlet data (V_i, W_i) of the order-i outer terms at x = 0-+.
+
+    ``tables[side]`` lists the endpoint tables of the outer terms of orders
+    0..i-1 at x = 0- (side -1) and x = 0+ (side +1).  Combines the traces
+    of f_{i-4}, f_{i-3}, f_{i-2} in fundamental-matrix coordinates (so the
+    exponentially small content is dropped exactly) with the Taylor shift
+    of those terms.
+    """
+    out = {}
+    for side, key in ((-1, "minus"), (+1, "plus")):
+        Nv = N_MINUS if side == -1 else n_plus(delta)
+        qm38 = phase.at(phase.q_m38, side)
+        cV = _coords_or_zero(f_terms, i - 4, 0, side)
+        cW = phase.at(phase.Sp, side) * (
+            T_POWERS[3] @ _coords_or_zero(f_terms, i - 2, 0, side)) + \
+            _coords_or_zero(f_terms, i - 3, 1, side)
+        out[f"V_{key}"] = qm38 * float(np.dot(cV, Nv)) - \
+            taylor_shift(tables[side], side, i, 1, 0)
+        out[f"W_{key}"] = qm38 * float(np.dot(cW, Nv)) - \
+            taylor_shift(tables[side], side, i, 1, 1)
+    return out
 
 
 def transport_sigma(phase: PhaseData, i: int, f_terms, tables, delta: float):

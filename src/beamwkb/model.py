@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -60,6 +60,12 @@ def _positivity_floor(coeff, lo: float, hi: float):
     return float(vals[k]), float(xs[k])
 
 
+def _coerce(obj, convert, *names):
+    """Convert fields of a frozen dataclass in place."""
+    for name in names:
+        object.__setattr__(obj, name, convert(getattr(obj, name)))
+
+
 @dataclass(frozen=True)
 class CoefficientSet:
     """Geometry and material polynomials of the eigenvalue problem.
@@ -67,27 +73,27 @@ class CoefficientSet:
     Attributes
     ----------
     a, b : interval endpoints, a < 0 < b
+    m : density exponent; only m = 8 is supported
     k0, k1, k2 : stiffness, tension and foundation polynomials on [a, b]
     p : outer density polynomial on [a, b]
     q : inner density profile polynomial on [-1, 1]
-    m : density exponent; only m = 8 is supported
+
+    With RunSpec, the configuration schema: keys, defaults and key order.
     """
 
     a: float
     b: float
-    k0: tuple
+    m: int = DENSITY_EXPONENT
+    k0: tuple = (1.0,)
     k1: tuple = ()
     k2: tuple = ()
     p: tuple = (1.0,)
     q: tuple = (1.0,)
-    m: int = DENSITY_EXPONENT
 
     def __post_init__(self):
-        object.__setattr__(self, "k0", tuple(float(v) for v in self.k0))
-        object.__setattr__(self, "k1", tuple(float(v) for v in self.k1))
-        object.__setattr__(self, "k2", tuple(float(v) for v in self.k2))
-        object.__setattr__(self, "p", tuple(float(v) for v in self.p))
-        object.__setattr__(self, "q", tuple(float(v) for v in self.q))
+        _coerce(self, float, "a", "b")
+        _coerce(self, int, "m")
+        _coerce(self, lambda c: tuple(map(float, c)), "k0", "k1", "k2", "p", "q")
         self.validate()
 
     def validate(self):
@@ -168,10 +174,11 @@ class RunSpec:
     tolerances: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        tol = dict(_DEFAULT_TOLERANCES)
-        tol.update(self.tolerances)
-        object.__setattr__(self, "tolerances", tol)
-        object.__setattr__(self, "l_range", tuple(int(v) for v in self.l_range))
+        _coerce(self, float, "delta", "oracle_outer_h")
+        _coerce(self, int, "n_max", "mode_index", "outer_grid", "inner_grid",
+                "oracle_nodes_per_wavelength")
+        _coerce(self, lambda v: tuple(map(int, v)), "l_range")
+        _coerce(self, lambda t: {**_DEFAULT_TOLERANCES, **t}, "tolerances")
         self.validate()
 
     def validate(self):
@@ -207,61 +214,21 @@ class RunSpec:
                 f"oracle_outer_h must be positive, got {self.oracle_outer_h}")
 
 
-_CONFIG_KEYS = {
-    "a", "b", "m", "k0", "k1", "k2", "p", "q",
-    "delta", "n_max", "l_range", "mode_index",
-    "outer_grid", "inner_grid", "tolerances",
-    "oracle_nodes_per_wavelength", "oracle_outer_h",
-}
-
-
 def config_from_dict(data: dict):
     """Build (CoefficientSet, RunSpec) from a parsed configuration mapping."""
-    unknown = set(data) - _CONFIG_KEYS
+    keys = [{f.name for f in fields(cls)} for cls in (CoefficientSet, RunSpec)]
+    unknown = set(data) - keys[0] - keys[1]
     if unknown:
         raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
-    try:
-        coeffs = CoefficientSet(
-            a=float(data["a"]),
-            b=float(data["b"]),
-            k0=tuple(data.get("k0", (1.0,))),
-            k1=tuple(data.get("k1", ())),
-            k2=tuple(data.get("k2", ())),
-            p=tuple(data.get("p", (1.0,))),
-            q=tuple(data.get("q", (1.0,))),
-            m=int(data.get("m", DENSITY_EXPONENT)),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"missing configuration key: {exc}") from exc
-    run_kwargs = {}
-    for key in ("delta", "oracle_outer_h"):
-        if key in data:
-            run_kwargs[key] = float(data[key])
-    for key in ("n_max", "mode_index", "outer_grid", "inner_grid",
-                "oracle_nodes_per_wavelength"):
-        if key in data:
-            run_kwargs[key] = int(data[key])
-    if "l_range" in data:
-        run_kwargs["l_range"] = tuple(data["l_range"])
-    if "tolerances" in data:
-        run_kwargs["tolerances"] = dict(data["tolerances"])
-    run = RunSpec(**run_kwargs)
-    return coeffs, run
+    for f in fields(CoefficientSet):
+        if f.default is MISSING and f.name not in data:
+            raise ConfigError(f"missing configuration key: {f.name!r}")
+    return tuple(cls(**{k: v for k, v in data.items() if k in names})
+                 for cls, names in zip((CoefficientSet, RunSpec), keys))
 
 
 def config_to_dict(coeffs: CoefficientSet, run: RunSpec) -> dict:
-    data = {
-        "a": coeffs.a, "b": coeffs.b, "m": coeffs.m,
-        "k0": list(coeffs.k0), "k1": list(coeffs.k1), "k2": list(coeffs.k2),
-        "p": list(coeffs.p), "q": list(coeffs.q),
-        "delta": run.delta, "n_max": run.n_max, "l_range": list(run.l_range),
-        "mode_index": run.mode_index, "outer_grid": run.outer_grid,
-        "inner_grid": run.inner_grid,
-        "oracle_nodes_per_wavelength": run.oracle_nodes_per_wavelength,
-        "oracle_outer_h": run.oracle_outer_h,
-        "tolerances": dict(run.tolerances),
-    }
-    return data
+    return {**asdict(coeffs), **asdict(run)}
 
 
 def load_config(path):

@@ -150,7 +150,7 @@ def solve_near(problem: DiscreteProblem, target: float):
 
 
 def normalize_weighted(result: SpectralResult, problem: DiscreteProblem,
-                       reference=None):
+                       reference):
     """Scale to unit weighted norm; fix the sign against a reference profile.
 
     ``reference`` is a callable approximating the limit eigenfunction on
@@ -161,26 +161,24 @@ def normalize_weighted(result: SpectralResult, problem: DiscreteProblem,
     nrm = problem.weighted_norm(result.dofs)
     dofs = result.dofs / nrm
     fn = HermiteFunction.from_dofs(problem.nodes, dofs)
-    corr = 0.0
-    if reference is not None:
-        # both integrals over (a, -eps) read one evaluation of reference
-        # and p; -eps is a node, so those elements end at or left of it
-        xg, wg = hermite.gauss_points(problem.nodes)
-        left = problem.nodes[1:] <= -problem.eps
-        xg, wg = xg[left], wg[left]
-        ref = reference(xg)
-        p = problem.coeffs.p_at(xg)
-        corr = float(np.sum(fn(xg) * ref * p * wg))
-        ref_nrm2 = float(np.sum(ref * ref * p * wg))
-        rel = abs(corr) / math.sqrt(max(ref_nrm2, 1e-300))
-        if rel < MIN_CORRELATION:
-            raise ModeCaptureError(
-                f"eigenvector correlation {rel:.3e} with the reference profile "
-                "is negligible: captured a mode outside the global family")
-        if corr < 0.0:
-            dofs = -dofs
-            fn = fn.scaled(-1.0)
-            corr = -corr
+    # both integrals over (a, -eps) read one evaluation of reference and p;
+    # -eps is a node, so those elements end at or left of it
+    xg, wg = hermite.gauss_points(problem.nodes)
+    left = problem.nodes[1:] <= -problem.eps
+    xg, wg = xg[left], wg[left]
+    ref = reference(xg)
+    p = problem.coeffs.p_at(xg)
+    corr = float(np.sum(fn(xg) * ref * p * wg))
+    ref_nrm2 = float(np.sum(ref * ref * p * wg))
+    rel = abs(corr) / math.sqrt(max(ref_nrm2, 1e-300))
+    if rel < MIN_CORRELATION:
+        raise ModeCaptureError(
+            f"eigenvector correlation {rel:.3e} with the reference profile "
+            "is negligible: captured a mode outside the global family")
+    if corr < 0.0:
+        dofs = -dofs
+        fn = fn.scaled(-1.0)
+        corr = -corr
     return SpectralResult(
         eigenvalue=result.eigenvalue, eigenfunction=fn, dofs=dofs,
         residual=result.residual, gap=result.gap, neighbors=result.neighbors,

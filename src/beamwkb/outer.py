@@ -2,10 +2,11 @@
 
 The leading pair (lambda0, v0) solves the clamped problem on (a, 0) with
 value and slope pinned at both ends, extended by zero across (0, b).
-Higher terms v_i solve nonhomogeneous problems with interface data fed
-back from the inner expansion; each eigenvalue correction lambda_i is
-fixed by the Fredholm solvability condition at the interface.  Every
-order solves the same lambda0-pencil, factored once by ``factor_pencils``.
+Higher terms v_i solve nonhomogeneous problems with the interface data
+that ``inner.boundary_data`` matches to the inner expansion; each
+eigenvalue correction lambda_i is fixed by the Fredholm solvability
+condition at the interface.  Every order solves the same lambda0-pencil,
+factored once by ``factor_pencils``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import scipy.sparse.linalg as spla
 
 from . import hermite
 from .hermite import Assembly, HermiteFunction
-from .inner import N_MINUS, T_POWERS, n_plus, taylor_shift
 from .model import CoefficientSet, eval_coefficient
 
 DATA_ZERO_TOL = 1e-9      # resonant right interval: data this small count as zero
@@ -37,18 +37,6 @@ def _interval_assembly(coeffs, lo, hi, n_elem):
     nodes = np.linspace(lo, hi, n_elem + 1)
     return hermite.assemble(nodes, *(hermite.poly_fn(c) for c in (
         coeffs.k0, coeffs.k1, coeffs.k2, coeffs.p)))
-
-
-@dataclass
-class EndpointData:
-    """One-sided interface data of an outer term at x = 0."""
-
-    derivs: np.ndarray            # v^(j)(side), j = 0..depth
-
-    def deriv(self, j):
-        if j >= self.derivs.size:
-            raise ValueError(f"endpoint table depth {self.derivs.size - 1} < {j}")
-        return float(self.derivs[j])
 
 
 def endpoint_derivatives(coeffs, lam0, seeds, g_derivs, depth):
@@ -97,8 +85,8 @@ def _endpoint_data(coeffs, asm, dofs, lam0, load, side, V, W, g_derivs, depth):
     vpp = float(sgn * R[1] / k00)
     k0vpp_prime = float(-sgn * R[0] + coeffs.k1_at(0.0) * W)
     vppp = (k0vpp_prime - coeffs.k0_at(0.0, 1) * vpp) / k00
-    return EndpointData(endpoint_derivatives(coeffs, lam0, [V, W, vpp, vppp],
-                                             g_derivs, depth))
+    return endpoint_derivatives(coeffs, lam0, [V, W, vpp, vppp], g_derivs,
+                                depth)
 
 
 @dataclass
@@ -114,8 +102,8 @@ class OuterMode:
     left_asm: Assembly = field(repr=False)
     right_asm: Assembly = field(repr=False)
     coeffs: CoefficientSet = field(repr=False)
-    endpoint_minus: EndpointData = None
-    endpoint_plus: EndpointData = None
+    endpoint_minus: np.ndarray = None     # v0^(j)(0-), j = 0..depth
+    endpoint_plus: np.ndarray = None      # v0^(j)(0+), all zero
 
     @property
     def gap(self):
@@ -123,11 +111,11 @@ class OuterMode:
 
     @property
     def vpp_minus0(self):
-        return self.endpoint_minus.deriv(2)
+        return float(self.endpoint_minus[2])
 
     @property
     def vppp_minus0(self):
-        return self.endpoint_minus.deriv(3)
+        return float(self.endpoint_minus[3])
 
 
 def solve_three_point_eigen(coeffs: CoefficientSet, mode_index: int = 1,
@@ -176,7 +164,7 @@ def solve_three_point_eigen(coeffs: CoefficientSet, mode_index: int = 1,
     v = v / math.sqrt(left.mass(v, v))
     ep_minus = _endpoint_data(coeffs, left, v, lam0, None, "left", 0.0, 0.0,
                               [], table_depth)
-    if ep_minus.deriv(2) < 0.0:
+    if ep_minus[2] < 0.0:
         v = -v
         ep_minus = _endpoint_data(coeffs, left, v, lam0, None, "left", 0.0,
                                   0.0, [], table_depth)
@@ -188,7 +176,7 @@ def solve_three_point_eigen(coeffs: CoefficientSet, mode_index: int = 1,
         gap_left=gap_left, gap_right=gap_right, degenerate_right=bool(degenerate),
         left_asm=left, right_asm=right, coeffs=coeffs,
         endpoint_minus=ep_minus,
-        endpoint_plus=EndpointData(np.zeros(table_depth + 1)),
+        endpoint_plus=np.zeros(table_depth + 1),
     )
 
 
@@ -212,8 +200,8 @@ class CorrectionTerm:
     lambda_i: float
     v_left: HermiteFunction
     v_right: HermiteFunction            # None when the right problem is resonant
-    endpoint_minus: EndpointData
-    endpoint_plus: EndpointData         # None when v_right is None
+    endpoint_minus: np.ndarray          # v_i^(j)(0-), j = 0..depth
+    endpoint_plus: np.ndarray           # v_i^(j)(0+); None when v_right is None
     solvability_residual: float
     right_skip_reason: str = ""
 
@@ -236,8 +224,8 @@ def _forcing(terms, lambdas, i, side, depth):
             return None
         if lambdas[j] != 0.0:
             pairs.append((lambdas[j], fn))
-            take = min(depth + 1, tab.derivs.size)
-            derivs[:take] += lambdas[j] * tab.derivs[:take]
+            take = min(depth + 1, tab.size)
+            derivs[:take] += lambdas[j] * tab[:take]
     return pairs, derivs
 
 
@@ -358,7 +346,7 @@ def solve_correction(mode: OuterMode, factors, i: int, lambdas, prev_terms,
             f"order-{i} interface data do not vanish")
     elif resonant:
         v_right_fn = HermiteFunction.zero(nodes_r)
-        ep_plus = EndpointData(np.zeros(table_depth + 1))
+        ep_plus = np.zeros(table_depth + 1)
     else:
         pairs, g_derivs = forcing
         Fr = _load(nodes_r, p_fn, pairs)
@@ -381,37 +369,3 @@ def solve_correction(mode: OuterMode, factors, i: int, lambdas, prev_terms,
         endpoint_minus=ep_minus, endpoint_plus=ep_plus,
         solvability_residual=mu, right_skip_reason=skip_reason,
     )
-
-
-def boundary_data(i: int, tables, phase, inner_terms, delta: float):
-    """Interface data (V_i, W_i) at both sides of x = 0.
-
-    ``tables[side]`` lists the endpoint tables of the outer terms of orders
-    0..i-1 at x = 0- (side -1) and x = 0+ (side +1).  Combines the inner
-    traces (in fundamental-matrix coordinates, so the exponentially small
-    content is dropped exactly) with the Taylor shift of those terms.
-    """
-    out = {}
-    for side in (-1, +1):
-        Nv = N_MINUS if side == -1 else n_plus(delta)
-        qm38 = phase.at(phase.q_m38, side)
-        inner_V = 0.0
-        if i - 4 >= 0 and i - 4 < len(inner_terms):
-            c = inner_terms[i - 4].phi_coords(0, side)
-            inner_V = qm38 * float(np.dot(c, Nv))
-        inner_W = 0.0
-        vec = np.zeros(4)
-        if i - 2 >= 0 and i - 2 < len(inner_terms):
-            vec = vec + phase.at(phase.Sp, side) * (
-                T_POWERS[3] @ inner_terms[i - 2].phi_coords(0, side))
-        if i - 3 >= 0 and i - 3 < len(inner_terms):
-            vec = vec + inner_terms[i - 3].phi_coords(1, side)
-        if np.any(vec != 0.0):
-            inner_W = qm38 * float(np.dot(vec, Nv))
-
-        sum_V = taylor_shift(tables[side], side, i, 1, 0)
-        sum_W = taylor_shift(tables[side], side, i, 1, 1)
-        key = "minus" if side == -1 else "plus"
-        out[f"V_{key}"] = inner_V - sum_V
-        out[f"W_{key}"] = inner_W - sum_W
-    return out

@@ -179,7 +179,7 @@ def interface_quantities(phase, i, f_terms, tables):
     """Raw (D_i, E_i) at xi = +-1 and F_i at x = +-0.
 
     ``tables`` maps side (-1 or +1) to a list of endpoint derivative tables
-    (objects with .deriv(j)) for the outer terms, index = order.
+    (arrays of v^(j)(0-+)) for the outer terms, index = order.
     """
     out = {}
     for side in (-1, +1):

@@ -346,11 +346,28 @@ def test_cli_validate_rejects_order_outside_artifact(tmp_path, config_path,
 @pytest.mark.parametrize("n", ["-1", "2"])
 def test_cli_sweep_delta_rejects_order_outside_n_max(tmp_path, config_path,
                                                      monkeypatch, n, capsys):
+    # checked before any build: a build here would exit 1, not 2
+    def no_build(*args, **kwargs):
+        raise AssertionError("build_expansion called")
+
+    monkeypatch.setattr(harness, "build_expansion", no_build)
     monkeypatch.chdir(tmp_path)
     assert cli.main(["sweep-delta", "--config", str(config_path),
                      "--deltas", "0", "--n", n, "--out-prefix", "sw"]) == 2
     assert f"truncation order n={n} outside 0..1" in capsys.readouterr().err
     assert not (tmp_path / "sw_delta0.csv").exists()
+
+
+def test_cli_sweep_delta_checks_every_delta_first(tmp_path, config_path,
+                                                  monkeypatch, capsys):
+    # 1.57 lies in the guard band around pi/2; the delta = 0 sweep used to
+    # run and write its reports before the exit
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["sweep-delta", "--config", str(config_path),
+                     "--deltas", "0,1.57", "--n", "1",
+                     "--out-prefix", "sw"]) == 2
+    assert "guard band" in capsys.readouterr().err
+    assert not list(tmp_path.glob("sw_*"))
 
 
 @pytest.mark.parametrize("text", ["12:8", "0:5", "-3"])

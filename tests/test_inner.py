@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
 
-from beamwkb import build_expansion, inner, outer
+from beamwkb import build_expansion, inner
 from beamwkb.inner import T_MAT, T_POWERS
 from beamwkb.model import CoefficientSet
 from dense_forms import (A_entries, A_matrices, N_of_S, barycentric_eval,
@@ -502,21 +502,25 @@ def test_phi_coords_of_f0_is_beta(variable_artifact):
     np.testing.assert_allclose(f0.phi_coords(0, -1), f0.beta, rtol=1e-14)
     qm = art.phase.at(art.phase.q_m38, -1)
     inner_V4 = qm * float(np.dot(f0.beta, inner.N_MINUS))
-    bd = outer.boundary_data(4, interface_tables(art), art.phase, art.f_terms,
+    bd = inner.boundary_data(4, interface_tables(art), art.phase, art.f_terms,
                              art.delta)
     # the inner trace enters V_4(-0) on top of the outer Taylor shift
     tabs = interface_tables(art)[-1]
-    taylor = sum((-1.0) ** j / math.factorial(j) * tabs[4 - j].deriv(j)
+    taylor = sum((-1.0) ** j / math.factorial(j) * tabs[4 - j][j]
                  for j in range(1, 5))
     assert bd["V_minus"] == pytest.approx(inner_V4 - taylor, rel=1e-10)
 
 
-def test_boundary_data_range_check(uniform_artifact):
-    art = uniform_artifact
+def test_boundary_data_range_check(variable_artifact):
+    art = variable_artifact
+    tables = interface_tables(art)
+    cut = {side: tabs[:3] for side, tabs in tables.items()}
     with pytest.raises(inner.MissingDataError,
                        match="side -1 outer table of order 3"):
-        outer.boundary_data(4, interface_tables(art), art.phase, art.f_terms,
-                            art.delta)
+        inner.boundary_data(4, cut, art.phase, art.f_terms, art.delta)
+    # an absent inner term raises too instead of counting as zero
+    with pytest.raises(inner.MissingDataError, match="need f_2"):
+        inner.boundary_data(4, tables, art.phase, art.f_terms[:2], art.delta)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from beamwkb.model import (CoefficientSet, ConfigError, RunSpec,
-                           config_from_dict, eval_coefficient, load_config,
-                           taylor_at_zero)
+                           config_from_dict, config_to_dict, eval_coefficient,
+                           load_config, taylor_at_zero)
 from dense_forms import save_config
 
 
@@ -124,6 +124,23 @@ def test_config_roundtrip_bit_exact(tmp_path):
     path2 = tmp_path / "cfg2.json"
     save_config(c2, r2, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+CONFIG_KEY_ORDER = [
+    "a", "b", "m", "k0", "k1", "k2", "p", "q",
+    "delta", "n_max", "l_range", "mode_index", "outer_grid", "inner_grid",
+    "oracle_nodes_per_wavelength", "oracle_outer_h", "tolerances",
+]
+
+
+@pytest.mark.parametrize("name", ["uniform_artifact", "asym_artifact",
+                                  "variable_artifact"])
+def test_config_dict_roundtrip_and_key_order(name, request):
+    # artifact bytes follow the key order, so it is part of the format
+    art = request.getfixturevalue(name)
+    data = config_to_dict(art.coeffs, art.run)
+    assert config_from_dict(data) == (art.coeffs, art.run)
+    assert list(data) == CONFIG_KEY_ORDER
 
 
 def test_load_config_errors(tmp_path):

@@ -98,7 +98,7 @@ def test_gap_and_degeneracy_flags(uniform_mode, asym_coeffs):
 
 def test_compute_lambda1_examples(uniform_mode, closed_form_mode):
     def with_kink(vpp, **changes):
-        tab = outer.EndpointData(np.array([0.0, 0.0, vpp, 0.0]))
+        tab = np.array([0.0, 0.0, vpp, 0.0])
         return dataclasses.replace(uniform_mode, endpoint_minus=tab, **changes)
 
     assert outer.compute_lambda1(with_kink(2.0)) == pytest.approx(4.0)
@@ -192,32 +192,29 @@ def test_boundary_data_low_orders(uniform_artifact):
     art = uniform_artifact
     mode, phase = art.mode, art.phase
     tables = {-1: [mode.endpoint_minus], +1: [mode.endpoint_plus]}
-    bd0 = outer.boundary_data(0, tables, phase, [], art.delta)
+    bd0 = inner.boundary_data(0, tables, phase, [], art.delta)
     assert bd0 == {"V_minus": 0.0, "W_minus": 0.0, "V_plus": 0.0, "W_plus": 0.0}
     # the chain's order-1 step relies on these being exact
-    bd1 = outer.boundary_data(1, tables, phase, [], art.delta)
+    bd1 = inner.boundary_data(1, tables, phase, [], art.delta)
     assert bd1 == {"V_minus": 0.0, "W_minus": mode.vpp_minus0,
                    "V_plus": 0.0, "W_plus": 0.0}
 
 
 def test_boundary_data_pure_outer_sums(uniform_artifact):
-    # zeroed inner data: V2, W2 reduce to the Taylor shift of v0, v1
+    # the outer part of V2, W2 at x = 0-: the Taylor shift of v0, v1
     art = uniform_artifact
-    mode, corr = art.mode, art.corrections
-    tables = {-1: [mode.endpoint_minus, corr[0].endpoint_minus],
-              +1: [mode.endpoint_plus, corr[0].endpoint_plus]}
-    bd = outer.boundary_data(2, tables, art.phase, [], art.delta)
-    t0, t1 = tables[-1]
-    assert bd["V_minus"] == pytest.approx(t1.deriv(1) - 0.5 * t0.deriv(2),
-                                          rel=1e-12)
-    assert bd["W_minus"] == pytest.approx(t1.deriv(2) - 0.5 * t0.deriv(3),
-                                          rel=1e-12)
+    t0, t1 = art.mode.endpoint_minus, art.corrections[0].endpoint_minus
+    tables = [t0, t1]
+    assert inner.taylor_shift(tables, -1, 2, 1, 0) == pytest.approx(
+        -t1[1] + 0.5 * t0[2], rel=1e-12)
+    assert inner.taylor_shift(tables, -1, 2, 1, 1) == pytest.approx(
+        -t1[2] + 0.5 * t0[3], rel=1e-12)
 
 
 def test_solve_correction_homogeneous_is_zero(uniform_mode):
     zero_l = hermite.HermiteFunction.zero(uniform_mode.left_asm.nodes)
     zero_r = hermite.HermiteFunction.zero(uniform_mode.right_asm.nodes)
-    tab = outer.EndpointData(np.zeros(10))
+    tab = np.zeros(10)
     fake_v1 = outer.CorrectionTerm(
         order=1, lambda_i=0.0, v_left=zero_l, v_right=zero_r,
         endpoint_minus=tab, endpoint_plus=tab, solvability_residual=0.0)
@@ -233,12 +230,12 @@ def test_solve_correction_homogeneous_is_zero(uniform_mode):
 def test_correction_interface_values_imposed(asym_artifact):
     for term in asym_artifact.corrections:
         tab = term.endpoint_minus
-        assert term.v_left(0.0) == pytest.approx(tab.deriv(0), abs=1e-10)
-        assert term.v_left(0.0, 1) == pytest.approx(tab.deriv(1), abs=1e-10)
+        assert term.v_left(0.0) == pytest.approx(tab[0], abs=1e-10)
+        assert term.v_left(0.0, 1) == pytest.approx(tab[1], abs=1e-10)
         if term.v_right is not None:
             tab = term.endpoint_plus
-            assert term.v_right(0.0) == pytest.approx(tab.deriv(0), abs=1e-10)
-            assert term.v_right(0.0, 1) == pytest.approx(tab.deriv(1), abs=1e-10)
+            assert term.v_right(0.0) == pytest.approx(tab[0], abs=1e-10)
+            assert term.v_right(0.0, 1) == pytest.approx(tab[1], abs=1e-10)
             b = asym_artifact.coeffs.b
             assert abs(term.v_right(b)) < 1e-10
             assert abs(term.v_right(b, 1)) < 1e-10
@@ -276,7 +273,7 @@ def test_lambda2_closed_form_uniform(uniform_artifact):
     art = uniform_artifact
     s = art.mode.vpp_minus0
     t = art.mode.vppp_minus0
-    w = art.corrections[0].endpoint_minus.deriv(2)
+    w = float(art.corrections[0].endpoint_minus[2])
     mu = art.lambdas[0] ** 0.25
     lam2_hand = s * (-(s / mu) + w - 0.5 * t) - t * (s / 2.0)
     assert art.lambdas[2] == pytest.approx(lam2_hand, rel=1e-12)

@@ -10,9 +10,13 @@ Outputs covered:
 * the CSV and JSON reports of ``beamwkb validate`` (n = 2, l = 8..40) on
   the asym and the variable artifact at the first three of those angles.
   Asym has constant coefficients; the variable fixture is the one whose
-  k1, k2, p and q reach the oracle's assembly.
+  k1, k2, p and q reach the oracle's assembly;
+* the JSON of ``beamwkb oracle`` (at l = 8 and the order-2 truncation as
+  target) and the ``beamwkb sweep-delta`` summary (n = 2), both on asym at
+  the first of those angles.  With ``validate`` these cover every command
+  that reads a configuration file.
 
-That is 46 lines: 34 artifacts and 12 reports.
+That is 48 lines: 34 artifacts, 12 reports, the oracle and the sweep.
 
 Run it once against each tree and compare the output with ``diff``:
 
@@ -105,6 +109,28 @@ def main(argv=None):
                     return 1
                 print(f"{_sha(csv)}  validate {name} csv delta={delta!r}")
                 print(f"{_sha(js)}  validate {name} json delta={delta!r}")
+        config = write_config(tmp, "asym", DELTAS[0])
+        art = harness.build_expansion(*load_config(config))
+        eps = art.epsilon(VALIDATE_L[0])
+        commands = {
+            "oracle": ["oracle", "--config", str(config), "--epsilon",
+                       repr(eps), "--target",
+                       repr(art.lambda_trunc(eps, Validate.n)),
+                       "--out", str(tmp / "oracle.json")],
+            "sweep-delta": ["sweep-delta", "--config", str(config),
+                            "--deltas", repr(DELTAS[0]),
+                            "--n", str(Validate.n),
+                            "--out-prefix", str(tmp / "sweep")],
+        }
+        for command, argv in commands.items():
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(argv)
+            if code != 0:
+                print(f"error: {command} exited with {code}", file=sys.stderr)
+                return 1
+        print(f"{_sha(tmp / 'oracle.json')}  oracle asym delta={DELTAS[0]!r}")
+        print(f"{_sha(tmp / 'sweep_summary.json')}  sweep-delta asym summary "
+              f"delta={DELTAS[0]!r}")
     return 0
 
 
