@@ -30,6 +30,17 @@ def _positive_float(text):
     return value
 
 
+def _float_list(text):
+    try:
+        values = [float(t) for t in text.split(",") if t.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"need comma-separated numbers, got {text!r}") from None
+    if not values:
+        raise argparse.ArgumentTypeError(f"need at least one value, got {text!r}")
+    return values
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="beamwkb",
@@ -61,7 +72,7 @@ def build_parser():
     p = sub.add_parser("sweep-delta",
                        help="repeat expansion + validation over a delta grid")
     p.add_argument("--config", required=True)
-    p.add_argument("--deltas", required=True,
+    p.add_argument("--deltas", type=_float_list, required=True,
                    help="comma-separated deformation angles")
     p.add_argument("--n", type=int, default=None,
                    help="truncation order (default: config n_max)")
@@ -119,13 +130,10 @@ def cmd_oracle(args):
     # S1 comes from the phase of the limit problem; build the cheap pieces only
     from . import outer as outer_mod
     mode = outer_mod.solve_three_point_eigen(
-        coeffs, run.mode_index, outer_grid=run.outer_grid,
-        gap_min_rel=run.tolerances["gap_min_rel"])
+        coeffs, run.mode_index, outer_grid=run.outer_grid)
     lam1 = outer_mod.compute_lambda1(mode)
     phase = inner.compute_phase(coeffs, mode.lambda0, lam1, run.inner_grid)
-    prob = oracle.assemble(coeffs, args.epsilon, phase.S1,
-                           nodes_per_wavelength=run.oracle_nodes_per_wavelength,
-                           outer_h=run.oracle_outer_h)
+    prob = oracle.assemble(coeffs, args.epsilon, phase.S1)
     res = oracle.solve_near(prob, args.target)
     res = oracle.normalize_weighted(res, prob, lambda x: mode.v_left(x))
     lo, hi = res.flanking()
@@ -147,8 +155,7 @@ def cmd_sweep_delta(args):
     n = args.n if args.n is not None else run.n_max
     harness.check_order(n, run.n_max)
     # every input is checked before the first build
-    runs = [dataclasses.replace(run, delta=float(t))
-            for t in args.deltas.split(",") if t.strip()]
+    runs = [dataclasses.replace(run, delta=d) for d in args.deltas]
     summary = []
     for run_d in runs:
         art = harness.build_expansion(coeffs, run_d)

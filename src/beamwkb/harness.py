@@ -21,11 +21,12 @@ from .hermite import HermiteFunction
 from .model import (CoefficientSet, ConfigError, RunSpec, config_from_dict,
                     config_to_dict)
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 WINDOW_FRACTION = 0.2         # fit window of run_convergence
 GAP_RESIDUAL_FACTOR = 10.0
-CSV_HEADER = ("l,epsilon,lambda_asym,lambda_oracle,abs_err,gap,kappa,"
-              "l2_outer_left,l2_outer_right,l2_inner")
+CSV_COLUMNS = ("l", "epsilon", "lambda_asym", "lambda_oracle", "abs_err",
+               "gap", "kappa", "l2_outer_left", "l2_outer_right", "l2_inner")
+CSV_HEADER = ",".join(CSV_COLUMNS)
 
 
 class ExpansionError(RuntimeError):
@@ -41,15 +42,12 @@ class ExpansionArtifact:
     lambdas: list
     outer_left: list                 # HermiteFunction per order
     outer_right: list                # HermiteFunction or None per order
-    tables_minus: list               # derivative tables (np arrays) per order
-    tables_plus: list                # arrays or None
     f_beta: list                     # (4,) arrays per inner order
     f_h: list                        # (4, N) arrays per inner order
     delta: float
     l0: int
     S1: float
     alpha1: float
-    inner_nodes: np.ndarray
     diagnostics: dict = field(default_factory=dict)
     # live objects, present when built in-process (not serialized)
     mode: object = None
@@ -130,13 +128,12 @@ def build_expansion(coeffs: CoefficientSet, run: RunSpec) -> ExpansionArtifact:
     with nonzero data) are recorded as missing; the eigenvalue chain
     continues as long as its left-interface data exist.
     """
-    tol = run.tolerances
     mode = outer.solve_three_point_eigen(
         coeffs, run.mode_index, outer_grid=run.outer_grid,
-        gap_min_rel=tol["gap_min_rel"], table_depth=run.n_max + 5)
+        table_depth=run.n_max + 5)
     lam1 = outer.compute_lambda1(mode)
     phase = inner.compute_phase(coeffs, mode.lambda0, lam1, run.inner_grid)
-    quant = inner.quantize(phase, run.delta, run.l_range, guard=tol["guard"])
+    quant = inner.quantize(phase, run.delta, run.l_range)
 
     if mode.lambda0 <= 0.0:
         raise ExpansionError(
@@ -191,11 +188,10 @@ def build_expansion(coeffs: CoefficientSet, run: RunSpec) -> ExpansionArtifact:
         coeffs=coeffs, run=run, lambdas=lambdas,
         outer_left=[mode.v_left] + [t.v_left for t in corrections],
         outer_right=[mode.v_right] + [t.v_right for t in corrections],
-        tables_minus=tables[-1], tables_plus=tables[+1],
         f_beta=[f.beta for f in f_terms],
         f_h=[f.h for f in f_terms],
         delta=run.delta, l0=quant.l0, S1=phase.S1, alpha1=phase.alpha1,
-        inner_nodes=phase.nodes, diagnostics=diagnostics,
+        diagnostics=diagnostics,
         mode=mode, corrections=corrections, phase=phase,
         f_terms=f_terms,
     )
@@ -226,14 +222,10 @@ def artifact_to_dict(art: ExpansionArtifact) -> dict:
         "lambdas": list(map(float, art.lambdas)),
         "outer_left": [_fn_to_dict(f) for f in art.outer_left],
         "outer_right": [_fn_to_dict(f) for f in art.outer_right],
-        "tables_minus": [np.asarray(t, float).tolist() for t in art.tables_minus],
-        "tables_plus": [None if t is None else np.asarray(t, float).tolist()
-                        for t in art.tables_plus],
         "f_beta": [b.tolist() for b in art.f_beta],
         "f_h": [h.tolist() for h in art.f_h],
         "delta": art.delta, "l0": art.l0,
         "S1": art.S1, "alpha1": art.alpha1,
-        "inner_nodes": art.inner_nodes.tolist(),
         "diagnostics": art.diagnostics,
     }
 
@@ -246,14 +238,10 @@ def artifact_from_dict(data: dict) -> ExpansionArtifact:
         coeffs=coeffs, run=run, lambdas=list(data["lambdas"]),
         outer_left=[_fn_from_dict(d) for d in data["outer_left"]],
         outer_right=[_fn_from_dict(d) for d in data["outer_right"]],
-        tables_minus=[np.array(t) for t in data["tables_minus"]],
-        tables_plus=[None if t is None else np.array(t)
-                     for t in data["tables_plus"]],
         f_beta=[np.array(b) for b in data["f_beta"]],
         f_h=[np.array(h) for h in data["f_h"]],
         delta=float(data["delta"]), l0=int(data["l0"]),
         S1=float(data["S1"]), alpha1=float(data["alpha1"]),
-        inner_nodes=np.array(data["inner_nodes"]),
         diagnostics=dict(data.get("diagnostics", {})),
     )
 
@@ -394,7 +382,7 @@ def check_order(n: int, n_max: int):
 
 
 def run_convergence(art: ExpansionArtifact, n: int, l_values=None,
-                    refine=1.0, compare_functions: bool = True) -> ValidationReport:
+                    refine=1.0) -> ValidationReport:
     """Oracle sweep along the quantized sequence with rate fits at order n.
 
     Each row solves the direct problem at eps_l targeting the highest
@@ -429,10 +417,7 @@ def run_convergence(art: ExpansionArtifact, n: int, l_values=None,
         row["lambda_asym"] = art.lambda_trunc(eps, n)
         target = art.lambda_trunc(eps, target_n)
         try:
-            prob = oracle.assemble(
-                art.coeffs, eps, art.S1,
-                nodes_per_wavelength=run.oracle_nodes_per_wavelength,
-                outer_h=run.oracle_outer_h, refine=refine)
+            prob = oracle.assemble(art.coeffs, eps, art.S1, refine=refine)
             res = oracle.solve_near(prob, target)
             res = oracle.normalize_weighted(res, prob, lambda x: v0(x))
         except (oracle.ModeCaptureError, oracle.MeshResolutionError,
@@ -444,22 +429,15 @@ def run_convergence(art: ExpansionArtifact, n: int, l_values=None,
         row["gap"] = res.gap
         row["residual"] = res.residual
         row["sign_correlation"] = res.sign_correlation
-        if compare_functions:
-            try:
-                kappa, l2l, l2r, l2i = compare_eigenfunction(
-                    art, prob, res, eps, n)
-            except inner.MissingDataError as exc:
-                kappa, l2l, l2r, l2i = np.nan, np.nan, np.nan, np.nan
-                row["exclude_reason"] = f"composite unavailable: {exc}"
-            row["kappa"] = kappa
-            row["l2_outer_left"] = l2l
-            row["l2_outer_right"] = l2r
-            row["l2_inner"] = l2i
-        else:
-            row["kappa"] = np.nan
-            row["l2_outer_left"] = np.nan
-            row["l2_outer_right"] = np.nan
-            row["l2_inner"] = np.nan
+        try:
+            kappa, l2l, l2r, l2i = compare_eigenfunction(art, prob, res, eps, n)
+        except inner.MissingDataError as exc:
+            kappa, l2l, l2r, l2i = np.nan, np.nan, np.nan, np.nan
+            row["exclude_reason"] = f"composite unavailable: {exc}"
+        row["kappa"] = kappa
+        row["l2_outer_left"] = l2l
+        row["l2_outer_right"] = l2r
+        row["l2_inner"] = l2i
         row["valid"] = True
         row["in_window"] = (eps <= eps_max and
                             res.gap > GAP_RESIDUAL_FACTOR * res.residual *
@@ -503,10 +481,7 @@ def emit_report(report: ValidationReport, fmt: str, path):
     if fmt == "csv":
         lines = [CSV_HEADER]
         for r in report.valid_rows():
-            lines.append(",".join(_csv_cell(r.get(key)) for key in (
-                "l", "epsilon", "lambda_asym", "lambda_oracle", "abs_err",
-                "gap", "kappa", "l2_outer_left", "l2_outer_right",
-                "l2_inner")))
+            lines.append(",".join(_csv_cell(r.get(key)) for key in CSV_COLUMNS))
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
     elif fmt == "json":

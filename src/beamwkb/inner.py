@@ -35,7 +35,7 @@ import scipy.fft
 from numpy.polynomial import chebyshev as C
 from numpy.polynomial import polynomial as P
 
-from .model import GUARD_BAND, CoefficientSet, guard_band_message, taylor_at_zero
+from .model import CoefficientSet, guard_band_message, taylor_at_zero
 
 # structure matrix: rotation block and exponential block, T^t = T^3, T^4 = I
 T1 = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -464,8 +464,8 @@ class QuantizedSequence:
     det_G_delta: float
 
 
-def quantize(phase: PhaseData, delta: float, l_range, guard: float = GUARD_BAND):
-    message = guard_band_message(delta, guard)
+def quantize(phase: PhaseData, delta: float, l_range):
+    message = guard_band_message(delta)
     if message:
         raise GuardBandError(message)
     lo, hi = int(l_range[0]), int(l_range[1])

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-DENSITY_EXPONENT = 8
-GUARD_BAND = 0.1
+DENSITY_EXPONENT = 8      # inner density eps^-8 q(x/eps)
+GUARD_BAND = 0.1          # exclusion radius of delta around pi/2 and 3*pi/2
 POSITIVITY_SAMPLES = 1001
 
 
@@ -61,9 +61,15 @@ def _positivity_floor(coeff, lo: float, hi: float):
 
 
 def _coerce(obj, convert, *names):
-    """Convert fields of a frozen dataclass in place."""
+    """Convert fields of a frozen dataclass in place; a value that does not
+    convert is a ConfigError naming its key."""
     for name in names:
-        object.__setattr__(obj, name, convert(getattr(obj, name)))
+        try:
+            value = convert(getattr(obj, name))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(
+                f"invalid value for {name!r}: {getattr(obj, name)!r}") from exc
+        object.__setattr__(obj, name, value)
 
 
 @dataclass(frozen=True)
@@ -73,7 +79,6 @@ class CoefficientSet:
     Attributes
     ----------
     a, b : interval endpoints, a < 0 < b
-    m : density exponent; only m = 8 is supported
     k0, k1, k2 : stiffness, tension and foundation polynomials on [a, b]
     p : outer density polynomial on [a, b]
     q : inner density profile polynomial on [-1, 1]
@@ -83,7 +88,6 @@ class CoefficientSet:
 
     a: float
     b: float
-    m: int = DENSITY_EXPONENT
     k0: tuple = (1.0,)
     k1: tuple = ()
     k2: tuple = ()
@@ -92,7 +96,6 @@ class CoefficientSet:
 
     def __post_init__(self):
         _coerce(self, float, "a", "b")
-        _coerce(self, int, "m")
         _coerce(self, lambda c: tuple(map(float, c)), "k0", "k1", "k2", "p", "q")
         self.validate()
 
@@ -101,10 +104,6 @@ class CoefficientSet:
             raise ConfigError(f"left endpoint a must be negative, got a={self.a}")
         if not self.b > 0.0:
             raise ConfigError(f"right endpoint b must be positive, got b={self.b}")
-        if self.m != DENSITY_EXPONENT:
-            raise ConfigError(
-                f"density exponent m must equal {DENSITY_EXPONENT}, got m={self.m}"
-            )
         for name, coeff, lo, hi, bound in (
             ("k0", self.k0, self.a, self.b, 0.0),
             ("p", self.p, self.a, self.b, 0.0),
@@ -137,31 +136,25 @@ class CoefficientSet:
         return eval_coefficient(self.q, x, deriv)
 
     def density(self, x, eps):
-        """Density of the epsilon-problem: eps^-m q(x/eps) on (-eps, eps),
+        """Density of the epsilon-problem: eps^-8 q(x/eps) on (-eps, eps),
         p outside."""
-        return np.where(np.abs(x) < eps, eps ** (-float(self.m)) *
+        return np.where(np.abs(x) < eps, eps ** (-float(DENSITY_EXPONENT)) *
                         self.q_at(x / eps), self.p_at(x))
 
 
-def guard_band_message(delta: float, guard: float = GUARD_BAND):
-    """Why delta is inadmissible (within guard of a pole of det G_delta
+def guard_band_message(delta: float):
+    """Why delta is inadmissible (within GUARD_BAND of a pole of det G_delta
     = -2 cos delta, at pi/2 and 3*pi/2), or None."""
     for pole in (math.pi / 2.0, 3.0 * math.pi / 2.0):
-        if abs(delta - pole) < guard:
+        if abs(delta - pole) < GUARD_BAND:
             return (f"delta in guard band: |delta - {pole:.6g}| = "
-                    f"{abs(delta - pole):.3g} < {guard}")
+                    f"{abs(delta - pole):.3g} < {GUARD_BAND}")
     return None
-
-
-_DEFAULT_TOLERANCES = {
-    "gap_min_rel": 1e-3,        # simplicity threshold relative to lambda0
-    "guard": GUARD_BAND,        # exclusion radius around pi/2 and 3*pi/2
-}
 
 
 @dataclass(frozen=True)
 class RunSpec:
-    """Run parameters: deformation angle, truncation order, grids, tolerances."""
+    """Run parameters: deformation angle, truncation order, index range, grids."""
 
     delta: float = 0.0
     n_max: int = 1
@@ -169,35 +162,25 @@ class RunSpec:
     mode_index: int = 1
     outer_grid: int = 512          # Hermite elements per unit length, outer solver
     inner_grid: int = 128          # Chebyshev nodes on [-1, 1]
-    oracle_nodes_per_wavelength: int = 20
-    oracle_outer_h: float = 1.0 / 96.0
-    tolerances: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        _coerce(self, float, "delta", "oracle_outer_h")
-        _coerce(self, int, "n_max", "mode_index", "outer_grid", "inner_grid",
-                "oracle_nodes_per_wavelength")
+        _coerce(self, float, "delta")
+        _coerce(self, int, "n_max", "mode_index", "outer_grid", "inner_grid")
         _coerce(self, lambda v: tuple(map(int, v)), "l_range")
-        _coerce(self, lambda t: {**_DEFAULT_TOLERANCES, **t}, "tolerances")
         self.validate()
 
     def validate(self):
-        unknown = set(self.tolerances) - set(_DEFAULT_TOLERANCES)
-        if unknown:
-            raise ConfigError(f"unknown tolerances keys: {sorted(unknown)}")
-        guard = self.tolerances["guard"]
-        if guard <= 0.0:
-            raise ConfigError("guard band must be positive")
-        if not self.tolerances["gap_min_rel"] > 0.0:
-            raise ConfigError("gap_min_rel must be positive")
         d = self.delta
         if not (0.0 <= d < 2.0 * math.pi):
             raise ConfigError(f"delta must lie in [0, 2*pi), got {d}")
-        message = guard_band_message(d, guard)
+        message = guard_band_message(d)
         if message:
             raise ConfigError(message)
         if self.n_max < 0:
             raise ConfigError("n_max must be >= 0")
+        if len(self.l_range) != 2:
+            raise ConfigError(f"invalid value for 'l_range': need [lo, hi], "
+                              f"got {list(self.l_range)}")
         lo, hi = self.l_range
         if lo > hi or lo < 1:
             raise ConfigError(f"invalid l_range {self.l_range}")
@@ -207,11 +190,6 @@ class RunSpec:
             raise ConfigError("inner_grid too coarse (need >= 16 Chebyshev nodes)")
         if self.outer_grid < 8:
             raise ConfigError("outer_grid too coarse (need >= 8 elements per unit length)")
-        if self.oracle_nodes_per_wavelength < 1:
-            raise ConfigError("oracle_nodes_per_wavelength must be >= 1")
-        if not self.oracle_outer_h > 0.0:
-            raise ConfigError(
-                f"oracle_outer_h must be positive, got {self.oracle_outer_h}")
 
 
 def config_from_dict(data: dict):

@@ -22,6 +22,8 @@ from .hermite import Assembly, HermiteFunction
 from .model import CoefficientSet
 
 MIN_CORRELATION = 1e-3    # normalize_weighted: weaker means a foreign mode
+NODES_PER_WAVELENGTH = 20   # inner elements per wavelength of the oscillation
+OUTER_H = 1.0 / 96.0        # outer element width
 
 
 class MeshResolutionError(ValueError):
@@ -61,20 +63,20 @@ class DiscreteProblem:
 
 
 def build_mesh(coeffs: CoefficientSet, eps: float, S1: float,
-               nodes_per_wavelength: int = 20, outer_h: float = 1.0 / 96.0,
                refine: float = 1.0):
     """Mesh with +-eps as nodes and the inner oscillation resolved.
 
     The inner region spans S1 / (2 pi eps) wavelengths; the element count
-    there is at least nodes_per_wavelength times that.  ``refine`` scales
-    both inner and outer densities (mesh-doubling studies).
+    there is at least NODES_PER_WAVELENGTH times that, and the outer
+    elements are at most OUTER_H wide.  ``refine`` scales both inner and
+    outer densities (mesh-doubling studies).
     """
     if not 0.0 < eps < min(-coeffs.a, coeffs.b):
         raise OracleInputError(
             f"eps={eps} out of range (0, {min(-coeffs.a, coeffs.b)})")
     wavecount = S1 / (2.0 * math.pi * eps)
-    n_inner = max(int(math.ceil(nodes_per_wavelength * wavecount * refine)), 16)
-    h = outer_h / refine
+    n_inner = max(int(math.ceil(NODES_PER_WAVELENGTH * wavecount * refine)), 16)
+    h = OUTER_H / refine
     n_left = max(int(math.ceil((-coeffs.a - eps) / h)), 8)
     n_right = max(int(math.ceil((coeffs.b - eps) / h)), 8)
     left = np.linspace(coeffs.a, -eps, n_left + 1)
@@ -84,15 +86,13 @@ def build_mesh(coeffs: CoefficientSet, eps: float, S1: float,
 
 
 def assemble(coeffs: CoefficientSet, eps: float, S1: float,
-             nodes_per_wavelength: int = 20, outer_h: float = 1.0 / 96.0,
              refine: float = 1.0) -> DiscreteProblem:
     """Stiffness/mass pencil with density p outside and eps^-8 q(x/eps) inside."""
-    nodes, n_inner = build_mesh(coeffs, eps, S1, nodes_per_wavelength,
-                                outer_h, refine)
+    nodes, n_inner = build_mesh(coeffs, eps, S1, refine)
     wavecount = S1 / (2.0 * math.pi * eps)
-    if n_inner < nodes_per_wavelength * wavecount - 1:
+    if n_inner < NODES_PER_WAVELENGTH * wavecount - 1:
         raise MeshResolutionError(
-            f"{n_inner} inner elements < {nodes_per_wavelength} per wavelength "
+            f"{n_inner} inner elements < {NODES_PER_WAVELENGTH} per wavelength "
             f"x {wavecount:.2f} wavelengths")
     k0 = hermite.poly_fn(coeffs.k0)
     k1 = hermite.poly_fn(coeffs.k1)

@@ -23,6 +23,7 @@ from .hermite import Assembly, HermiteFunction
 from .model import CoefficientSet, eval_coefficient
 
 DATA_ZERO_TOL = 1e-9      # resonant right interval: data this small count as zero
+GAP_MIN_REL = 1e-3        # simplicity threshold on lambda0, relative to lambda0
 
 
 class ThreePointMultiplicityError(RuntimeError):
@@ -119,8 +120,7 @@ class OuterMode:
 
 
 def solve_three_point_eigen(coeffs: CoefficientSet, mode_index: int = 1,
-                            outer_grid: int = 256, gap_min_rel: float = 1e-3,
-                            table_depth: int = 8):
+                            outer_grid: int = 256, table_depth: int = 8):
     """Solve the limit problem for (lambda0, v0), normalized on the left.
 
     The eigenfunction is supported on (a, 0), pinned to zero value and
@@ -153,7 +153,7 @@ def solve_three_point_eigen(coeffs: CoefficientSet, mode_index: int = 1,
     others = np.delete(vals_l, mode_index - 1)
     gap_left = float(np.min(np.abs(others - lam0))) if others.size else np.inf
     gap_right = float(abs(lam_r - lam0))
-    gap_min = gap_min_rel * abs(lam0)
+    gap_min = GAP_MIN_REL * abs(lam0)
     if gap_left < gap_min:
         raise ThreePointMultiplicityError(
             f"lambda0={lam0:.6g} has a left-interval neighbor at distance "

@@ -48,7 +48,7 @@ def rep_n1(art):
 
 @pytest.fixture(scope="module")
 def rep_n2_doubled(art):
-    return run_convergence(art, 2, refine=2.0, compare_functions=False)
+    return run_convergence(art, 2, refine=2.0)
 
 
 # -- criterion 1: limit eigenvalue ------------------------------------------
@@ -332,10 +332,8 @@ def test_criterion_10_leading_terms_and_lambda2(delta_family):
 def test_criterion_10_rates_per_delta_n01(delta_family):
     slopes = {}
     for d, art in delta_family.items():
-        s0 = run_convergence(art, 0, compare_functions=False
-                             ).fits["abs_err"]["slope"]
-        s1 = run_convergence(art, 1, compare_functions=False
-                             ).fits["abs_err"]["slope"]
+        s0 = run_convergence(art, 0).fits["abs_err"]["slope"]
+        s1 = run_convergence(art, 1).fits["abs_err"]["slope"]
         slopes[d] = (s0, s1)
     ok = all(s0 >= 0.7 and s1 >= 1.7 for s0, s1 in slopes.values())
     announce("10 (rates n=0,1)", ok,
@@ -354,7 +352,7 @@ def test_criterion_10_rates_per_delta_n01(delta_family):
 def test_criterion_10_rate_n2_per_delta(delta_family):
     slopes = {}
     for d, art in delta_family.items():
-        rep = run_convergence(art, 2, refine=2.0, compare_functions=False)
+        rep = run_convergence(art, 2, refine=2.0)
         slopes[d] = rep.fits["abs_err"]["slope"]
     ok = all(s >= 2.5 for s in slopes.values())
     announce("10 (rates n=2)", ok,

@@ -57,6 +57,15 @@ def test_artifact_roundtrip(tmp_path, uniform_artifact):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_schema_one_artifact_rejected(tmp_path, uniform_artifact):
+    data = artifact_to_dict(uniform_artifact)
+    data["schema_version"] = 1
+    path = tmp_path / "v1.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match="unsupported schema_version 1"):
+        load_artifact(path)
+
+
 @pytest.mark.parametrize("name", ["uniform_artifact", "variable_artifact"])
 def test_save_artifact_matches_streaming_json(tmp_path, name, request):
     art = request.getfixturevalue(name)
@@ -181,8 +190,7 @@ def test_drop_one_spread_matches_refit_loop_on_random_data():
 
 
 def test_run_convergence_rows_and_window(uniform_artifact):
-    rep = run_convergence(uniform_artifact, 1, l_values=range(10, 16),
-                          compare_functions=False)
+    rep = run_convergence(uniform_artifact, 1, l_values=range(10, 16))
     assert len(rep.rows) == 6
     assert all(r["valid"] for r in rep.rows)
     assert all(r["in_window"] for r in rep.rows)
@@ -190,14 +198,12 @@ def test_run_convergence_rows_and_window(uniform_artifact):
 
 
 def test_run_convergence_fit_refused_below_four_rows(uniform_artifact):
-    rep = run_convergence(uniform_artifact, 1, l_values=range(10, 13),
-                          compare_functions=False)
+    rep = run_convergence(uniform_artifact, 1, l_values=range(10, 13))
     assert rep.fits == {}
 
 
 def test_invalid_l_marked_excluded(uniform_artifact):
-    rep = run_convergence(uniform_artifact, 0, l_values=[1, 12],
-                          compare_functions=False)
+    rep = run_convergence(uniform_artifact, 0, l_values=[1, 12])
     assert not rep.rows[0]["valid"]
     assert "denominator" in rep.rows[0]["exclude_reason"]
     assert rep.rows[1]["valid"]
@@ -212,15 +218,12 @@ def test_unexpected_error_is_not_an_excluded_row(uniform_artifact,
 
     monkeypatch.setattr(oracle, "solve_near", broken)
     with pytest.raises(ValueError, match="injected failure"):
-        run_convergence(uniform_artifact, 0, l_values=[12],
-                        compare_functions=False)
+        run_convergence(uniform_artifact, 0, l_values=[12])
 
 
 def test_monotone_improvement(uniform_artifact):
-    rep0 = run_convergence(uniform_artifact, 0, l_values=range(16, 19),
-                           compare_functions=False)
-    rep1 = run_convergence(uniform_artifact, 1, l_values=range(16, 19),
-                           compare_functions=False)
+    rep0 = run_convergence(uniform_artifact, 0, l_values=range(16, 19))
+    rep1 = run_convergence(uniform_artifact, 1, l_values=range(16, 19))
     for r0, r1 in zip(rep0.rows, rep1.rows):
         assert r1["abs_err"] <= r0["abs_err"]
 
@@ -235,7 +238,7 @@ def test_emit_report_csv_and_json(tmp_path, uniform_artifact):
     json_path = tmp_path / "r.json"
     emit_report(rep, "json", json_path)
     payload = json.loads(json_path.read_text())
-    assert payload["schema_version"] == 1
+    assert payload["schema_version"] == 2
     assert payload["fits"]["abs_err"]["slope"] == rep.fits["abs_err"]["slope"]
     with pytest.raises(ValueError, match="unknown report format"):
         emit_report(rep, "yaml", tmp_path / "r.yaml")
@@ -243,7 +246,7 @@ def test_emit_report_csv_and_json(tmp_path, uniform_artifact):
 
 def test_fit_robustness_invariant(uniform_artifact):
     for n in (0, 1):
-        rep = run_convergence(uniform_artifact, n, compare_functions=False)
+        rep = run_convergence(uniform_artifact, n)
         assert rep.fits["abs_err"]["drop_one_spread"] < 0.15
 
 
@@ -321,6 +324,23 @@ def test_cli_sweep_delta(tmp_path, config_path, monkeypatch, capsys):
     assert lam[0][0] == lam[1][0] and lam[0][1] == lam[1][1]
 
 
+@pytest.mark.parametrize("key, value", [
+    ("a", "left"), ("k0", 5), ("n_max", [1]), ("l_range", [1, 2, 3]),
+])
+def test_cli_rejects_malformed_config_value(tmp_path, config_path, key, value,
+                                            capsys):
+    # each used to end in a raw ValueError or TypeError (exit 1)
+    data = json.loads(config_path.read_text())
+    data[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert cli.main(["expand", "--config", str(bad),
+                     "--out", str(tmp_path / "x.json")]) == 2
+    err = capsys.readouterr().err
+    assert f"configuration error: invalid value for {key!r}" in err
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_cli_exit_codes(tmp_path, config_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"a": -1.0, "b": 1.0, "k0": [0.0]}))
@@ -370,6 +390,24 @@ def test_cli_sweep_delta_checks_every_delta_first(tmp_path, config_path,
     assert not list(tmp_path.glob("sw_*"))
 
 
+@pytest.mark.parametrize("text, message", [
+    ("0,x", "need comma-separated numbers, got '0,x'"),
+    (",", "need at least one value, got ','"),
+])
+def test_cli_sweep_delta_rejects_malformed_deltas(tmp_path, config_path,
+                                                  monkeypatch, text, message,
+                                                  capsys):
+    # "0,x" used to exit 1 with a raw ValueError; "," wrote an empty
+    # summary and exited 0
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep-delta", "--config", str(config_path),
+                  "--deltas", text, "--out-prefix", "sw"])
+    assert exc.value.code == 2
+    assert f"argument --deltas: {message}" in capsys.readouterr().err
+    assert not list(tmp_path.glob("sw_*"))
+
+
 @pytest.mark.parametrize("text", ["12:8", "0:5", "-3"])
 def test_cli_rejects_invalid_index_range(tmp_path, text, capsys):
     # lo > hi used to write an empty report and exit 0; the rule is the
@@ -382,18 +420,19 @@ def test_cli_rejects_invalid_index_range(tmp_path, text, capsys):
 
 
 def test_cli_rejects_invalid_oracle_settings(tmp_path, config_path, capsys):
-    # an artifact whose run asks for oracle_outer_h = 0 is a configuration
-    # error (exit 2), and so is --refine <= 0 (argparse's exit 2); both
+    # an artifact whose config carries a retired key is a configuration
+    # error (exit 2), and so is --refine <= 0 (argparse's exit 2), which
     # used to end in ZeroDivisionError (exit 1)
     art_path = tmp_path / "art.json"
     assert cli.main(["expand", "--config", str(config_path),
                      "--out", str(art_path)]) == 0
     data = json.loads(art_path.read_text())
-    data["config"]["oracle_outer_h"] = 0.0
+    data["config"]["oracle_outer_h"] = 1.0 / 96.0
     bad = tmp_path / "bad_art.json"
     bad.write_text(json.dumps(data))
     assert cli.main(["validate", "--artifact", str(bad), "--n", "1"]) == 2
-    assert "oracle_outer_h must be positive" in capsys.readouterr().err
+    assert "unknown configuration keys: ['oracle_outer_h']" in \
+        capsys.readouterr().err
     for refine in ("0", "-1", "nan"):
         with pytest.raises(SystemExit) as exc:
             cli.main(["validate", "--artifact", str(art_path), "--n", "1",

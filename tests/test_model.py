@@ -12,9 +12,8 @@ from dense_forms import save_config
 
 def test_uniform_config_valid():
     c = CoefficientSet(a=-1.0, b=1.0, k0=(1.0,), k1=(), k2=(), p=(1.0,),
-                       q=(1.0,), m=8)
+                       q=(1.0,))
     assert c.k0 == (1.0,)
-    assert c.m == 8
 
 
 def test_q_not_positive_rejected():
@@ -34,11 +33,6 @@ def test_k2_may_touch_zero_but_not_negative():
         CoefficientSet(a=-1.0, b=1.0, k0=(1.0,), k2=(-0.5,))
 
 
-def test_m_must_be_eight():
-    with pytest.raises(ConfigError, match="m must equal 8"):
-        CoefficientSet(a=-1.0, b=1.0, k0=(1.0,), m=6)
-
-
 def test_delta_guard_band():
     with pytest.raises(ConfigError, match="guard band"):
         RunSpec(delta=math.pi / 2)
@@ -54,35 +48,18 @@ def test_runspec_validation():
         RunSpec(l_range=(5, 2))
     with pytest.raises(ConfigError):
         RunSpec(mode_index=0)
-    run = RunSpec(tolerances={"gap_min_rel": 1e-4})
-    assert run.tolerances["gap_min_rel"] == 1e-4
-    assert run.tolerances["guard"] == 0.1
 
 
-def test_unknown_tolerance_key_rejected():
-    # a misspelt key used to be kept silently, leaving the default in force
+# former settings and their only values, now constants of the package
+RETIRED_SETTINGS = {"m": 8, "tolerances": {}, "oracle_nodes_per_wavelength": 20,
+                    "oracle_outer_h": 1.0 / 96.0}
+
+
+@pytest.mark.parametrize("key", list(RETIRED_SETTINGS))
+def test_retired_setting_is_unknown_key(key):
     with pytest.raises(ConfigError,
-                       match=r"unknown tolerances keys: \['gap_min'\]"):
-        RunSpec(tolerances={"gap_min": 0.5})
-
-
-@pytest.mark.parametrize("value", [0.0, -1e-3])
-def test_gap_min_rel_must_be_positive(value):
-    with pytest.raises(ConfigError, match="gap_min_rel must be positive"):
-        RunSpec(tolerances={"gap_min_rel": value})
-
-
-@pytest.mark.parametrize("value", [0.0, -0.01])
-def test_oracle_outer_h_must_be_positive(value):
-    # 0 divided the outer span by zero; -0.01 solved on the 8-element floor
-    with pytest.raises(ConfigError, match="oracle_outer_h must be positive"):
-        RunSpec(oracle_outer_h=value)
-
-
-@pytest.mark.parametrize("value", [0, -5])
-def test_oracle_nodes_per_wavelength_at_least_one(value):
-    with pytest.raises(ConfigError, match="oracle_nodes_per_wavelength"):
-        RunSpec(oracle_nodes_per_wavelength=value)
+                       match=rf"unknown configuration keys: \['{key}'\]"):
+        config_from_dict({"a": -1.0, "b": 1.0, key: RETIRED_SETTINGS[key]})
 
 
 def test_taylor_examples():
@@ -127,9 +104,8 @@ def test_config_roundtrip_bit_exact(tmp_path):
 
 
 CONFIG_KEY_ORDER = [
-    "a", "b", "m", "k0", "k1", "k2", "p", "q",
+    "a", "b", "k0", "k1", "k2", "p", "q",
     "delta", "n_max", "l_range", "mode_index", "outer_grid", "inner_grid",
-    "oracle_nodes_per_wavelength", "oracle_outer_h", "tolerances",
 ]
 
 

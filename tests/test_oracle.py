@@ -20,7 +20,7 @@ def test_mesh_aligned_at_interface(uprob):
 
 def test_mesh_resolution_invariant(uniform_coeffs, uniform_artifact):
     S1 = uniform_artifact.S1
-    prob = oracle.assemble(uniform_coeffs, 0.05, S1, nodes_per_wavelength=20)
+    prob = oracle.assemble(uniform_coeffs, 0.05, S1)
     wavecount = S1 / (2 * np.pi * 0.05)
     assert wavecount == pytest.approx(30.1, abs=0.2)
     assert prob.n_inner >= 20 * wavecount - 1
@@ -153,9 +153,8 @@ def test_mesh_doubling_moves_below_asymptotic_error(asym_coeffs,
     eps = art.epsilon(14)
     target = art.lambda_trunc(eps, 2)
     sols = []
-    for refine in (1.0, 2.0):
-        prob = oracle.assemble(asym_coeffs, eps, art.S1,
-                               nodes_per_wavelength=40, refine=refine)
+    for refine in (2.0, 4.0):
+        prob = oracle.assemble(asym_coeffs, eps, art.S1, refine=refine)
         sols.append(oracle.solve_near(prob, target).eigenvalue)
     move = abs(sols[0] - sols[1])
     assert move < 1e-3 * eps ** 3 * art.lambdas[0]

@@ -17,8 +17,7 @@ from dense_forms import drop_one_spread_loop, inner_product, window_rows
 @pytest.fixture(scope="module")
 def asym_reports(asym_artifact):
     ls = range(20, 57, 4)
-    return {n: run_convergence(asym_artifact, n, l_values=ls,
-                               compare_functions=(n <= 1))
+    return {n: run_convergence(asym_artifact, n, l_values=ls)
             for n in (0, 1, 2)}
 
 
@@ -49,9 +48,9 @@ def test_drop_one_spread_matches_refit_loop_on_report_windows(
         asym_reports, variable_artifact):
     for rep in asym_reports.values():
         _assert_spreads_match_refit_loop(rep)
-    rep = run_convergence(variable_artifact, 3, l_values=range(12, 45, 4),
-                          compare_functions=False)
-    assert set(rep.fits) == {"abs_err", "gap"}
+    rep = run_convergence(variable_artifact, 3, l_values=range(12, 45, 4))
+    assert set(rep.fits) == {"abs_err", "gap", "l2_outer_left",
+                             "l2_outer_right", "l2_inner"}
     _assert_spreads_match_refit_loop(rep)
 
 
@@ -128,8 +127,7 @@ def test_variable_coefficient_rates_to_order_three(variable_artifact):
     # order per truncation step up to n = 3
     slopes = {}
     for n in (0, 1, 2, 3):
-        rep = run_convergence(variable_artifact, n, l_values=range(12, 45, 4),
-                              compare_functions=False)
+        rep = run_convergence(variable_artifact, n, l_values=range(12, 45, 4))
         slopes[n] = rep.fits["abs_err"]["slope"]
     print("\nvariable-coefficient slopes:",
           {n: round(s, 3) for n, s in slopes.items()})
