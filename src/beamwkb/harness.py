@@ -66,10 +66,6 @@ class ExpansionArtifact:
                 self.coeffs, self.lambdas[0],
                 self.lambdas[1] if len(self.lambdas) > 1 else
                 self.diagnostics["lambda1"], self.run.inner_grid)
-        if self.f_terms is None:
-            self.f_terms = [
-                inner.InnerCoefficient(self.phase, b, h=h)
-                for b, h in zip(self.f_beta, self.f_h)]
         return self.phase
 
     def epsilon(self, l: int):
@@ -109,13 +105,11 @@ class ExpansionArtifact:
 
     def inner_value(self, xi, eps: float, n: int):
         """Truncated inner expansion at stretched points xi."""
-        self.ensure_phase()
-        n_terms = n + 1
-        if n_terms > len(self.f_terms):
-            raise inner.MissingDataError(
-                f"inner term f_{n_terms - 1} not in artifact")
-        return inner.evaluate_inner(self.phase, self.f_terms, eps, xi,
-                                    n_terms=n_terms)
+        if n >= len(self.f_beta):
+            raise inner.MissingDataError(f"inner term f_{n} not in artifact")
+        return inner.evaluate_inner(
+            self.ensure_phase(),
+            list(zip(self.f_beta[:n + 1], self.f_h[:n + 1])), eps, xi)
 
 
 def build_expansion(coeffs: CoefficientSet, run: RunSpec) -> ExpansionArtifact:
@@ -133,7 +127,7 @@ def build_expansion(coeffs: CoefficientSet, run: RunSpec) -> ExpansionArtifact:
         table_depth=run.n_max + 5)
     lam1 = outer.compute_lambda1(mode)
     phase = inner.compute_phase(coeffs, mode.lambda0, lam1, run.inner_grid)
-    quant = inner.quantize(phase, run.delta, run.l_range)
+    l0, det_G_delta = inner.quantize(phase, run.delta, run.l_range)
 
     if mode.lambda0 <= 0.0:
         raise ExpansionError(
@@ -179,7 +173,7 @@ def build_expansion(coeffs: CoefficientSet, run: RunSpec) -> ExpansionArtifact:
         "gap_left": mode.gap_left,
         "gap_right": mode.gap_right,
         "degenerate_right": mode.degenerate_right,
-        "det_G_delta": quant.det_G_delta,
+        "det_G_delta": det_G_delta,
         "eikonal_residual": phase.eikonal_residual(),
         "solvability_residuals": [t.solvability_residual for t in corrections],
         "notes": notes,
@@ -190,7 +184,7 @@ def build_expansion(coeffs: CoefficientSet, run: RunSpec) -> ExpansionArtifact:
         outer_right=[mode.v_right] + [t.v_right for t in corrections],
         f_beta=[f.beta for f in f_terms],
         f_h=[f.h for f in f_terms],
-        delta=run.delta, l0=quant.l0, S1=phase.S1, alpha1=phase.alpha1,
+        delta=run.delta, l0=l0, S1=phase.S1, alpha1=phase.alpha1,
         diagnostics=diagnostics,
         mode=mode, corrections=corrections, phase=phase,
         f_terms=f_terms,
@@ -328,7 +322,6 @@ def compare_eigenfunction(art: ExpansionArtifact, prob, result, eps, n):
     columns compare the order-n sums region by region; a column whose
     terms a degenerate configuration ruled out comes back as NaN.
     """
-    art.ensure_phase()
     xg, wg = hermite.gauss_points(prob.nodes)
     xf = xg.ravel()
     wf = wg.ravel()
@@ -337,7 +330,7 @@ def compare_eigenfunction(art: ExpansionArtifact, prob, result, eps, n):
     right = xf > eps
     mid = ~(left | right)
 
-    n_avail = len(art.f_terms)
+    n_avail = len(art.f_beta)
     n_inner_pad = min(n + 2, n_avail - 1)
 
     # regionwise truncation values; None marks unavailable data

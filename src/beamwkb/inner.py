@@ -12,10 +12,18 @@ Representation choices that keep the numerics exact where possible:
   any order are exact;
 * the 4x4 matrices A, Phi and their derivative combinations live in the
   commutative algebra spanned by powers of the structure matrix T, so all
-  matrix recursions reduce to four scalar coefficient functions;
+  matrix recursions reduce to four scalar coefficient functions, and the
+  derivative factors C_s of Phi and B_s of Phi^-1 share one recurrence
+  (with A and -A);
 * each coefficient f_i is stored in fundamental-matrix coordinates
   c = beta + h (with f_i = Phi c), which drops the exponentially small
   content exactly where the construction drops it.
+
+``compute_phase`` builds every per-phase function once, as a ``PhaseData``
+field (S', S'^-3, eta, theta, q, q^-3/8, q^3/8, A and -A).  An
+``InnerCoefficient`` (f_i with its derivative stacks) exists only as
+``transport_solve`` builds it, with its forcing w; ``evaluate_inner``
+needs only the (beta_i, h_i) pairs, which is all an artifact stores.
 
 Only two quadratures appear (the antiderivatives for S, alpha and h);
 everything else is algebra on the Chebyshev grid.  Off the grid, the grid
@@ -28,7 +36,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 import scipy.fft
@@ -287,38 +294,25 @@ class PhaseData:
     alpha: np.ndarray
     alpha1: float
     Sp: QFunc = field(repr=False)
+    sp_m3: QFunc = field(repr=False)        # S'^-3
     eta: QFunc = field(repr=False)
     theta: QFunc = field(repr=False)
+    q_fn: QFunc = field(repr=False)         # q
     q_m38: QFunc = field(repr=False)
     q_38: QFunc = field(repr=False)
-    _sp_pow: dict = field(default_factory=dict, repr=False)
-    _A: TAlg = None
+    A: TAlg = field(repr=False)             # eta I + theta T^3
+    minus_A: TAlg = field(repr=False)
     _C_mats: list = field(default_factory=list, repr=False)
     _B_mats: list = field(default_factory=list, repr=False)
     _graded_ops: dict = field(default_factory=dict, repr=False)
-    _order_ops: dict = field(default_factory=dict, repr=False)
     _grid: dict = field(default_factory=dict, repr=False)
 
     # -- scalar helpers ----------------------------------------------------
-    def sprime_pow(self, k):
-        """S'^k as an exact QFunc (k integer, possibly negative)."""
-        if k not in self._sp_pow:
-            lam0, k00 = self.lam0, self.coeffs.k0_at(0.0)
-            scale = (lam0 / k00) ** (k / 4.0)
-            self._sp_pow[k] = QFunc.qpow(self.coeffs.q, Fraction(k, 4), scale)
-        return self._sp_pow[k]
-
-    @cached_property
-    def q_fn(self):
-        """q as an exact QFunc."""
-        return QFunc.poly(self.coeffs.q, self.coeffs.q)
-
     def grid_values(self, qf, u=0):
         """Grid values of the u-th derivative of qf, computed once per phase.
 
         Keyed on the QFunc object, so only functions the phase keeps alive
-        (its memoized operators, S' and its powers, q^-3/8 and q^3/8, C_s
-        and B_s) belong here.
+        (its fields, its memoized operators, C_s and B_s) belong here.
         """
         funcs, vals = self._grid.setdefault(qf, ([qf], []))
         while len(vals) <= u:
@@ -335,33 +329,22 @@ class PhaseData:
         return self.S1 / eps + self.alpha1
 
     # -- matrix structures ---------------------------------------------------
-    @property
-    def A(self):
-        if self._A is None:
-            zero = self.eta.zero()
-            self._A = TAlg((self.eta, zero, zero, self.theta))
-        return self._A
+    def _chain(self, mats, gen, s):
+        """X_s of X_0 = 1, X_{s+1} = X_s' + gen X_s, memoized in ``mats``."""
+        while len(mats) <= s:
+            if not mats:
+                mats.append(TAlg.scalar(QFunc.const(self.coeffs.q, 1.0)))
+            else:
+                mats.append(mats[-1].deriv().add(gen.mul(mats[-1])))
+        return mats[s]
 
     def C_mat(self, s):
-        """C_s with Phi^(s) = Phi C_s; C_0 = 1, C_{s+1} = C_s' + A C_s."""
-        while len(self._C_mats) <= s:
-            if not self._C_mats:
-                self._C_mats.append(TAlg.scalar(QFunc.const(self.coeffs.q, 1.0)))
-            else:
-                prev = self._C_mats[-1]
-                self._C_mats.append(prev.deriv().add(self.A.mul(prev)))
-        return self._C_mats[s]
+        """C_s with Phi^(s) = Phi C_s; C_{s+1} = C_s' + A C_s."""
+        return self._chain(self._C_mats, self.A, s)
 
     def B_mat(self, s):
-        """B_s with (Phi^-1)^(s) = B_s Phi^-1; B_0 = 1, B_{s+1} = B_s' - B_s A."""
-        while len(self._B_mats) <= s:
-            if not self._B_mats:
-                self._B_mats.append(TAlg.scalar(QFunc.const(self.coeffs.q, 1.0)))
-            else:
-                prev = self._B_mats[-1]
-                minus_a = self.A.mul(TAlg.scalar(QFunc.const(self.coeffs.q, -1.0)))
-                self._B_mats.append(prev.deriv().add(prev.mul(minus_a)))
-        return self._B_mats[s]
+        """B_s with (Phi^-1)^(s) = B_s Phi^-1; B_{s+1} = B_s' - A B_s."""
+        return self._chain(self._B_mats, self.minus_A, s)
 
     # -- fundamental matrix --------------------------------------------------
     def phi_blocks(self):
@@ -417,6 +400,7 @@ def compute_phase(coeffs: CoefficientSet, lam0: float, lam1: float,
                     if len(q) > 1 else np.array([0.0])})
     scale = 0.25 * (lam0 ** -3 * k00 ** -5) ** 0.25
     theta = QFunc(q, {Fraction(1, 4): scale * np.array([lam1 * k00, -lam0 * k0p0])})
+    A = TAlg((eta, eta.zero(), eta.zero(), theta))
 
     S_vals = cheb_antideriv_values(Sp(nodes), nodes)
     alpha_vals = cheb_antideriv_values(theta(nodes), nodes)
@@ -424,9 +408,11 @@ def compute_phase(coeffs: CoefficientSet, lam0: float, lam1: float,
         coeffs=coeffs, lam0=lam0, lam1=lam1, nodes=nodes,
         S=S_vals, S1=float(S_vals[-1]), alpha=alpha_vals,
         alpha1=float(alpha_vals[-1]),
-        Sp=Sp, eta=eta, theta=theta,
+        Sp=Sp, sp_m3=QFunc.qpow(q, Fraction(-3, 4), (lam0 / k00) ** -0.75),
+        eta=eta, theta=theta, q_fn=QFunc.poly(q, q),
         q_m38=QFunc.qpow(q, Fraction(-3, 8)),
         q_38=QFunc.qpow(q, Fraction(3, 8)),
+        A=A, minus_A=TAlg(tuple(-1.0 * c for c in A.c)),
     )
     if not np.all(np.diff(S_vals) > 0):
         raise ValueError("phase S must be strictly increasing (q must be positive)")
@@ -456,15 +442,8 @@ def epsilon_l(S1: float, alpha1: float, delta: float, l: int):
     return S1 / den
 
 
-@dataclass
-class QuantizedSequence:
-    """First admissible index l0 of the eps_l family and det G_delta."""
-
-    l0: int
-    det_G_delta: float
-
-
 def quantize(phase: PhaseData, delta: float, l_range):
+    """(l0, det G_delta), l0 the first admissible index of the eps_l family."""
     message = guard_band_message(delta)
     if message:
         raise GuardBandError(message)
@@ -475,8 +454,7 @@ def quantize(phase: PhaseData, delta: float, l_range):
     if max(lo, l0) > hi:
         raise ValueError(
             f"empty quantized range: requested l in [{lo}, {hi}] but l0 = {l0}")
-    return QuantizedSequence(
-        l0=l0, det_G_delta=float(np.linalg.det(g_delta_matrix(delta))))
+    return l0, float(np.linalg.det(g_delta_matrix(delta)))
 
 
 # ---------------------------------------------------------------------------
@@ -496,35 +474,32 @@ class InnerCoefficient:
         self._f = {}                   # r -> f^(r)
 
     # -- coordinates c = beta + h and their derivatives ---------------------
-    def c_values(self):
-        return self.beta[:, None] + self.h
+    def _leibniz(self, mat, vec, r):
+        """sum_s C(r, s) mat(s) vec(r - s) on the grid: the r-th derivative
+        of a product whose first factor satisfies X^(s) = X mat(s)."""
+        acc = np.zeros((4, self.phase.nodes.size))
+        for s in range(r + 1):
+            acc = acc + math.comb(r, s) * mat(s).apply(self.phase, vec(r - s))
+        return acc
 
     def _pw_values(self, r):
         if self._w_stack is None:
             return np.zeros((4, self.phase.nodes.size))
         if r not in self._pw:
-            acc = np.zeros((4, self.phase.nodes.size))
-            for s in range(r + 1):
-                ws = self._w_stack(r - s)
-                term = self.phase.phi_inv_apply(ws)
-                acc = acc + math.comb(r, s) * self.phase.B_mat(s).apply(
-                    self.phase, term)
-            self._pw[r] = acc
+            self._pw[r] = self._leibniz(
+                self.phase.B_mat,
+                lambda u: self.phase.phi_inv_apply(self._w_stack(u)), r)
         return self._pw[r]
 
     def c_deriv(self, u):
         if u == 0:
-            return self.c_values()
+            return self.beta[:, None] + self.h
         return self._pw_values(u - 1)
 
     def G_values(self, r):
         """Phi^-1 f^(r) on the grid."""
         if r not in self._G:
-            acc = np.zeros((4, self.phase.nodes.size))
-            for s in range(r + 1):
-                acc = acc + math.comb(r, s) * self.phase.C_mat(s).apply(
-                    self.phase, self.c_deriv(r - s))
-            self._G[r] = acc
+            self._G[r] = self._leibniz(self.phase.C_mat, self.c_deriv, r)
         return self._G[r]
 
     def f_values(self, r=0):
@@ -591,7 +566,7 @@ def _compose_x(terms, phase, j):
     return [(p, xj * coef, k, t) for (p, coef, k, t) in terms]
 
 
-def _merge(terms, phase):
+def _merge(terms):
     acc = {}
     for (p, coef, k, t) in terms:
         key = (p, k, t)
@@ -626,7 +601,7 @@ def graded_taylor_op(phase: PhaseData, m: int):
         c2 = taylor_at_zero(coeffs.k2, m - 4)[m - 4]
         if c2 != 0.0:
             out.extend(_compose_x([(0, one * c2, 0, 0)], phase, m - 4))
-    phase._graded_ops[m] = _merge(out, phase)
+    phase._graded_ops[m] = _merge(out)
     return phase._graded_ops[m]
 
 
@@ -634,19 +609,11 @@ def order_operator(phase: PhaseData, j: int):
     """Total order-j operator O_j: collect graded terms with p = 4 + m - j.
 
     O_0 - lam0 q vanishes by the eikonal equation; O_1 - lam1 q is the
-    transport operator; O_j for j >= 2 feeds chi.
+    transport operator; O_j for j >= 2 feeds chi.  Each Taylor order m
+    contributes its own p, so no two terms share a (p, k, tpow) key.
     """
-    if j in phase._order_ops:
-        return phase._order_ops[j]
-    out = []
-    for m in range(max(0, j - 4), j + 1):
-        p_want = 4 + m - j
-        for (p, coef, k, t) in graded_taylor_op(phase, m):
-            if p == p_want:
-                out.append((p, coef, k, t))
-    merged = _merge(out, phase)
-    phase._order_ops[j] = merged
-    return merged
+    return [term for m in range(max(0, j - 4), j + 1)
+            for term in graded_taylor_op(phase, m) if term[0] == 4 + m - j]
 
 
 def apply_order_operator(phase: PhaseData, j: int, f_term: InnerCoefficient,
@@ -666,22 +633,17 @@ def apply_order_operator(phase: PhaseData, j: int, f_term: InnerCoefficient,
 def assemble_chi(phase: PhaseData, s: int, f_terms, lambdas, r: int = 0):
     """chi_s^(r) = -(d/dxi)^r sum_{j=2..s} (O_j - lam_j q) f_{s-j}.
 
-    ``f_terms`` holds InnerCoefficient objects for orders 0..; negative
-    orders are zero by convention, so only j <= s with s - j < len(f_terms)
-    contribute.  chi_s vanishes identically for s < 2.
+    ``f_terms`` holds the InnerCoefficient objects of orders 0..s-2; a
+    shorter list raises MissingDataError.  chi_s vanishes identically for
+    s < 2.
     """
     out = np.zeros((4, phase.nodes.size))
-    if s < 2:
-        return out
     for j in range(2, s + 1):
-        io = s - j
-        if io < 0 or io >= len(f_terms) or f_terms[io] is None:
-            if io >= 0 and io < len(f_terms):
-                raise MissingDataError(f"chi_{s} needs f_{io}")
-            continue
+        if s - j >= len(f_terms):
+            raise MissingDataError(f"chi_{s} needs f_{s - j}")
         if j >= len(lambdas):
             raise MissingDataError(f"chi_{s} needs lambda_{j}")
-        f = f_terms[io]
+        f = f_terms[s - j]
         out = out - apply_order_operator(phase, j, f, r)
         lam_j = lambdas[j]
         if lam_j != 0.0:
@@ -699,7 +661,6 @@ def make_w_stack(phase: PhaseData, s: int, f_terms, lambdas):
     w^(r) and chi_s^(r) are each assembled once per r.
     """
     k00 = phase.coeffs.k0_at(0.0)
-    sp_m3 = phase.sprime_pow(-3)
     cache = {}
     t3_chi = {}                        # r -> T^3 chi_s^(r)
 
@@ -713,7 +674,7 @@ def make_w_stack(phase: PhaseData, s: int, f_terms, lambdas):
             acc = np.zeros((4, phase.nodes.size))
             for u in range(r + 1):
                 acc = acc + math.comb(r, u) * \
-                    phase.grid_values(sp_m3, u)[None, :] * t3_chi_r(r - u)
+                    phase.grid_values(phase.sp_m3, u)[None, :] * t3_chi_r(r - u)
             cache[r] = acc / (4.0 * k00)
         return cache[r]
 
@@ -728,7 +689,7 @@ def _coords_or_zero(f_terms, order, r, side):
     """Phi^-1 f_order^(r) at xi = side; zero below order 0."""
     if order < 0:
         return np.zeros(4)
-    if order >= len(f_terms) or f_terms[order] is None:
+    if order >= len(f_terms):
         raise MissingDataError(f"need f_{order}")
     return f_terms[order].phi_coords(r, side)
 
@@ -849,27 +810,23 @@ def transport_solve(phase: PhaseData, delta: float, sigma, w_stack=None):
 # evaluation of the inner expansion
 # ---------------------------------------------------------------------------
 
-def evaluate_inner(phase: PhaseData, f_terms, eps: float, xi, n_terms=None):
+def evaluate_inner(phase: PhaseData, terms, eps: float, xi):
     """eps^4 sum_i eps^i <f_i(xi), N(xi, S/eps)> at arbitrary xi.
 
-    Uses the fundamental-matrix identity to evaluate through the
-    coordinates c_i = beta_i + h_i, which keeps every exponential in the
-    safe range: the result is q^-3/8 <c_i, N(xi, gamma_eps)>.
+    ``terms`` lists the (beta_i, h_i) pairs of f_0, f_1, ...  Uses the
+    fundamental-matrix identity to evaluate through the coordinates
+    c_i = beta_i + h_i, which keeps every exponential in the safe range:
+    the result is q^-3/8 <c_i, N(xi, gamma_eps)>.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    if n_terms is None:
-        n_terms = len(f_terms)
-    terms = [f_terms[i] for i in range(n_terms)]
-    if None in terms:
-        raise MissingDataError(f"inner evaluation needs f_{terms.index(None)}")
-    rows = cheb_eval(np.vstack([phase.S, phase.alpha] + [t.h for t in terms]), xi)
+    rows = cheb_eval(np.vstack([phase.S, phase.alpha] + [h for _, h in terms]), xi)
     gam = rows[0] / eps + rows[1]
     gam1 = phase.gamma1(eps)
     qv = phase.coeffs.q_at(xi) ** (-0.375)
     N = (np.cos(gam), np.sin(gam), np.exp(-gam), np.exp(gam - gam1))
     out = np.zeros(xi.size)
-    for i, term in enumerate(terms):
-        cv = term.beta[:, None] + rows[2 + 4 * i:6 + 4 * i]
+    for i, (beta, _) in enumerate(terms):
+        cv = beta[:, None] + rows[2 + 4 * i:6 + 4 * i]
         bracket = cv[0] * N[0] + cv[1] * N[1] + cv[2] * N[2] + cv[3] * N[3]
         out = out + eps ** (4 + i) * qv * bracket
     return out

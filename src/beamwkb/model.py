@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
@@ -17,7 +18,6 @@ from numpy.polynomial import polynomial as P
 
 DENSITY_EXPONENT = 8      # inner density eps^-8 q(x/eps)
 GUARD_BAND = 0.1          # exclusion radius of delta around pi/2 and 3*pi/2
-POSITIVITY_SAMPLES = 1001
 
 
 class ConfigError(ValueError):
@@ -52,12 +52,29 @@ def taylor_at_zero(coeff, order: int):
 
 
 def _positivity_floor(coeff, lo: float, hi: float):
-    """Minimum of a polynomial over [lo, hi], sampled densely plus endpoints."""
-    xs = np.linspace(lo, hi, POSITIVITY_SAMPLES)
-    vals = eval_coefficient(coeff, xs)
-    vals = np.atleast_1d(vals)
+    """(minimum, argmin) of a polynomial over [lo, hi]: the least value at
+    the endpoints and at the real parts of the derivative's roots inside."""
+    slope = np.trim_zeros(P.polyder(np.asarray(coeff, dtype=float)), "b")
+    roots = P.polyroots(slope).real if slope.size > 1 else np.zeros(0)
+    xs = np.concatenate([[lo, hi], roots[(roots >= lo) & (roots <= hi)]])
+    vals = np.atleast_1d(eval_coefficient(coeff, xs))
     k = int(np.argmin(vals))
     return float(vals[k]), float(xs[k])
+
+
+def _real(value):
+    """A JSON number (or numpy scalar) as float; strings, booleans and
+    other types raise TypeError."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        raise TypeError(f"not a number: {value!r}")
+    return float(value)
+
+
+def _integral(value):
+    """An integral number (3 or 3.0) as int; 1.5 raises ValueError."""
+    if not _real(value).is_integer():
+        raise ValueError(f"not an integer: {value!r}")
+    return int(value)
 
 
 def _coerce(obj, convert, *names):
@@ -95,8 +112,8 @@ class CoefficientSet:
     q: tuple = (1.0,)
 
     def __post_init__(self):
-        _coerce(self, float, "a", "b")
-        _coerce(self, lambda c: tuple(map(float, c)), "k0", "k1", "k2", "p", "q")
+        _coerce(self, _real, "a", "b")
+        _coerce(self, lambda c: tuple(map(_real, c)), "k0", "k1", "k2", "p", "q")
         self.validate()
 
     def validate(self):
@@ -164,9 +181,9 @@ class RunSpec:
     inner_grid: int = 128          # Chebyshev nodes on [-1, 1]
 
     def __post_init__(self):
-        _coerce(self, float, "delta")
-        _coerce(self, int, "n_max", "mode_index", "outer_grid", "inner_grid")
-        _coerce(self, lambda v: tuple(map(int, v)), "l_range")
+        _coerce(self, _real, "delta")
+        _coerce(self, _integral, "n_max", "mode_index", "outer_grid", "inner_grid")
+        _coerce(self, lambda v: tuple(map(_integral, v)), "l_range")
         self.validate()
 
     def validate(self):

@@ -4,6 +4,9 @@ The package never builds these.  It works through the T-algebra and the
 fundamental-matrix coordinates, and reads grid functions off the grid
 through their Chebyshev coefficients.  The tests use these literal
 matrices and the barycentric interpolant to check those fast paths.
+For the piecewise-constant fixtures the epsilon-problem itself has
+closed-form pieces, so its eigenvalues come from an 8x8 matching
+determinant: the exact reference for the finite-element oracle.
 
 The second half keeps the straightforward forms of the package's fast
 kernels (np.add.at scatters, the COO -> CSR assembly of the Hermite
@@ -18,6 +21,7 @@ import math
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.optimize import brentq
 
 from beamwkb import harness, hermite, inner
 from beamwkb.inner import T_POWERS
@@ -198,6 +202,59 @@ def log_linear_correlation(x, logy):
     x = np.asarray(x, float)
     y = np.asarray(logy, float)
     return float(abs(np.corrcoef(x, y)[0, 1]))
+
+
+# ---------------------------------------------------------------------------
+# exact eigenvalues of the piecewise-constant fixtures
+# ---------------------------------------------------------------------------
+
+def matching_matrix(coeffs, eps, lam):
+    """8x8 C^3-matching matrix of v'''' = lam rho v, clamped at a and b.
+
+    For k0 = p = q = 1 and no k1, k2 the density rho is 1 outside (-eps, eps)
+    and eps^-8 inside, and every piece has a closed-form basis:
+
+    * outer, with t the distance from the clamped end and kappa = lam^1/4:
+      cosh kappa t - cos kappa t and sinh kappa t - sin kappa t;
+    * inner, with mu = kappa / eps^2: cos mu x, sin mu x, e^(-mu (x + eps))
+      and e^(mu (x - eps)), each at most 1 in modulus on [-eps, eps].
+
+    Columns: the two left outer, the four inner and the two right outer
+    coefficients.  Rows: v, v', v'', v''' continuous at -eps (rows 0-3) and
+    at +eps (rows 4-7), row k scaled by mu^-k so that every entry stays O(1).
+    The matrix is singular exactly at the eigenvalues.
+    """
+    if (coeffs.k0, coeffs.k1, coeffs.k2, coeffs.p, coeffs.q) != \
+            ((1.0,), (), (), (1.0,), (1.0,)):
+        raise ValueError("closed forms need k0 = p = q = 1 and no k1, k2")
+    kappa = lam ** 0.25
+    mu = kappa / eps ** 2
+    M = np.zeros((8, 8))
+    # (first row, interface x, distance t from the clamped end, first outer
+    # column, dt/dx)
+    for row, x, t, col, sign in ((0, -eps, -eps - coeffs.a, 0, 1.0),
+                                 (4, eps, coeffs.b - eps, 6, -1.0)):
+        ch, sh = math.cosh(kappa * t), math.sinh(kappa * t)
+        c, s = math.cos(kappa * t), math.sin(kappa * t)
+        cos_k, sin_k = (c, -s, -c, s), (s, c, -s, -c)    # k-th derivatives
+        for k in range(4):
+            scale = (sign * kappa / mu) ** k
+            M[row + k, col] = scale * ((ch, sh)[k % 2] - cos_k[k])
+            M[row + k, col + 1] = scale * ((sh, ch)[k % 2] - sin_k[k])
+            M[row + k, 2:6] = (
+                -math.cos(mu * x + k * math.pi / 2),
+                -math.sin(mu * x + k * math.pi / 2),
+                -(-1.0) ** k * math.exp(-mu * (x + eps)),
+                -math.exp(mu * (x - eps)))
+    return M
+
+
+def exact_eigenvalue(coeffs, eps, near, half_width):
+    """The eigenvalue in [near - half_width, near + half_width]: the root
+    of det(matching_matrix), which must change sign over that bracket."""
+    return brentq(lambda lam: np.linalg.det(matching_matrix(coeffs, eps, lam)),
+                  near - half_width, near + half_width,
+                  xtol=1e-14, rtol=4.0 * np.finfo(float).eps)
 
 
 # ---------------------------------------------------------------------------

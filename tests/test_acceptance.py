@@ -113,14 +113,14 @@ def test_criterion_3_determinant_identity():
 
 def test_criterion_4_quantization(art):
     ph = art.phase
-    quant = inner.quantize(ph, art.delta, (1, art.l0 + 30))
+    l0, _ = inner.quantize(ph, art.delta, (1, art.l0 + 30))
     worst = 0.0
-    for l in range(quant.l0, quant.l0 + 31):
+    for l in range(l0, l0 + 31):
         gam = ph.gamma1(inner.epsilon_l(ph.S1, ph.alpha1, art.delta, l))
         worst = max(worst, abs(gam - (art.delta + 2.0 * math.pi * l)))
     ok = worst <= 1e-12
     announce("4", ok, f"max |gamma(1) - (delta + 2 pi l)| = {worst:.2e} over "
-                      f"l in [{quant.l0}, {quant.l0 + 30}]")
+                      f"l in [{l0}, {l0 + 30}]")
     assert worst <= 1e-12
 
 
@@ -277,8 +277,8 @@ def test_criterion_9_principal_solution(art):
     ys = ystar.f_values(0)
     A = A_matrices(ph, xs)
     gaps, inv_eps = [], []
-    quant = inner.quantize(ph, delta, (1, 10))
-    for l in range(quant.l0, quant.l0 + 7):
+    l0, _ = inner.quantize(ph, delta, (1, 10))
+    for l in range(l0, l0 + 7):
         yl = transport_solve_full(ph, delta, l, sigma, w_stack=w_stack)
         yv = yl.f_values(0)
         dd = np.einsum("nij,jn->in", A, yv - ys)

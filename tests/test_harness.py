@@ -326,10 +326,13 @@ def test_cli_sweep_delta(tmp_path, config_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize("key, value", [
     ("a", "left"), ("k0", 5), ("n_max", [1]), ("l_range", [1, 2, 3]),
+    ("k0", "21"), ("a", "-1"), ("n_max", 1.5), ("l_range", [6.7, 18.9]),
+    ("delta", True),
 ])
 def test_cli_rejects_malformed_config_value(tmp_path, config_path, key, value,
                                             capsys):
-    # each used to end in a raw ValueError or TypeError (exit 1)
+    # no value is converted to another type: "21" is not the polynomial
+    # 2 + x, 1.5 is not 1 and true is not 1.0
     data = json.loads(config_path.read_text())
     data[key] = value
     bad = tmp_path / "bad.json"
@@ -344,6 +347,11 @@ def test_cli_rejects_malformed_config_value(tmp_path, config_path, key, value,
 def test_cli_exit_codes(tmp_path, config_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"a": -1.0, "b": 1.0, "k0": [0.0]}))
+    assert cli.main(["expand", "--config", str(bad),
+                     "--out", str(tmp_path / "x.json")]) == 2
+    # q < 0 only near xi = 5e-4, the root of q', where q = -1e-9
+    bad.write_text(json.dumps({"a": -1.0, "b": 1.0,
+                               "q": [1.5e-9, -1e-5, 1e-2]}))
     assert cli.main(["expand", "--config", str(bad),
                      "--out", str(tmp_path / "x.json")]) == 2
     assert cli.main(["validate", "--artifact", str(tmp_path / "missing.json"),

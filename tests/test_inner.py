@@ -131,8 +131,8 @@ def test_g_delta_degenerates_at_guard_poles():
 
 def test_quantization_identity(uniform_artifact):
     ph = uniform_artifact.phase
-    quant = inner.quantize(ph, 0.3, (1, 60))
-    ls = range(quant.l0, 61)
+    l0, _ = inner.quantize(ph, 0.3, (1, 60))
+    ls = range(l0, 61)
     eps = np.array([inner.epsilon_l(ph.S1, ph.alpha1, 0.3, l) for l in ls])
     assert np.all(np.diff(eps) < 0.0)
     for l, e in zip(ls[:31], eps):
@@ -142,8 +142,7 @@ def test_quantization_identity(uniform_artifact):
 
 def test_quantize_l0_rule(uniform_artifact):
     ph = uniform_artifact.phase
-    quant = inner.quantize(ph, 0.0, (1, 10))
-    l0 = quant.l0
+    l0, _ = inner.quantize(ph, 0.0, (1, 10))
     assert 0.0 + 2 * math.pi * l0 - ph.alpha1 > 0.0
     assert 0.0 + 2 * math.pi * (l0 - 1) - ph.alpha1 <= 0.0
 
@@ -383,8 +382,8 @@ def test_talg_coefficients_evaluated_once_per_build(variable_coeffs,
     assert len(held) == 28
     assert set(grid_evals) == held
     assert max(grid_evals.values()) == 1
-    # 119 = 118 for the chain and the phase, plus k0'(0) in compute_lambda1
-    assert n_polyder[0] == 119
+    # 117 = 116 for the chain and the phase, plus k0'(0) in compute_lambda1
+    assert n_polyder[0] == 117
 
 
 def test_talg_apply_matches_per_call_evaluation(vphase):
@@ -442,7 +441,7 @@ def test_w_stack_matches_direct_chi_sum(variable_artifact):
     for r in range(3):
         acc = np.zeros((4, ph.nodes.size))
         for u in range(r + 1):
-            cf = ph.sprime_pow(-3)
+            cf = ph.sp_m3
             for _ in range(u):
                 cf = cf.deriv()
             chi = inner.assemble_chi(ph, s, f_terms, lambdas, r - u)
@@ -459,9 +458,10 @@ def test_order_operator_vanishes_beyond_taylor_depth(vphase):
     assert inner.order_operator(vphase, deg + 4) == []
 
 
-def test_chi_needs_lower_terms(uniform_artifact):
-    art = uniform_artifact
-    with pytest.raises(inner.MissingDataError):
+def test_chi_needs_lower_terms(variable_artifact):
+    # lambda_0..lambda_4 are all there: only the absent f_2 can stop chi_4
+    art = variable_artifact
+    with pytest.raises(inner.MissingDataError, match="needs f_"):
         inner.assemble_chi(art.phase, 4, art.f_terms[:1], art.lambdas)
 
 
@@ -546,11 +546,16 @@ def test_evaluate_inner_scaling_and_safety(uniform_artifact):
     ph = art.phase
     xi = np.linspace(-1.0, 1.0, 301)
     for eps in (0.15, 0.08):
-        vals = inner.evaluate_inner(ph, art.f_terms, eps, xi, n_terms=1)
+        vals = inner.evaluate_inner(ph, _pairs(art)[:1], eps, xi)
         scale = np.max(np.abs(vals)) / eps ** 4
         assert 0.05 < scale < 50.0
         N = N_of_S(ph, eps, xi)
         assert np.max(N[2:]) <= 1.0 + 1e-12      # shifted exponents stay <= 0
+
+
+def _pairs(art):
+    """The (beta_i, h_i) pairs that evaluate_inner reads."""
+    return list(zip(art.f_beta, art.f_h))
 
 
 def _direct_inner(ph, f_terms, eps, xi):
@@ -572,7 +577,7 @@ def test_evaluate_inner_matches_direct_form(uniform_artifact):
     xi = np.linspace(-0.99, 0.99, 57)
     eps = 0.09
     direct = _direct_inner(ph, art.f_terms, eps, xi)
-    vals = inner.evaluate_inner(ph, art.f_terms, eps, xi)
+    vals = inner.evaluate_inner(ph, _pairs(art), eps, xi)
     np.testing.assert_allclose(vals, direct, rtol=0, atol=1e-13 * eps ** 4)
 
 
@@ -634,5 +639,5 @@ def test_evaluate_inner_at_grid_nodes_matches_direct_form(variable_artifact):
                          [-0.5, 0.2, 0.7]])
     eps = 0.09
     direct = _direct_inner(ph, art.f_terms, eps, xi)
-    vals = inner.evaluate_inner(ph, art.f_terms, eps, xi)
+    vals = inner.evaluate_inner(ph, _pairs(art), eps, xi)
     np.testing.assert_allclose(vals, direct, rtol=0.0, atol=1e-13 * eps ** 4)

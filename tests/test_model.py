@@ -21,6 +21,12 @@ def test_q_not_positive_rejected():
         CoefficientSet(a=-1.0, b=1.0, k0=(1.0,), q=(0.0,))
 
 
+def test_positivity_minimum_at_interior_critical_point():
+    # q(5e-4) = -1e-9 is the minimum, at the root of q'
+    with pytest.raises(ConfigError, match=r"q not positive: q\(0\.0005\)"):
+        CoefficientSet(a=-1.0, b=1.0, q=(1.5e-9, -1e-5, 1e-2))
+
+
 def test_positivity_report_names_point():
     # k0 = 1 - x dips negative on (1, 2]: the diagnostic carries the sample
     with pytest.raises(ConfigError, match=r"k0 not positive: k0\("):
@@ -48,6 +54,27 @@ def test_runspec_validation():
         RunSpec(l_range=(5, 2))
     with pytest.raises(ConfigError):
         RunSpec(mode_index=0)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("n_max", True), ("n_max", "3"), ("delta", "0.3"), ("delta", np.True_),
+    ("a", True), ("k0", ["1"]), ("q", [1.0, False]),
+])
+def test_wrong_json_type_rejected(key, value):
+    with pytest.raises(ConfigError, match=f"invalid value for {key!r}"):
+        config_from_dict({"a": -1.0, "b": 1.0, key: value})
+
+
+def test_integral_and_numpy_values_accepted():
+    coeffs, run = config_from_dict({
+        "a": np.float32(-1.0), "b": 1, "k0": np.array([1.0, 0.25]),
+        "n_max": 3.0, "l_range": [np.int64(6), 18.0],
+        "mode_index": np.float64(1.0), "inner_grid": np.int32(64)})
+    assert (coeffs.a, coeffs.b, coeffs.k0) == (-1.0, 1.0, (1.0, 0.25))
+    assert (run.n_max, run.l_range, run.mode_index, run.inner_grid) == \
+        (3, (6, 18), 1, 64)
+    assert all(type(v) is int for v in (run.n_max, *run.l_range,
+                                        run.mode_index, run.inner_grid))
 
 
 # former settings and their only values, now constants of the package

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg.lapack
@@ -5,7 +7,7 @@ import scipy.sparse.linalg
 
 from beamwkb import hermite, oracle
 from beamwkb.model import CoefficientSet
-from dense_forms import csr_forms, free_blocks
+from dense_forms import csr_forms, exact_eigenvalue, free_blocks
 
 
 @pytest.fixture(scope="module")
@@ -289,3 +291,53 @@ def test_solve_near_shift_invert_work(asym_artifact, monkeypatch):
     res = oracle.solve_near(prob, art.lambda_trunc(eps, art.n_max))
     assert res.flanking()[0] is not None and res.flanking()[1] is not None
     assert 0 < len(applied) <= 25
+
+
+# the piecewise-constant fixtures and the l of their exact-root checks
+EXACT_LS = [("uniform", (8, 12, 20)), ("asym", (8, 20, 40))]
+REFINES = (1.0, 2.0, 4.0)
+
+
+@pytest.fixture(scope="module")
+def exact_rows(uniform_artifact, asym_artifact):
+    """name -> [(l, exact eigenvalue, FE eigenvalue per REFINES)].
+
+    eps comes from the artifact under test, so every exact root is computed
+    at the eps the FE oracle sees.  The bracket is a quarter of the refine-1
+    gap either side of the refine-1 eigenvalue.
+    """
+    rows = {}
+    for name, ls in EXACT_LS:
+        art = {"uniform": uniform_artifact, "asym": asym_artifact}[name]
+        rows[name] = []
+        for l in ls:
+            eps = art.epsilon(l)
+            target = art.lambda_trunc(eps, art.n_max)
+            fe = [oracle.solve_near(oracle.assemble(art.coeffs, eps, art.S1,
+                                                    refine=r), target)
+                  for r in REFINES]
+            exact = exact_eigenvalue(art.coeffs, eps, fe[0].eigenvalue,
+                                     0.25 * fe[0].gap)
+            rows[name].append((l, exact, [r.eigenvalue for r in fe]))
+    return rows
+
+
+@pytest.mark.parametrize("name", [name for name, _ in EXACT_LS])
+def test_fe_oracle_converges_at_order_four_to_exact_root(name, exact_rows):
+    # Hermite cubics: eigenvalue error O(h^4), so each mesh doubling divides
+    # it by 16 (measured orders 3.993-3.999)
+    for l, exact, fe in exact_rows[name]:
+        errs = [abs(v - exact) for v in fe]
+        orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
+        print(f"\n{name} l={l}: FE rel. errors "
+              f"{[f'{e / exact:.2e}' for e in errs]}, orders "
+              f"{[round(o, 3) for o in orders]}")
+        for order in orders:
+            assert abs(order - 4.0) <= 0.2
+
+
+def test_exact_roots_match_the_asym_table(exact_rows):
+    # the asym fixture (delta 0, outer_grid 256, n_max 3) at l = 8, 20, 40
+    table = {8: 1262.3252591201, 20: 696.7198561325, 40: 586.2017205411}
+    for l, exact, _ in exact_rows["asym"]:
+        assert exact == pytest.approx(table[l], rel=1e-9, abs=0)

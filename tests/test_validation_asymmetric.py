@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from beamwkb import fit_rate, oracle, run_convergence
-from dense_forms import drop_one_spread_loop, inner_product, window_rows
+from dense_forms import (drop_one_spread_loop, exact_eigenvalue,
+                         inner_product, window_rows)
 
 
 @pytest.fixture(scope="module")
@@ -28,6 +29,22 @@ def test_eigenvalue_rates_to_order_two(asym_reports):
     assert slopes[0] >= 0.7
     assert slopes[1] >= 1.7
     assert slopes[2] >= 2.5
+
+
+def test_n2_window_errors_exceed_fe_error_tenfold(asym_artifact,
+                                                  asym_reports):
+    # the refine-1 oracle measures the order-2 truncation error only where
+    # its own eigenvalue error, taken against the exact matching root, is
+    # at least ten times smaller
+    rows = window_rows(asym_reports[2])
+    assert len(rows) >= 4
+    for r in rows:
+        exact = exact_eigenvalue(asym_artifact.coeffs, r["epsilon"],
+                                 r["lambda_oracle"], 0.25 * r["gap"])
+        fe_err = abs(r["lambda_oracle"] - exact)
+        print(f"\nl={r['l']}: n=2 abs_err {r['abs_err']:.3e}, "
+              f"FE error {fe_err:.3e}")
+        assert r["abs_err"] >= 10.0 * fe_err
 
 
 def test_rate_fits_are_robust(asym_reports):

@@ -12,11 +12,16 @@ Outputs covered:
   Asym has constant coefficients; the variable fixture is the one whose
   k1, k2, p and q reach the oracle's assembly;
 * the JSON of ``beamwkb oracle`` (at l = 8 and the order-2 truncation as
-  target) and the ``beamwkb sweep-delta`` summary (n = 2), both on asym at
-  the first of those angles.  With ``validate`` these cover every command
-  that reads a configuration file.
+  target) and, from one ``beamwkb sweep-delta`` call (n = 2), its summary
+  and its per-delta JSON report, all on asym at the first of those angles.
+  With ``validate`` these cover every command that reads a configuration
+  file.  The per-delta report is the one output that holds every row of a
+  ``run_convergence`` on an expansion built in the same process, so it
+  reads the inner terms as built, where ``validate`` reads them back from
+  an artifact file.
 
-That is 48 lines: 34 artifacts, 12 reports, the oracle and the sweep.
+That is 49 lines: 34 artifacts, 12 reports, the oracle and two outputs
+of the sweep.
 
 Run it once against each tree and compare the output with ``diff``:
 
@@ -131,6 +136,8 @@ def main(argv=None):
         print(f"{_sha(tmp / 'oracle.json')}  oracle asym delta={DELTAS[0]!r}")
         print(f"{_sha(tmp / 'sweep_summary.json')}  sweep-delta asym summary "
               f"delta={DELTAS[0]!r}")
+        print(f"{_sha(tmp / f'sweep_delta{DELTAS[0]:g}.json')}  sweep-delta "
+              f"asym json delta={DELTAS[0]!r}")
     return 0
 
 
