@@ -7,7 +7,7 @@ import dataclasses
 import json
 import sys
 
-from . import harness, inner, oracle
+from . import harness, inner, oracle, outer
 from .model import ConfigError, load_config
 
 EXIT_OK = 0
@@ -128,10 +128,9 @@ def cmd_validate(args):
 def cmd_oracle(args):
     coeffs, run = load_config(args.config)
     # S1 comes from the phase of the limit problem; build the cheap pieces only
-    from . import outer as outer_mod
-    mode = outer_mod.solve_three_point_eigen(
+    mode = outer.solve_three_point_eigen(
         coeffs, run.mode_index, outer_grid=run.outer_grid)
-    lam1 = outer_mod.compute_lambda1(mode)
+    lam1 = outer.compute_lambda1(mode)
     phase = inner.compute_phase(coeffs, mode.lambda0, lam1, run.inner_grid)
     prob = oracle.assemble(coeffs, args.epsilon, phase.S1)
     res = oracle.solve_near(prob, args.target)

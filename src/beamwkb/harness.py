@@ -21,7 +21,7 @@ from .hermite import HermiteFunction
 from .model import (CoefficientSet, ConfigError, RunSpec, config_from_dict,
                     config_to_dict)
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 WINDOW_FRACTION = 0.2         # fit window of run_convergence
 GAP_RESIDUAL_FACTOR = 10.0
 CSV_COLUMNS = ("l", "epsilon", "lambda_asym", "lambda_oracle", "abs_err",
@@ -35,7 +35,8 @@ class ExpansionError(RuntimeError):
 
 @dataclass
 class ExpansionArtifact:
-    """Everything the validation stage needs, JSON-serializable."""
+    """Per order lambda_i, the outer terms v_i on (a, 0) and (0, b) and the
+    (beta, h) of the inner f_i: all the validation stage reads, as JSON."""
 
     coeffs: CoefficientSet
     run: RunSpec
@@ -44,16 +45,11 @@ class ExpansionArtifact:
     outer_right: list                # HermiteFunction or None per order
     f_beta: list                     # (4,) arrays per inner order
     f_h: list                        # (4, N) arrays per inner order
-    delta: float
     l0: int
     S1: float
     alpha1: float
     diagnostics: dict = field(default_factory=dict)
-    # live objects, present when built in-process (not serialized)
-    mode: object = None
-    corrections: list = None
-    phase: object = None
-    f_terms: list = None
+    phase: object = None             # PhaseData cache, filled by ensure_phase
 
     # ------------------------------------------------------------------
     @property
@@ -69,7 +65,7 @@ class ExpansionArtifact:
         return self.phase
 
     def epsilon(self, l: int):
-        return inner.epsilon_l(self.S1, self.alpha1, self.delta, l)
+        return inner.epsilon_l(self.S1, self.alpha1, self.run.delta, l)
 
     def lambda_trunc(self, eps: float, n: int):
         if n > self.n_max:
@@ -79,7 +75,7 @@ class ExpansionArtifact:
     def outer_value(self, x, eps: float, n: int):
         """Truncated outer expansion at points x (vectorized).
 
-        The terms of one side share a mesh, so the sum is one Hermite
+        The terms of one side share its mesh, so the sum is one Hermite
         function per side, with nodal data sum_i eps^i v_i.
         """
         x = np.asarray(x, dtype=float)
@@ -94,8 +90,6 @@ class ExpansionArtifact:
                 if v is None:
                     raise inner.MissingDataError(
                         f"order-{i} outer term unavailable on {side}")
-                if not np.array_equal(v.nodes, terms[0].nodes):
-                    raise ValueError(f"outer terms on {side} differ in mesh")
             out[mask] = HermiteFunction(
                 terms[0].nodes,
                 sum(eps ** i * v.values for i, v in enumerate(terms)),
@@ -184,10 +178,8 @@ def build_expansion(coeffs: CoefficientSet, run: RunSpec) -> ExpansionArtifact:
         outer_right=[mode.v_right] + [t.v_right for t in corrections],
         f_beta=[f.beta for f in f_terms],
         f_h=[f.h for f in f_terms],
-        delta=run.delta, l0=l0, S1=phase.S1, alpha1=phase.alpha1,
-        diagnostics=diagnostics,
-        mode=mode, corrections=corrections, phase=phase,
-        f_terms=f_terms,
+        l0=l0, S1=phase.S1, alpha1=phase.alpha1,
+        diagnostics=diagnostics, phase=phase,
     )
 
 
@@ -198,15 +190,17 @@ def build_expansion(coeffs: CoefficientSet, run: RunSpec) -> ExpansionArtifact:
 def _fn_to_dict(fn):
     if fn is None:
         return None
-    return {"nodes": fn.nodes.tolist(), "values": fn.values.tolist(),
-            "slopes": fn.slopes.tolist()}
+    return {"values": fn.values.tolist(), "slopes": fn.slopes.tolist()}
 
 
-def _fn_from_dict(d):
+def _fn_from_dict(d, nodes, where):
     if d is None:
         return None
-    return HermiteFunction(np.array(d["nodes"]), np.array(d["values"]),
-                           np.array(d["slopes"]))
+    values, slopes = np.array(d["values"]), np.array(d["slopes"])
+    if values.shape != nodes.shape or slopes.shape != nodes.shape:
+        raise ValueError(f"{where} holds {values.size} values and "
+                         f"{slopes.size} slopes on a mesh of {nodes.size} nodes")
+    return HermiteFunction(nodes, values, slopes)
 
 
 def artifact_to_dict(art: ExpansionArtifact) -> dict:
@@ -218,7 +212,7 @@ def artifact_to_dict(art: ExpansionArtifact) -> dict:
         "outer_right": [_fn_to_dict(f) for f in art.outer_right],
         "f_beta": [b.tolist() for b in art.f_beta],
         "f_h": [h.tolist() for h in art.f_h],
-        "delta": art.delta, "l0": art.l0,
+        "l0": art.l0,
         "S1": art.S1, "alpha1": art.alpha1,
         "diagnostics": art.diagnostics,
     }
@@ -228,13 +222,17 @@ def artifact_from_dict(data: dict) -> ExpansionArtifact:
     if data.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {data.get('schema_version')}")
     coeffs, run = config_from_dict(data["config"])
+    # each side's terms on the one mesh the config gives that side
+    outer_left, outer_right = (
+        [_fn_from_dict(d, nodes, f"{key}[{i}]") for i, d in enumerate(data[key])]
+        for key, nodes in zip(("outer_left", "outer_right"),
+                              outer.interval_nodes(coeffs, run.outer_grid)))
     return ExpansionArtifact(
         coeffs=coeffs, run=run, lambdas=list(data["lambdas"]),
-        outer_left=[_fn_from_dict(d) for d in data["outer_left"]],
-        outer_right=[_fn_from_dict(d) for d in data["outer_right"]],
+        outer_left=outer_left, outer_right=outer_right,
         f_beta=[np.array(b) for b in data["f_beta"]],
         f_h=[np.array(h) for h in data["f_h"]],
-        delta=float(data["delta"]), l0=int(data["l0"]),
+        l0=int(data["l0"]),
         S1=float(data["S1"]), alpha1=float(data["alpha1"]),
         diagnostics=dict(data.get("diagnostics", {})),
     )
@@ -340,13 +338,11 @@ def compare_eigenfunction(art: ExpansionArtifact, prob, result, eps, n):
         except inner.MissingDataError:
             return None
 
-    V_left = safe(lambda xs: art.outer_value(xs, eps, n), xf[left])
-    V_right = safe(lambda xs: art.outer_value(xs, eps, n), xf[right])
-    V_mid_pad = safe(lambda xs: art.inner_value(xs / eps, eps, n_inner_pad),
-                     xf[mid])
+    V_left = safe(art.outer_value, xf[left], eps, n)
+    V_right = safe(art.outer_value, xf[right], eps, n)
+    V_mid_pad = safe(art.inner_value, xf[mid] / eps, eps, n_inner_pad)
     V_mid_n = V_mid_pad if n_inner_pad == n else \
-        safe(lambda xs: art.inner_value(xs / eps, eps, n), xf[mid]) \
-        if n < n_avail else None
+        safe(art.inner_value, xf[mid] / eps, eps, n) if n < n_avail else None
 
     rho = art.coeffs.density(xf, eps)
     num = 0.0

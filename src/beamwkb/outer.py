@@ -34,8 +34,17 @@ class SolvabilityError(RuntimeError):
     """The singular left-interval system is inconsistent beyond tolerance."""
 
 
-def _interval_assembly(coeffs, lo, hi, n_elem):
-    nodes = np.linspace(lo, hi, n_elem + 1)
+def interval_nodes(coeffs, outer_grid):
+    """Meshes of (a, 0) and (0, b): outer_grid elements per unit length,
+    at least 32 per interval.  Every outer term of one side lives on it."""
+    meshes = []
+    for lo, hi in ((coeffs.a, 0.0), (0.0, coeffs.b)):
+        n_elem = max(32, int(round(outer_grid * (hi - lo))))
+        meshes.append(np.linspace(lo, hi, n_elem + 1))
+    return meshes
+
+
+def _interval_assembly(coeffs, nodes):
     return hermite.assemble(nodes, *(hermite.poly_fn(c) for c in (
         coeffs.k0, coeffs.k1, coeffs.k2, coeffs.p)))
 
@@ -107,10 +116,6 @@ class OuterMode:
     endpoint_plus: np.ndarray = None      # v0^(j)(0+), all zero
 
     @property
-    def gap(self):
-        return min(self.gap_left, self.gap_right)
-
-    @property
     def vpp_minus0(self):
         return float(self.endpoint_minus[2])
 
@@ -131,10 +136,8 @@ def solve_three_point_eigen(coeffs: CoefficientSet, mode_index: int = 1,
     multiple eigenvalue of the three-point problem) is recorded on the
     returned mode as ``degenerate_right``.
     """
-    n_left = max(32, int(round(outer_grid * (-coeffs.a))))
-    n_right = max(32, int(round(outer_grid * coeffs.b)))
-    left = _interval_assembly(coeffs, coeffs.a, 0.0, n_left)
-    right = _interval_assembly(coeffs, 0.0, coeffs.b, n_right)
+    left, right = (_interval_assembly(coeffs, nodes)
+                   for nodes in interval_nodes(coeffs, outer_grid))
 
     k_want = mode_index + 4
     vals_l, vecs_l = hermite.eigs_near(left, 0.0, left.factor, k=k_want)

@@ -1,12 +1,59 @@
 """Shared fixtures: closed-form beam oracles and prebuilt expansions."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
+from beamwkb.harness import ExpansionArtifact
 from beamwkb.model import CoefficientSet, RunSpec
-from beamwkb import build_expansion, outer
+from beamwkb import build_expansion, inner, outer
+
+
+@dataclass
+class RecordedBuild:
+    """One ``build_expansion`` call and the stage objects it made."""
+
+    art: ExpansionArtifact
+    mode: outer.OuterMode           # the three-point pair (lambda0, v0)
+    corrections: list               # CorrectionTerm per order 1..n_max
+    f_terms: list                   # InnerCoefficient f_0, f_1, ...
+
+
+def record_build(coeffs, run):
+    """``build_expansion(coeffs, run)``, keeping what its stages returned.
+
+    The stage functions are wrapped as module attributes for the call
+    only; ``inner.solve_f0`` reaches ``transport_solve`` through the
+    module too, so ``f_terms`` comes out in order f_0, f_1, ...
+    """
+    made = {}
+
+    def recording(name, fn):
+        def wrapper(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            made[name].append(result)
+            return result
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module, name in ((outer, "solve_three_point_eigen"),
+                             (outer, "solve_correction"),
+                             (inner, "transport_solve")):
+            made[name] = []
+            mp.setattr(module, name, recording(name, getattr(module, name)))
+        art = build_expansion(coeffs, run)
+    (mode,) = made["solve_three_point_eigen"]
+    return RecordedBuild(art, mode, made["solve_correction"],
+                         made["transport_solve"])
+
+
+@pytest.fixture(scope="session")
+def recorded_build():
+    """``record_build``, for tests that build their own expansion."""
+    return record_build
 
 
 @pytest.fixture(scope="session")
@@ -70,21 +117,36 @@ def uniform_mode(uniform_coeffs):
 
 
 @pytest.fixture(scope="session")
-def uniform_artifact(uniform_coeffs):
+def uniform_chain(uniform_coeffs):
     run = RunSpec(delta=0.0, n_max=2, l_range=(6, 18), outer_grid=256,
                   inner_grid=128)
-    return build_expansion(uniform_coeffs, run)
+    return record_build(uniform_coeffs, run)
 
 
 @pytest.fixture(scope="session")
-def asym_artifact(asym_coeffs):
+def asym_chain(asym_coeffs):
     run = RunSpec(delta=0.0, n_max=3, l_range=(8, 40), outer_grid=256,
                   inner_grid=128)
-    return build_expansion(asym_coeffs, run)
+    return record_build(asym_coeffs, run)
 
 
 @pytest.fixture(scope="session")
-def variable_artifact(variable_coeffs):
+def variable_chain(variable_coeffs):
     run = RunSpec(delta=0.3, n_max=4, l_range=(8, 44), outer_grid=256,
                   inner_grid=128)
-    return build_expansion(variable_coeffs, run)
+    return record_build(variable_coeffs, run)
+
+
+@pytest.fixture(scope="session")
+def uniform_artifact(uniform_chain):
+    return uniform_chain.art
+
+
+@pytest.fixture(scope="session")
+def asym_artifact(asym_chain):
+    return asym_chain.art
+
+
+@pytest.fixture(scope="session")
+def variable_artifact(variable_chain):
+    return variable_chain.art

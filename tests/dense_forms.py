@@ -172,9 +172,9 @@ def N_of_S(phase, eps, xs=None):
                      np.exp(-tau), np.exp(tau - phase.S1 / eps)])
 
 
-def interface_tables(art):
-    """Endpoint tables of an in-process artifact's outer terms, by side."""
-    mode, corr = art.mode, art.corrections
+def interface_tables(chain):
+    """Endpoint tables of a recorded build's outer terms, by side."""
+    mode, corr = chain.mode, chain.corrections
     return {-1: [mode.endpoint_minus] + [t.endpoint_minus for t in corr],
             +1: [mode.endpoint_plus] + [t.endpoint_plus for t in corr]}
 
@@ -255,6 +255,14 @@ def exact_eigenvalue(coeffs, eps, near, half_width):
     return brentq(lambda lam: np.linalg.det(matching_matrix(coeffs, eps, lam)),
                   near - half_width, near + half_width,
                   xtol=1e-14, rtol=4.0 * np.finfo(float).eps)
+
+
+def window_fe_errors(coeffs, report):
+    """(row, |lambda_oracle - exact|) for each fit-window row of a report,
+    the exact eigenvalue bracketed by a quarter of the row's gap."""
+    return [(r, abs(r["lambda_oracle"] - exact_eigenvalue(
+        coeffs, r["epsilon"], r["lambda_oracle"], 0.25 * r["gap"])))
+        for r in window_rows(report)]
 
 
 # ---------------------------------------------------------------------------

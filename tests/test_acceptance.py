@@ -22,7 +22,7 @@ from beamwkb import (build_expansion, fit_rate, hermite, inner, oracle,
 from beamwkb.model import CoefficientSet, RunSpec
 from dense_forms import (A_matrices, cheb_diff_matrix, det_g_closed_form,
                          g_matrix, log_linear_correlation,
-                         transport_solve_full, window_rows)
+                         transport_solve_full, window_fe_errors, window_rows)
 
 
 def announce(criterion, ok, detail):
@@ -72,14 +72,15 @@ def test_criterion_1_limit_eigenvalue(uniform_coeffs, beam_root):
 
 # -- criterion 2: eikonal and transport residuals ---------------------------
 
-def test_criterion_2_residuals(art):
+def test_criterion_2_residuals(uniform_chain):
+    art = uniform_chain.art
     ph = art.phase
     qv = art.coeffs.q_at(ph.nodes)
     eik = np.max(np.abs(art.coeffs.k0_at(0.0) * ph.Sp(ph.nodes) ** 4
                         - art.lambdas[0] * qv))
     eik_bound = 1e-12 * art.lambdas[0] * np.min(qv)
     D = cheb_diff_matrix(ph.nodes.size)
-    f0 = art.f_terms[0]
+    f0 = uniform_chain.f_terms[0]
     fv = f0.f_values(0)
     A = A_matrices(ph, ph.nodes)
     res = np.max(np.abs((D @ fv.T).T - np.einsum("nij,jn->in", A, fv)))
@@ -113,11 +114,12 @@ def test_criterion_3_determinant_identity():
 
 def test_criterion_4_quantization(art):
     ph = art.phase
-    l0, _ = inner.quantize(ph, art.delta, (1, art.l0 + 30))
+    delta = art.run.delta
+    l0, _ = inner.quantize(ph, delta, (1, art.l0 + 30))
     worst = 0.0
     for l in range(l0, l0 + 31):
-        gam = ph.gamma1(inner.epsilon_l(ph.S1, ph.alpha1, art.delta, l))
-        worst = max(worst, abs(gam - (art.delta + 2.0 * math.pi * l)))
+        gam = ph.gamma1(inner.epsilon_l(ph.S1, ph.alpha1, delta, l))
+        worst = max(worst, abs(gam - (delta + 2.0 * math.pi * l)))
     ok = worst <= 1e-12
     announce("4", ok, f"max |gamma(1) - (delta + 2 pi l)| = {worst:.2e} over "
                       f"l in [{l0}, {l0 + 30}]")
@@ -150,6 +152,26 @@ def test_criterion_5_rate_n2_doubled_mesh(rep_n2_doubled):
              f"mesh; drop-one spread {fit['drop_one_spread']:.2f} exposes the "
              "zero-crossing artifact of the degenerate pair")
     assert fit["slope"] >= 2.5
+
+
+@pytest.mark.parametrize("name", ["rep_n0", "rep_n1", "rep_n2_doubled"])
+def test_window_errors_exceed_fe_error_tenfold(art, name, request):
+    # the oracle's own eigenvalue error, against the exact root of the 8x8
+    # matching determinant, is at most a tenth of the truncation error it
+    # measures in every fit-window row.  The quarter-gap bracket holds
+    # although the limit eigenvalue is double: the pair splits at order
+    # eps^2, so each row's gap is 10-57.  Measured: abs_err is at least
+    # 3.5e4, 1.0e4 and 343 times the oracle error for n = 0, 1, 2
+    rep = request.getfixturevalue(name)
+    rows = window_fe_errors(art.coeffs, rep)
+    worst = max(fe_err / r["abs_err"] for r, fe_err in rows)
+    ok = len(rows) >= 4 and worst <= 0.1
+    announce(f"5 (oracle error, n={rep.n})", ok,
+             f"max oracle error / abs_err = {worst:.2e} (need <= 0.1) over "
+             f"{len(rows)} window rows")
+    assert len(rows) >= 4
+    for r, fe_err in rows:
+        assert r["abs_err"] >= 10.0 * fe_err, r["l"]
 
 
 # -- criterion 6: eigenfunction rates ------------------------------------------

@@ -43,6 +43,11 @@ def test_artifact_roundtrip(tmp_path, uniform_artifact):
     save_artifact(uniform_artifact, path)
     art2 = load_artifact(path)
     assert art2.lambdas == uniform_artifact.lambdas
+    # the loader rebuilds each side's mesh from the config, node for node
+    for key in ("outer_left", "outer_right"):
+        for got, built in zip(getattr(art2, key), getattr(uniform_artifact, key)):
+            if built is not None:
+                assert np.array_equal(got.nodes, built.nodes)
     xs = np.array([-0.7, -0.3, 0.2, 0.6])
     eps = uniform_artifact.epsilon(12)
     np.testing.assert_array_equal(
@@ -57,12 +62,16 @@ def test_artifact_roundtrip(tmp_path, uniform_artifact):
     assert path.read_bytes() == path2.read_bytes()
 
 
-def test_schema_one_artifact_rejected(tmp_path, uniform_artifact):
+@pytest.mark.parametrize("version", [1, 2])
+def test_old_schema_artifact_rejected(tmp_path, uniform_artifact, version):
+    # version 2 stored each term's mesh and a second delta; no reader for
+    # an earlier layout is kept
     data = artifact_to_dict(uniform_artifact)
-    data["schema_version"] = 1
-    path = tmp_path / "v1.json"
+    data["schema_version"] = version
+    path = tmp_path / "old.json"
     path.write_text(json.dumps(data))
-    with pytest.raises(ValueError, match="unsupported schema_version 1"):
+    with pytest.raises(ValueError,
+                       match=f"unsupported schema_version {version}"):
         load_artifact(path)
 
 
@@ -98,19 +107,22 @@ def test_outer_value_matches_per_order_sum(name, request):
                 assert np.max(np.abs(got - ref)) <= 1e-13 * scale
 
 
-def test_outer_value_rejects_terms_on_different_meshes(asym_artifact):
-    # one Hermite function per side needs one mesh per side; an artifact
-    # file whose terms disagree is refused, not summed nodewise
-    art = asym_artifact
-    v1 = art.outer_left[1]
-    moved = harness.HermiteFunction(v1.nodes * 0.999, v1.values, v1.slopes)
-    bad = dataclasses.replace(art, outer_left=[art.outer_left[0], moved,
-                                               *art.outer_left[2:]])
-    xs = np.array([-0.5, 0.5])
-    eps = art.epsilon(12)
-    bad.outer_value(xs, eps, 0)
-    with pytest.raises(ValueError, match="differ in mesh"):
-        bad.outer_value(xs, eps, 1)
+@pytest.mark.parametrize("key, field", [("outer_left", "values"),
+                                        ("outer_right", "slopes")])
+def test_outer_term_off_the_config_mesh_rejected_at_load(tmp_path,
+                                                         asym_artifact, key,
+                                                         field, capsys):
+    # every outer term of a side lives on the one mesh the config gives
+    # that side; a file whose order-1 term holds one node too many is
+    # refused when it is read, not summed nodewise with the others
+    data = artifact_to_dict(asym_artifact)
+    data[key][1][field].append(0.0)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match=rf"^{key}\[1\] holds"):
+        load_artifact(path)
+    assert cli.main(["validate", "--artifact", str(path), "--n", "1"]) == 1
+    assert f"error: ValueError: {key}[1] holds" in capsys.readouterr().err
 
 
 def test_lambda_trunc_bounds(uniform_artifact):
@@ -141,19 +153,18 @@ def test_delta_independence_of_leading_terms(uniform_coeffs):
         assert art.lambdas[2] != base.lambdas[2]
 
 
-def test_lambda2_delta_dependence_closed_form(uniform_coeffs):
+def test_lambda2_delta_dependence_closed_form(uniform_coeffs, recorded_build):
     # for constant coefficients the angle dependence is exactly
     # lambda2(delta) = lambda2(0) - (s^2 / mu) tan(delta)
-    arts = {}
-    for d in (0.0, 0.5, 1.0, 2.0):
-        run = RunSpec(delta=d, n_max=2, l_range=(6, 12), outer_grid=128,
-                      inner_grid=64)
-        arts[d] = build_expansion(uniform_coeffs, run)
-    s = arts[0.0].mode.vpp_minus0
-    mu = arts[0.0].lambdas[0] ** 0.25
-    for d, art in arts.items():
-        expect = arts[0.0].lambdas[2] - s ** 2 / mu * np.tan(d)
-        assert art.lambdas[2] == pytest.approx(expect, rel=1e-9)
+    chains = {d: recorded_build(uniform_coeffs, RunSpec(
+        delta=d, n_max=2, l_range=(6, 12), outer_grid=128, inner_grid=64))
+        for d in (0.0, 0.5, 1.0, 2.0)}
+    base = chains[0.0]
+    s = base.mode.vpp_minus0
+    mu = base.art.lambdas[0] ** 0.25
+    for d, chain in chains.items():
+        expect = base.art.lambdas[2] - s ** 2 / mu * np.tan(d)
+        assert chain.art.lambdas[2] == pytest.approx(expect, rel=1e-9)
 
 
 def test_fit_rate_contract():
@@ -238,7 +249,7 @@ def test_emit_report_csv_and_json(tmp_path, uniform_artifact):
     json_path = tmp_path / "r.json"
     emit_report(rep, "json", json_path)
     payload = json.loads(json_path.read_text())
-    assert payload["schema_version"] == 2
+    assert payload["schema_version"] == 3
     assert payload["fits"]["abs_err"]["slope"] == rep.fits["abs_err"]["slope"]
     with pytest.raises(ValueError, match="unknown report format"):
         emit_report(rep, "yaml", tmp_path / "r.yaml")

@@ -99,9 +99,14 @@ def test_eigs_near_vectors_vanish_on_clamped_dofs(asm):
     assert np.all(np.abs(vecs[asm.free]).max(axis=0) > 0.0)
 
 
+def _chain(request, name):
+    """The recorded build behind the artifact fixture ``name``."""
+    return request.getfixturevalue(name.replace("_artifact", "_chain"))
+
+
 @pytest.mark.parametrize("name", ["asym_artifact", "variable_artifact"])
 def test_pencil_apply_and_load_vector_match_add_at_scatter(name, request):
-    mode = request.getfixturevalue(name).mode
+    mode = _chain(request, name).mode
     rng = np.random.default_rng(3)
     for asm, fn in ((mode.left_asm, mode.v_left), (mode.right_asm, mode.v_right)):
         v = fn.dofs()
@@ -117,7 +122,7 @@ def test_pencil_apply_and_load_vector_match_add_at_scatter(name, request):
 
 
 def test_hermite_function_matches_all_stack_basis(variable_artifact):
-    fn = variable_artifact.mode.v_left
+    fn = variable_artifact.outer_left[0]
     xs = np.concatenate([fn.nodes, np.random.default_rng(4).uniform(
         fn.nodes[0], fn.nodes[-1], 257)])
     for deriv in range(4):
@@ -127,15 +132,15 @@ def test_hermite_function_matches_all_stack_basis(variable_artifact):
         assert fn(x0, deriv) == hermite_call_all_stacks(fn, x0, deriv)
 
 
-def test_ritz_values_at_ritz_tol_match_machine_precision(asym_artifact):
+def test_ritz_values_at_ritz_tol_match_machine_precision(asym_chain):
     # stopped at RITZ_TOL, ARPACK's Ritz values (not only the polished
     # pairs) still agree with its machine-precision default (tol=0) on
     # the same shift-invert operator: the oracle's band LU, the outer
     # chain's SuperLU
-    art = asym_artifact
+    art = asym_chain.art
     eps = art.epsilon(20)
     prob = oracle.assemble(art.coeffs, eps, art.S1)
-    left, right = art.mode.left_asm, art.mode.right_asm
+    left, right = asym_chain.mode.left_asm, asym_chain.mode.right_asm
     for asm, sigma, factor in (
             (prob.asm, art.lambda_trunc(eps, art.n_max), prob.asm.band_factor),
             (left, 0.0, left.factor),
@@ -151,10 +156,11 @@ def test_ritz_values_at_ritz_tol_match_machine_precision(asym_artifact):
         np.testing.assert_allclose(vals, ref, rtol=1e-12, atol=0)
 
 
-def _assemblies(art):
+def _assemblies(chain):
     # the outer interval assemblies and the oracle's at l = 8 and 40
-    yield art.mode.left_asm
-    yield art.mode.right_asm
+    art = chain.art
+    yield chain.mode.left_asm
+    yield chain.mode.right_asm
     for l in (8, 40):
         yield oracle.assemble(art.coeffs, art.epsilon(l), art.S1).asm
 
@@ -167,7 +173,7 @@ def test_band_store_matches_csr_assembly(name, request):
     # over all dofs and over the free block (whose corner cells hold the
     # clamped couplings)
     rng = np.random.default_rng(7)
-    for asm in _assemblies(request.getfixturevalue(name)):
+    for asm in _assemblies(_chain(request, name)):
         free = asm.free
         for band, A in zip(asm.bands, csr_forms(asm)):
             assert np.array_equal(band, band_of(A))
@@ -183,10 +189,10 @@ def test_band_store_matches_csr_assembly(name, request):
 def test_pencil_csc_matches_csr_pencil(name, request):
     # the SuperLU input: structure and values of K_ff - shift M_ff as the
     # CSR difference builds it, entries that cancel to zero dropped
-    art = request.getfixturevalue(name)
-    for asm in _assemblies(art):
+    chain = _chain(request, name)
+    for asm in _assemblies(chain):
         Kff, Mff = free_blocks(asm)
-        for shift in (0.0, art.lambdas[0]):
+        for shift in (0.0, chain.art.lambdas[0]):
             got = asm.pencil_csc(shift)
             ref = (Kff - shift * Mff).tocsc()
             ref.eliminate_zeros()

@@ -160,7 +160,7 @@ def test_epsilon_l_denominator(uniform_artifact):
     eps = inner.epsilon_l(ph.S1, ph.alpha1, 0.3, 12)
     assert eps == ph.S1 / (0.3 + 2.0 * math.pi * 12 - ph.alpha1)
     assert uniform_artifact.epsilon(12) == inner.epsilon_l(
-        ph.S1, ph.alpha1, uniform_artifact.delta, 12)
+        ph.S1, ph.alpha1, uniform_artifact.run.delta, 12)
     with pytest.raises(ValueError, match="not positive at l=1"):
         inner.epsilon_l(1.0, 2.0 * math.pi + 0.5, 0.5, 1)     # den = 0
 
@@ -170,17 +170,17 @@ def test_epsilon_l_denominator(uniform_artifact):
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("delta", [0.0, 0.3, 1.0, 2.0])
-def test_beta0_closed_form(uniform_artifact, delta):
-    ph = uniform_artifact.phase
-    s = uniform_artifact.mode.vpp_minus0
+def test_beta0_closed_form(uniform_chain, delta):
+    ph = uniform_chain.art.phase
+    s = uniform_chain.mode.vpp_minus0
     f0 = inner.solve_f0(ph, delta, s)
     np.testing.assert_allclose(f0.beta, inner.beta0_closed_form(ph, delta, s),
                                atol=1e-12 * abs(s))
 
 
-def test_beta0_delta_zero_pattern(uniform_artifact):
-    ph = uniform_artifact.phase
-    s = uniform_artifact.mode.vpp_minus0
+def test_beta0_delta_zero_pattern(uniform_chain):
+    ph = uniform_chain.art.phase
+    s = uniform_chain.mode.vpp_minus0
     f0 = inner.solve_f0(ph, 0.0, s)
     c = 0.5 * ph.at(ph.q_38, -1) * ph.at(ph.Sp, -1) ** -2 * s
     np.testing.assert_allclose(f0.beta, c * np.array([-1.0, -1.0, 1.0, -1.0]),
@@ -192,21 +192,20 @@ def test_f0_zero_for_zero_kink(uniform_artifact):
     assert np.max(np.abs(f0.f_values(0))) == 0.0
 
 
-def test_f0_boundary_system_residual(uniform_artifact):
-    ph = uniform_artifact.phase
-    s = uniform_artifact.mode.vpp_minus0
+def test_f0_boundary_system_residual(uniform_chain):
+    ph = uniform_chain.art.phase
+    s = uniform_chain.mode.vpp_minus0
     f0 = inner.solve_f0(ph, 0.3, s)
     g = np.array([ph.at(ph.q_38, -1) * ph.at(ph.Sp, -1) ** -2 * s, 0.0, 0.0, 0.0])
     res = inner.g_delta_matrix(0.3) @ f0.beta - g
     assert np.max(np.abs(res)) < 1e-12 * abs(s)
 
 
-def test_transport_residuals_all_orders(variable_artifact):
-    art = variable_artifact
-    ph = art.phase
+def test_transport_residuals_all_orders(variable_chain):
+    ph = variable_chain.art.phase
     D = cheb_diff_matrix(ph.nodes.size)
     A = A_matrices(ph, ph.nodes)
-    for f in art.f_terms:
+    for f in variable_chain.f_terms:
         fv = f.f_values(0)
         res = (D @ fv.T).T - np.einsum("nij,jn->in", A, fv) - w_values(f, 0)
         scale = max(np.max(np.abs(fv)), 1.0)
@@ -214,20 +213,18 @@ def test_transport_residuals_all_orders(variable_artifact):
         assert np.max(np.abs(f.h[:, 0])) == 0.0      # h(-1) = 0
 
 
-def test_derivative_stacks_match_spectral(variable_artifact):
-    art = variable_artifact
-    ph = art.phase
+def test_derivative_stacks_match_spectral(variable_chain):
+    ph = variable_chain.art.phase
     D = cheb_diff_matrix(ph.nodes.size)
-    for f in art.f_terms[:3]:
+    for f in variable_chain.f_terms[:3]:
         fv = f.f_values(0)
         np.testing.assert_allclose(f.f_values(1), (D @ fv.T).T,
                                    atol=1e-8 * max(1.0, np.max(np.abs(fv))))
 
 
-def test_transport_general_path_reproduces_f0(uniform_artifact):
-    art = uniform_artifact
-    ph = art.phase
-    s = art.mode.vpp_minus0
+def test_transport_general_path_reproduces_f0(uniform_chain):
+    ph = uniform_chain.art.phase
+    s = uniform_chain.mode.vpp_minus0
     f0 = inner.solve_f0(ph, 0.0, s)
     sigma = np.array([ph.at(ph.Sp, -1) ** -2 * s, 0.0, 0.0, 0.0])
     y = inner.transport_solve(ph, 0.0, sigma, w_stack=None)
@@ -298,35 +295,36 @@ def test_eikonal_cancellation_generic(vphase):
     assert np.max(np.abs(out)) < 1e-9
 
 
-def test_transport_operator_annihilates_f0(uniform_artifact):
+def test_transport_operator_annihilates_f0(uniform_chain):
     # (O_1 - lam1 q) f_0 = chi_1 = 0
-    art = uniform_artifact
+    art = uniform_chain.art
     ph = art.phase
-    f0 = art.f_terms[0]
+    f0 = uniform_chain.f_terms[0]
     out = inner.apply_order_operator(ph, 1, f0)
     qv = ph.coeffs.q_at(ph.nodes)
     out = out - art.lambdas[1] * qv[None, :] * f0.f_values(0)
     assert np.max(np.abs(out)) < 1e-9 * np.max(np.abs(f0.f_values(0))) * art.lambdas[1]
 
 
-def test_chi_zero_below_two(uniform_artifact):
-    art = uniform_artifact
+def test_chi_zero_below_two(uniform_chain):
+    art = uniform_chain.art
     for s in (0, 1):
-        chi = inner.assemble_chi(art.phase, s, art.f_terms, art.lambdas)
+        chi = inner.assemble_chi(art.phase, s, uniform_chain.f_terms,
+                                 art.lambdas)
         assert np.max(np.abs(chi)) == 0.0
 
 
-def test_chi_constant_coefficient_hand_expansion(uniform_artifact):
+def test_chi_constant_coefficient_hand_expansion(uniform_chain):
     # constant data: O_2 = 6 mu^2 T^2 d^2, O_3 = 4 mu^3 T d, O_4 = d^4,
     # with mu = S' = lam0^(1/4); checked at five spot nodes
-    art = uniform_artifact
+    art = uniform_chain.art
     ph = art.phase
     n = ph.nodes.size
     D = cheb_diff_matrix(n)
-    f0, f1 = art.f_terms[0], art.f_terms[1]
+    f0, f1 = uniform_chain.f_terms[0], uniform_chain.f_terms[1]
     lam = art.lambdas + [4621.0]          # synthetic lambda_3 for the check
     mu = art.lambdas[0] ** 0.25
-    chi3 = inner.assemble_chi(ph, 3, art.f_terms, lam)
+    chi3 = inner.assemble_chi(ph, 3, uniform_chain.f_terms, lam)
     d1_f0 = (D @ f0.f_values(0).T).T
     d2_f1 = (D @ (D @ f1.f_values(0).T)).T
     hand = -(6.0 * mu ** 2 * (T_POWERS[2] @ d2_f1) - lam[2] * f1.f_values(0)
@@ -394,11 +392,11 @@ def test_talg_apply_matches_per_call_evaluation(vphase):
                                   talg_apply_per_call(mat, vphase.nodes, vec))
 
 
-def test_cheb_antideriv_values_matches_loop(uphase, vphase, variable_artifact):
+def test_cheb_antideriv_values_matches_loop(uphase, vphase, variable_chain):
     # the phase integrands, the grid functions and the transport integrands
     cases = [(vals, ph.nodes) for ph in (uphase, vphase)
              for vals in (ph.Sp(ph.nodes), ph.theta(ph.nodes), ph.S, ph.alpha)]
-    for term in variable_artifact.f_terms[1:]:
+    for term in variable_chain.f_terms[1:]:
         cases += [(vals, vphase.nodes)
                   for vals in vphase.phi_inv_apply(w_values(term, 0))]
     for vals, nodes in cases:
@@ -430,13 +428,13 @@ def test_phase_at_matches_point_evaluation(uniform_artifact, asym_artifact,
                 assert np.float64(ph.at(qf, side)).tobytes() == qf(x)[0].tobytes()
 
 
-def test_w_stack_matches_direct_chi_sum(variable_artifact):
+def test_w_stack_matches_direct_chi_sum(variable_chain):
     # w^(r) = sum_u C(r, u) (S'^-3)^(u) T^3 chi_s^(r-u) / (4 k0(0)), summed
     # here from fresh chi assemblies and fresh coefficient derivatives
-    art = variable_artifact
-    ph = art.phase
+    ph = variable_chain.art.phase
     s = 3
-    f_terms, lambdas = art.f_terms[:s - 1], art.lambdas[:s + 1]
+    f_terms = variable_chain.f_terms[:s - 1]
+    lambdas = variable_chain.art.lambdas[:s + 1]
     w_stack = inner.make_w_stack(ph, s, f_terms, lambdas)
     for r in range(3):
         acc = np.zeros((4, ph.nodes.size))
@@ -458,27 +456,28 @@ def test_order_operator_vanishes_beyond_taylor_depth(vphase):
     assert inner.order_operator(vphase, deg + 4) == []
 
 
-def test_chi_needs_lower_terms(variable_artifact):
+def test_chi_needs_lower_terms(variable_chain):
     # lambda_0..lambda_4 are all there: only the absent f_2 can stop chi_4
-    art = variable_artifact
+    art = variable_chain.art
     with pytest.raises(inner.MissingDataError, match="needs f_"):
-        inner.assemble_chi(art.phase, 4, art.f_terms[:1], art.lambdas)
+        inner.assemble_chi(art.phase, 4, variable_chain.f_terms[:1],
+                           art.lambdas)
 
 
 # ---------------------------------------------------------------------------
 # interface quantities
 # ---------------------------------------------------------------------------
 
-def test_interface_quantities_low_orders(uniform_artifact):
-    art = uniform_artifact
-    ph = art.phase
-    iq0 = interface_quantities(ph, 0, art.f_terms, interface_tables(art))
+def test_interface_quantities_low_orders(uniform_chain):
+    chain = uniform_chain
+    ph = chain.art.phase
+    iq0 = interface_quantities(ph, 0, chain.f_terms, interface_tables(chain))
     for key, val in iq0.items():
         assert np.max(np.abs(np.atleast_1d(val))) == 0.0
-    iq1 = interface_quantities(ph, 1, art.f_terms, interface_tables(art))
+    iq1 = interface_quantities(ph, 1, chain.f_terms, interface_tables(chain))
     assert iq1["F_minus"] == 0.0 and iq1["F_plus"] == 0.0
     # D_1 = 2 S' T^3 f0' + S'' T^3 f0 at both traces
-    f0 = art.f_terms[0]
+    f0 = chain.f_terms[0]
     for side, key in ((-1, "D_minus"), (+1, "D_plus")):
         idx = 0 if side == -1 else -1
         sp = ph.at(ph.Sp, side)
@@ -488,39 +487,42 @@ def test_interface_quantities_low_orders(uniform_artifact):
         np.testing.assert_allclose(iq1[key], hand, atol=1e-10)
 
 
-def test_f2_interface_is_third_derivative(uniform_artifact):
-    art = uniform_artifact
-    iq2 = interface_quantities(art.phase, 2, art.f_terms, interface_tables(art))
-    assert iq2["F_minus"] == pytest.approx(art.mode.vppp_minus0, rel=1e-12)
+def test_f2_interface_is_third_derivative(uniform_chain):
+    chain = uniform_chain
+    iq2 = interface_quantities(chain.art.phase, 2, chain.f_terms,
+                               interface_tables(chain))
+    assert iq2["F_minus"] == pytest.approx(chain.mode.vppp_minus0, rel=1e-12)
 
 
-def test_phi_coords_of_f0_is_beta(variable_artifact):
+def test_phi_coords_of_f0_is_beta(variable_chain):
     # h = 0 for the homogeneous leading problem, so the fundamental-matrix
     # coordinates at -1 are beta itself; feeds the order-4 interface sums
-    art = variable_artifact
-    f0 = art.f_terms[0]
+    art = variable_chain.art
+    f0 = variable_chain.f_terms[0]
     np.testing.assert_allclose(f0.phi_coords(0, -1), f0.beta, rtol=1e-14)
     qm = art.phase.at(art.phase.q_m38, -1)
     inner_V4 = qm * float(np.dot(f0.beta, inner.N_MINUS))
-    bd = inner.boundary_data(4, interface_tables(art), art.phase, art.f_terms,
-                             art.delta)
+    tables = interface_tables(variable_chain)
+    bd = inner.boundary_data(4, tables, art.phase, variable_chain.f_terms,
+                             art.run.delta)
     # the inner trace enters V_4(-0) on top of the outer Taylor shift
-    tabs = interface_tables(art)[-1]
+    tabs = tables[-1]
     taylor = sum((-1.0) ** j / math.factorial(j) * tabs[4 - j][j]
                  for j in range(1, 5))
     assert bd["V_minus"] == pytest.approx(inner_V4 - taylor, rel=1e-10)
 
 
-def test_boundary_data_range_check(variable_artifact):
-    art = variable_artifact
-    tables = interface_tables(art)
+def test_boundary_data_range_check(variable_chain):
+    phase, f_terms = variable_chain.art.phase, variable_chain.f_terms
+    delta = variable_chain.art.run.delta
+    tables = interface_tables(variable_chain)
     cut = {side: tabs[:3] for side, tabs in tables.items()}
     with pytest.raises(inner.MissingDataError,
                        match="side -1 outer table of order 3"):
-        inner.boundary_data(4, cut, art.phase, art.f_terms, art.delta)
+        inner.boundary_data(4, cut, phase, f_terms, delta)
     # an absent inner term raises too instead of counting as zero
     with pytest.raises(inner.MissingDataError, match="need f_2"):
-        inner.boundary_data(4, tables, art.phase, art.f_terms[:2], art.delta)
+        inner.boundary_data(4, tables, phase, f_terms[:2], delta)
 
 
 # ---------------------------------------------------------------------------
@@ -530,11 +532,11 @@ def test_boundary_data_range_check(variable_artifact):
 def test_trace_vectors_at_quantized_eps(uniform_artifact):
     art = uniform_artifact
     ph = art.phase
-    eps = inner.epsilon_l(ph.S1, ph.alpha1, art.delta, 12)
+    eps = inner.epsilon_l(ph.S1, ph.alpha1, art.run.delta, 12)
     N = N_of_S(ph, eps, np.array([-1.0, 1.0]))
     np.testing.assert_allclose(N[:, 0], [1.0, 0.0, 1.0, 0.0], atol=1e-10)
     g1 = ph.gamma1(eps)
-    expect = [math.cos(art.delta), math.sin(art.delta), 0.0, 1.0]
+    expect = [math.cos(art.run.delta), math.sin(art.run.delta), 0.0, 1.0]
     # N carries S/eps, not gamma: rotate by alpha(1) via the identity instead
     gam = g1
     np.testing.assert_allclose(
@@ -558,12 +560,13 @@ def _pairs(art):
     return list(zip(art.f_beta, art.f_h))
 
 
-def _direct_inner(ph, f_terms, eps, xi):
-    """The literal sum eps^4 sum eps^i <Phi c_i, N(xi, S/eps)>, barycentric."""
+def _direct_inner(ph, pairs, eps, xi):
+    """The literal sum eps^4 sum eps^i <Phi c_i, N(xi, S/eps)>, barycentric,
+    over the (beta_i, h_i) pairs."""
     direct = np.zeros_like(xi)
     N = N_of_S(ph, eps, xi)
-    for i, f in enumerate(f_terms):
-        c = f.beta[:, None] + barycentric_eval(ph.nodes, f.h, xi)
+    for i, (beta, h) in enumerate(pairs):
+        c = beta[:, None] + barycentric_eval(ph.nodes, h, xi)
         fv = phi_apply_at(ph, c, xi)
         direct += eps ** (4 + i) * np.einsum("in,in->n", fv, N)
     return direct
@@ -576,16 +579,15 @@ def test_evaluate_inner_matches_direct_form(uniform_artifact):
     ph = art.phase
     xi = np.linspace(-0.99, 0.99, 57)
     eps = 0.09
-    direct = _direct_inner(ph, art.f_terms, eps, xi)
+    direct = _direct_inner(ph, _pairs(art), eps, xi)
     vals = inner.evaluate_inner(ph, _pairs(art), eps, xi)
     np.testing.assert_allclose(vals, direct, rtol=0, atol=1e-13 * eps ** 4)
 
 
 def _grid_rows(art):
     """[S, alpha, h_0..h_n] stacked, as evaluate_inner reads them."""
-    rows = np.vstack([art.phase.S, art.phase.alpha] +
-                     [f.h for f in art.f_terms])
-    assert np.max(np.abs(art.f_terms[-1].h)) > 0.0
+    rows = np.vstack([art.phase.S, art.phase.alpha] + art.f_h)
+    assert np.max(np.abs(art.f_h[-1])) > 0.0
     return rows, np.max(np.abs(rows), axis=1, keepdims=True)
 
 
@@ -638,6 +640,6 @@ def test_evaluate_inner_at_grid_nodes_matches_direct_form(variable_artifact):
     xi = np.concatenate([ph.nodes[[0, 1, 31, 63, 64, 96, 126, 127]],
                          [-0.5, 0.2, 0.7]])
     eps = 0.09
-    direct = _direct_inner(ph, art.f_terms, eps, xi)
+    direct = _direct_inner(ph, _pairs(art), eps, xi)
     vals = inner.evaluate_inner(ph, _pairs(art), eps, xi)
     np.testing.assert_allclose(vals, direct, rtol=0.0, atol=1e-13 * eps ** 4)

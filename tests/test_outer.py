@@ -7,7 +7,7 @@ from numpy.polynomial import polynomial as P
 from scipy.optimize import brentq
 from scipy.sparse.linalg import SuperLU
 
-from beamwkb import build_expansion, hermite, inner, outer
+from beamwkb import hermite, inner, outer
 from beamwkb.model import CoefficientSet
 from dense_forms import correction_residual, csr_forms, inner_product
 
@@ -109,14 +109,15 @@ def test_compute_lambda1_examples(uniform_mode, closed_form_mode):
     assert lam1 == pytest.approx(closed_form_mode["vpp"] ** 2, rel=2e-7)
 
 
-def test_first_order_term_contract(uniform_coeffs, uniform_artifact):
+def test_first_order_term_contract(uniform_coeffs, uniform_artifact,
+                                   recorded_build):
     # the chain's order-1 term: zero value and kink-matched slope at the
     # interface, p-orthogonal to v0, zero on the resonant right interval.
     # Grid 128: the discrete residual floor scales with the stiffness
     # norm, and at this resolution it sits well below the contract tolerance
-    art = build_expansion(uniform_coeffs, dataclasses.replace(
+    chain = recorded_build(uniform_coeffs, dataclasses.replace(
         uniform_artifact.run, n_max=1, outer_grid=128))
-    mode, t1 = art.mode, art.corrections[0]
+    mode, t1 = chain.mode, chain.corrections[0]
     assert t1.order == 1
     assert t1.v_left(0.0, 1) - mode.vpp_minus0 == pytest.approx(0.0, abs=1e-10)
     assert abs(t1.v_left(0.0)) < 1e-12
@@ -128,25 +129,47 @@ def test_first_order_term_contract(uniform_coeffs, uniform_artifact):
     assert np.all(t1.v_right.values == 0.0)
 
 
-def test_lambda1_has_one_value(uniform_artifact):
+def test_lambda1_has_one_value(uniform_artifact, recorded_build):
     # k0(0) = 1.5: the solvability value of the order-1 data and
     # compute_lambda1 are one formula, so they agree bit for bit
     run = dataclasses.replace(uniform_artifact.run, n_max=1)
-    art = build_expansion(CoefficientSet(a=-1.0, b=0.8, k0=(1.5,)), run)
-    lam1 = outer.compute_lambda1(art.mode)
-    assert art.lambdas[1] == art.corrections[0].lambda_i == lam1
+    chain = recorded_build(CoefficientSet(a=-1.0, b=0.8, k0=(1.5,)), run)
+    art = chain.art
+    lam1 = outer.compute_lambda1(chain.mode)
+    assert art.lambdas[1] == chain.corrections[0].lambda_i == lam1
     assert art.diagnostics["lambda1"] == lam1
+
+
+def _holds_superlu(obj, seen):
+    """Whether a SuperLU is reachable from obj through containers and
+    instance attributes."""
+    if id(obj) in seen:
+        return False
+    seen.add(id(obj))
+    if isinstance(obj, SuperLU):
+        return True
+    if isinstance(obj, dict):
+        items = obj.values()
+    elif isinstance(obj, (list, tuple)):
+        items = obj
+    elif hasattr(obj, "__dict__") and not isinstance(obj, type):
+        items = vars(obj).values()
+    else:
+        return False
+    return any(_holds_superlu(v, seen) for v in items)
 
 
 def test_correction_chain_factors_each_pencil_once(asym_coeffs,
                                                    asym_artifact,
                                                    uniform_coeffs,
                                                    uniform_artifact,
+                                                   recorded_build,
                                                    monkeypatch):
     # per build: on each interval one LU for ARPACK's shift-invert and two
     # polish LUs for the three-point pair, then one bordered LU on (a, 0)
     # and one LU on (0, b) shared by every order; the resonant uniform
-    # beam never solves on (0, b).  The LUs live only in the build.
+    # beam never solves on (0, b).  The LUs live only in the build: the
+    # artifact and the three-point mode hold none.
     splu = scipy.sparse.linalg.splu
     calls = []
 
@@ -161,9 +184,11 @@ def test_correction_chain_factors_each_pencil_once(asym_coeffs,
             (asym_coeffs, asym_artifact.run, 3, 8),
             (uniform_coeffs, uniform_artifact.run, 2, 7)):
         calls.clear()
-        art = build_expansion(coeffs, dataclasses.replace(run, n_max=n_max))
+        chain = recorded_build(coeffs, dataclasses.replace(run, n_max=n_max))
         assert len(calls) == want, (n_max, calls)
-        assert not any(isinstance(v, SuperLU) for v in vars(art.mode).values())
+        assert not _holds_superlu(vars(chain.art), set())
+        assert not any(isinstance(v, SuperLU)
+                       for v in vars(chain.mode).values())
 
 
 def test_endpoint_recurrence_manufactured():
@@ -188,22 +213,22 @@ def test_endpoint_recurrence_manufactured():
     np.testing.assert_allclose(tab, exact, atol=1e-12)
 
 
-def test_boundary_data_low_orders(uniform_artifact):
-    art = uniform_artifact
-    mode, phase = art.mode, art.phase
+def test_boundary_data_low_orders(uniform_chain):
+    mode, phase = uniform_chain.mode, uniform_chain.art.phase
+    delta = uniform_chain.art.run.delta
     tables = {-1: [mode.endpoint_minus], +1: [mode.endpoint_plus]}
-    bd0 = inner.boundary_data(0, tables, phase, [], art.delta)
+    bd0 = inner.boundary_data(0, tables, phase, [], delta)
     assert bd0 == {"V_minus": 0.0, "W_minus": 0.0, "V_plus": 0.0, "W_plus": 0.0}
     # the chain's order-1 step relies on these being exact
-    bd1 = inner.boundary_data(1, tables, phase, [], art.delta)
+    bd1 = inner.boundary_data(1, tables, phase, [], delta)
     assert bd1 == {"V_minus": 0.0, "W_minus": mode.vpp_minus0,
                    "V_plus": 0.0, "W_plus": 0.0}
 
 
-def test_boundary_data_pure_outer_sums(uniform_artifact):
+def test_boundary_data_pure_outer_sums(uniform_chain):
     # the outer part of V2, W2 at x = 0-: the Taylor shift of v0, v1
-    art = uniform_artifact
-    t0, t1 = art.mode.endpoint_minus, art.corrections[0].endpoint_minus
+    chain = uniform_chain
+    t0, t1 = chain.mode.endpoint_minus, chain.corrections[0].endpoint_minus
     tables = [t0, t1]
     assert inner.taylor_shift(tables, -1, 2, 1, 0) == pytest.approx(
         -t1[1] + 0.5 * t0[2], rel=1e-12)
@@ -227,8 +252,8 @@ def test_solve_correction_homogeneous_is_zero(uniform_mode):
     assert np.max(np.abs(term.v_left.slopes)) < 1e-9
 
 
-def test_correction_interface_values_imposed(asym_artifact):
-    for term in asym_artifact.corrections:
+def test_correction_interface_values_imposed(asym_chain):
+    for term in asym_chain.corrections:
         tab = term.endpoint_minus
         assert term.v_left(0.0) == pytest.approx(tab[0], abs=1e-10)
         assert term.v_left(0.0, 1) == pytest.approx(tab[1], abs=1e-10)
@@ -236,44 +261,43 @@ def test_correction_interface_values_imposed(asym_artifact):
             tab = term.endpoint_plus
             assert term.v_right(0.0) == pytest.approx(tab[0], abs=1e-10)
             assert term.v_right(0.0, 1) == pytest.approx(tab[1], abs=1e-10)
-            b = asym_artifact.coeffs.b
+            b = asym_chain.art.coeffs.b
             assert abs(term.v_right(b)) < 1e-10
             assert abs(term.v_right(b, 1)) < 1e-10
 
 
-def test_correction_orthogonality_and_residual(asym_artifact):
-    art = asym_artifact
-    mode = art.mode
+def test_correction_orthogonality_and_residual(asym_chain):
+    mode, corrections = asym_chain.mode, asym_chain.corrections
     one = lambda x: np.ones_like(x)
-    for i, term in enumerate(art.corrections):
+    for i, term in enumerate(corrections):
         orth = inner_product(mode.left_asm.nodes, term.v_left,
                              mode.v_left, weight_fn=one)
         assert abs(orth) < 1e-10
-        res = correction_residual(mode, art.corrections[:i], term,
-                                  art.lambdas)
+        res = correction_residual(mode, corrections[:i], term,
+                                  asym_chain.art.lambdas)
         assert res < 2e-7
         assert abs(term.solvability_residual) < 1e-4
 
 
-def test_uniform_right_resonance_skip(uniform_artifact):
+def test_uniform_right_resonance_skip(uniform_chain):
     # order 2 carries nonzero slope data into the resonant right interval
-    t2 = uniform_artifact.corrections[1]
-    assert uniform_artifact.mode.degenerate_right
+    t2 = uniform_chain.corrections[1]
+    assert uniform_chain.mode.degenerate_right
     assert t2.v_right is None
     assert "resonant" in t2.right_skip_reason
     # while order 1 has zero data and the zero solution
-    t1 = uniform_artifact.corrections[0]
+    t1 = uniform_chain.corrections[0]
     assert t1.v_right is not None
     assert np.all(t1.v_right.values == 0.0)
 
 
-def test_lambda2_closed_form_uniform(uniform_artifact):
+def test_lambda2_closed_form_uniform(uniform_chain):
     # hand-reduced order-2 solvability data for constant coefficients:
     # V2(-0) = s/2, W2(-0) = -s/mu (1 + tan delta) + v1''(-0) - t/2
-    art = uniform_artifact
-    s = art.mode.vpp_minus0
-    t = art.mode.vppp_minus0
-    w = float(art.corrections[0].endpoint_minus[2])
+    art = uniform_chain.art
+    s = uniform_chain.mode.vpp_minus0
+    t = uniform_chain.mode.vppp_minus0
+    w = float(uniform_chain.corrections[0].endpoint_minus[2])
     mu = art.lambdas[0] ** 0.25
     lam2_hand = s * (-(s / mu) + w - 0.5 * t) - t * (s / 2.0)
     assert art.lambdas[2] == pytest.approx(lam2_hand, rel=1e-12)
@@ -282,7 +306,7 @@ def test_lambda2_closed_form_uniform(uniform_artifact):
 def test_symmetry_and_nonnegative_spectrum(uniform_coeffs):
     cset = CoefficientSet(a=-1.0, b=1.0, k0=(1.0, 0.2), k1=(0.1,),
                           k2=(0.3,), p=(1.0,), q=(1.0,))
-    asm = outer._interval_assembly(cset, cset.a, 0.0, 64)
+    asm = outer._interval_assembly(cset, np.linspace(cset.a, 0.0, 65))
     K = csr_forms(asm)[0].toarray()
     assert np.max(np.abs(K - K.T)) / np.max(np.abs(K)) < 1e-14
     vals, _ = hermite.eigs_near(asm, 0.0, asm.factor, k=6)
