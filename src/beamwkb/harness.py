@@ -323,7 +323,7 @@ def compare_eigenfunction(art: ExpansionArtifact, prob, result, eps, n):
     xg, wg = hermite.gauss_points(prob.nodes)
     xf = xg.ravel()
     wf = wg.ravel()
-    u = result.eigenfunction(xf)
+    u = result.eigenfunction.gauss_values().ravel()
     left = xf < -eps
     right = xf > eps
     mid = ~(left | right)

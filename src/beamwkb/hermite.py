@@ -11,9 +11,11 @@ together with the factorizations of the free block of the pencil
 K - lambda M.  Both forms have half-bandwidth MASS_BANDWIDTH = 3 and are
 kept once, in one LAPACK band store over all dofs that every product
 (summed in CSR order) and factorization reads.  The free block is its
-column slice: the oracle's shifted band LU (dgbtrf), the banded Cholesky
-of the mass block, ARPACK's mass operator.  The outer chain keeps SuperLU
-of a CSC copy (``factor``), whose rounding its lambda_i digest pins.
+column slice: the shifted band LU (dgbtrf) and the banded Cholesky
+M_ff = U^T U of the mass block.  ``eigs_near`` runs ARPACK in standard
+form on U (K_ff - sigma M_ff)^-1 U^T, so it makes no mass product.  The
+outer chain keeps SuperLU of a CSC copy (``factor``) and its own
+generalized eigensolve, whose rounding its lambda_i digest pins.
 
 Element matrices are accumulated in extended precision: the 1/h^3
 stiffness scaling otherwise pollutes eigenvalues near the 1e-9 relative
@@ -32,12 +34,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.blas import dtbmv, dtbsv
 
 from .model import eval_coefficient
 
@@ -87,17 +90,20 @@ def gauss_points(nodes):
     return xg, wg
 
 
-def _basis_blocks(h):
-    """Per-element basis derivative arrays (n_elem, 4, N_GAUSS) in x-space."""
-    n = h.size
-    ones = np.ones(n, dtype=h.dtype)
-    scale0 = np.stack([ones, h, ones, h], axis=1)
-    B0 = scale0[:, :, None] * _PHI.astype(h.dtype)[None, :, :]
-    scale1 = np.stack([1.0 / h, ones, 1.0 / h, ones], axis=1)
-    B1 = scale1[:, :, None] * _DPHI.astype(h.dtype)[None, :, :]
-    scale2 = np.stack([1.0 / h**2, 1.0 / h, 1.0 / h**2, 1.0 / h], axis=1)
-    B2 = scale2[:, :, None] * _DDPHI.astype(h.dtype)[None, :, :]
-    return B0, B1, B2
+# x-space scale of each shape function's deriv-th derivative, deriv = 0..2
+_SCALES = (
+    lambda h, one: (one, h, one, h),
+    lambda h, one: (1.0 / h, one, 1.0 / h, one),
+    lambda h, one: (1.0 / h**2, 1.0 / h, 1.0 / h**2, 1.0 / h),
+)
+
+
+def _basis_block(h, deriv):
+    """Per-element deriv-th basis derivative array (n_elem, 4, N_GAUSS)
+    in x-space."""
+    scale = np.stack(_SCALES[deriv](h, np.ones(h.size, dtype=h.dtype)), axis=1)
+    table = (_PHI, _DPHI, _DDPHI)[deriv]
+    return scale[:, :, None] * table.astype(h.dtype)[None, :, :]
 
 
 @dataclass
@@ -215,7 +221,10 @@ class Assembly:
         return float(self._quad_form(self.Me, v, v if w is None else w))
 
     def rayleigh(self, v):
-        return float(self._quad_form(self.Ke, v, v) / self._quad_form(self.Me, v, v))
+        """v^T K v / v^T M v, both forms in extended precision."""
+        ve = np.asarray(v, dtype=np.longdouble)[self.edof()]
+        return float(np.einsum("ei,eij,ej->", ve, self.Ke, ve)
+                     / np.einsum("ei,eij,ej->", ve, self.Me, ve))
 
     def pencil_apply(self, v, lam, load=None):
         """K v - lam M v (- load) over all dofs, accumulated in extended precision."""
@@ -253,11 +262,12 @@ def assemble(nodes, k0_fn, k1_fn, k2_fn, weight_fn):
         raise ValueError("nodes must be strictly increasing")
     xg, _ = gauss_points(nodes)
     wg = h[:, None] * _GW.astype(np.longdouble)[None, :]
-    B0, B1, B2 = _basis_blocks(h)
+    B0, B2 = _basis_block(h, 0), _basis_block(h, 2)
 
     k0g = k0_fn(xg).astype(np.longdouble) * wg
     Ke = np.einsum("eg,eig,ejg->eij", k0g, B2, B2)
     if k1_fn is not None:
+        B1 = _basis_block(h, 1)
         k1g = k1_fn(xg).astype(np.longdouble) * wg
         Ke += np.einsum("eg,eig,ejg->eij", k1g, B1, B1)
     if k2_fn is not None:
@@ -327,6 +337,18 @@ class HermiteFunction:
         out = np.sum(coef * phi, axis=0) * pow_h
         return out[()] if np.ndim(x) == 0 else out
 
+    def gauss_values(self):
+        """Values at the Gauss points of its own mesh, (n_elem, N_GAUSS).
+
+        Nodal values and h-scaled slopes against the reference table
+        ``_PHI``: no point is located or mapped back to [0, 1], so it
+        agrees with ``self(gauss_points(self.nodes)[0])`` to round-off.
+        """
+        h = np.diff(self.nodes)
+        coef = np.stack([self.values[:-1], h * self.slopes[:-1],
+                         self.values[1:], h * self.slopes[1:]], axis=1)
+        return coef @ _PHI
+
     def scaled(self, factor):
         return HermiteFunction(self.nodes, self.values * factor, self.slopes * factor)
 
@@ -336,8 +358,7 @@ def load_vector(nodes, rhs_fn):
     nodes = np.asarray(nodes, float)
     h = np.diff(nodes)
     xg, wg = gauss_points(nodes)
-    B0, _, _ = _basis_blocks(h)
-    fe = np.einsum("eg,eig->ei", rhs_fn(xg) * wg, B0)
+    fe = np.einsum("eg,eig->ei", rhs_fn(xg) * wg, _basis_block(h, 0))
     return _scatter(fe, 2 * nodes.size)
 
 
@@ -349,40 +370,50 @@ class EigenConvergenceError(RuntimeError):
     """Shift-invert iteration failed to converge near the requested target."""
 
 
-def eigs_near(asm: Assembly, sigma, factor, k=6):
+def eigs_near(asm: Assembly, sigma, k=6):
     """Ritz pairs of the clamped pencil nearest to sigma, unpolished.
 
-    ARPACK shift-invert with a deterministic all-ones start vector.  The
-    iteration stops once each Ritz pair of the inverted operator has a
-    residual below RITZ_TOL times its Ritz value.  The pencil is
-    symmetric, so the Ritz value error is of the order of the squared
-    residual: on the oracle pencils the values still match a tol=0 solve
-    to about 1e-15 relative.  ARPACK's default (tol=0, machine precision
-    on all k pairs) costs about 60 % more shift-invert solves at k = 4,
-    for digits that only gaps and flanks read; a caller polishes every
-    pair it reports.
+    The spectral transformation in standard form (Ericsson & Ruhe, Math.
+    Comp. 35, 1980; ARPACK Users' Guide, section 3.2): with the banded
+    Cholesky factor M_ff = U^T U, the operator OP = U (K_ff - sigma
+    M_ff)^-1 U^T is symmetric, and its eigenvalues theta = 1 / (lambda -
+    sigma) are largest in magnitude next to sigma.  ARPACK runs in its
+    standard mode on OP; each step is one band solve (``band_factor``)
+    and two triangular band products (BLAS dtbmv), and no mass product.
+    The eigenvectors come back as x = U^-1 y (dtbsv), M-orthonormal.
 
-    ``factor`` (``asm.band_factor`` or ``asm.factor``) maps sigma to
-    ARPACK's shift-invert solve; the mass operator is the band product.
+    ARPACK starts from a deterministic all-ones vector and stops once each
+    Ritz pair of OP has a residual below RITZ_TOL times its Ritz value.
+    The operator is symmetric, so the Ritz value error is of the order of
+    the squared residual: on the oracle pencils the values still match a
+    tol=0 solve to about 1e-15 relative.  ARPACK's default (tol=0, machine
+    precision on all k pairs) costs about 60 % more steps at k = 4, for
+    digits that only gaps and flanks read; a caller polishes every pair
+    it reports.
 
     Returns (values ascending, vectors as columns in full dof numbering,
     zero on the clamped dofs).
     """
-    Kf, Mf = asm.bands[..., asm.free]
-    n = Kf.shape[1]
-    v0 = np.ones(n) / np.sqrt(n)
-    K, M, opinv = (spla.LinearOperator((n, n), matvec=f, dtype=float)
-                   for f in (partial(asm.product, Kf),
-                             partial(asm.product, Mf), factor(sigma)))
+    bw, U = MASS_BANDWIDTH, asm._mass_cholesky
+    solve = asm.band_factor(sigma)
+    n = U.shape[1]
+
+    def op(y):
+        return dtbmv(bw, U, solve(dtbmv(bw, U, y, trans=1)))
+
     try:
-        vals, vecs = spla.eigsh(K, k=min(k, n - 2), M=M, sigma=sigma,
-                                which="LM", v0=v0, tol=RITZ_TOL, OPinv=opinv)
+        theta, y = spla.eigsh(
+            spla.LinearOperator((n, n), matvec=op, dtype=float),
+            k=min(k, n - 2), which="LM", v0=np.ones(n) / np.sqrt(n),
+            tol=RITZ_TOL)
     except spla.ArpackNoConvergence as exc:
         raise EigenConvergenceError(
             f"shift-invert failed to converge at sigma={sigma!r}") from exc
+    vals = sigma + 1.0 / theta
     order = np.argsort(vals)
     out_vecs = np.zeros((asm.ndof, vals.size))
-    out_vecs[asm.free] = vecs[:, order]
+    for col, j in enumerate(order):
+        out_vecs[asm.free, col] = dtbsv(bw, U, y[:, j])
     return vals[order], out_vecs
 
 

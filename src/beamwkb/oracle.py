@@ -5,9 +5,12 @@ discretization of the clamped eigenvalue problem with the concentrated
 density eps^-8 q(x/eps) on (-eps, eps), mesh nodes aligned exactly at
 +-eps, and ARPACK shift-invert targeting; the reported eigenpair is
 polished to an extended-precision Rayleigh quotient.  A row builds no
-sparse matrix: it factors only by LAPACK band LU (``Assembly.band_factor``),
-one at the target for ARPACK's shift-invert operator and one per polish
-step, and every product is the band product.
+sparse matrix: it factors by LAPACK band LU (``Assembly.band_factor``),
+one at the target for the standard-form shift-invert operator on the
+banded mass Cholesky (``hermite.eigs_near``) and one per polish step.
+Its mass norm is computed once, for the polished vector, and its
+eigenfunction is tabulated at the Gauss points of its own mesh
+(``HermiteFunction.gauss_values``) rather than located point by point.
 """
 
 from __future__ import annotations
@@ -51,15 +54,15 @@ class DiscreteProblem:
     def weighted_norm(self, dofs):
         return math.sqrt(self.asm.mass(dofs))
 
-    def residual_norm(self, dofs, lam):
-        """Mass-inverse residual norm over the free dofs.
+    def residual_norm(self, dofs, lam, nrm):
+        """Mass-inverse residual norm over the free dofs, for nrm = ||dofs||_M.
 
         Bounds the eigenvalue error: min_j |lam - lam_j| is at most
         ||K v - lam M v||_{M^-1} / ||v||_M.
         """
         K, M = self.asm.bands
         r = self.asm.product(K, dofs) - lam * self.asm.product(M, dofs)
-        return self.asm.mass_inverse_norm(r) / self.weighted_norm(dofs)
+        return self.asm.mass_inverse_norm(r) / nrm
 
 
 def build_mesh(coeffs: CoefficientSet, eps: float, S1: float,
@@ -113,6 +116,7 @@ class SpectralResult:
     residual: float
     gap: float
     neighbors: np.ndarray
+    mass_norm: float              # ||dofs||_M; 1 once normalized
     sign_correlation: float = 0.0
 
     def flanking(self):
@@ -134,18 +138,19 @@ def solve_near(problem: DiscreteProblem, target: float):
     """
     if target <= 0.0:
         raise OracleInputError("target must be positive")
-    band = problem.asm.band_factor
-    vals, vecs = hermite.eigs_near(problem.asm, target, band, k=4)
+    vals, vecs = hermite.eigs_near(problem.asm, target, k=4)
     idx = int(np.argmin(np.abs(vals - target)))
-    lam, v = hermite.polish(problem.asm, vals[idx], vecs[:, idx], band)
+    lam, v = hermite.polish(problem.asm, vals[idx], vecs[:, idx],
+                            problem.asm.band_factor)
     lam = float(lam)
-    residual = problem.residual_norm(v, lam) / abs(lam)
+    nrm = problem.weighted_norm(v)
+    residual = problem.residual_norm(v, lam, nrm) / abs(lam)
     others = np.delete(vals, idx)
     gap = float(np.min(np.abs(others - lam))) if others.size else np.inf
     return SpectralResult(
         eigenvalue=lam,
         eigenfunction=HermiteFunction.from_dofs(problem.nodes, v),
-        dofs=v, residual=residual, gap=gap, neighbors=others,
+        dofs=v, residual=residual, gap=gap, neighbors=others, mass_norm=nrm,
     )
 
 
@@ -158,8 +163,7 @@ def normalize_weighted(result: SpectralResult, problem: DiscreteProblem,
     mode outside the targeted global family (for example a low local
     vibration), which is reported rather than silently normalized.
     """
-    nrm = problem.weighted_norm(result.dofs)
-    dofs = result.dofs / nrm
+    dofs = result.dofs / result.mass_norm
     fn = HermiteFunction.from_dofs(problem.nodes, dofs)
     # both integrals over (a, -eps) read one evaluation of reference and p;
     # -eps is a node, so those elements end at or left of it
@@ -168,7 +172,7 @@ def normalize_weighted(result: SpectralResult, problem: DiscreteProblem,
     xg, wg = xg[left], wg[left]
     ref = reference(xg)
     p = problem.coeffs.p_at(xg)
-    corr = float(np.sum(fn(xg) * ref * p * wg))
+    corr = float(np.sum(fn.gauss_values()[left] * ref * p * wg))
     ref_nrm2 = float(np.sum(ref * ref * p * wg))
     rel = abs(corr) / math.sqrt(max(ref_nrm2, 1e-300))
     if rel < MIN_CORRELATION:
@@ -182,5 +186,5 @@ def normalize_weighted(result: SpectralResult, problem: DiscreteProblem,
     return SpectralResult(
         eigenvalue=result.eigenvalue, eigenfunction=fn, dofs=dofs,
         residual=result.residual, gap=result.gap, neighbors=result.neighbors,
-        sign_correlation=corr,
+        mass_norm=1.0, sign_correlation=corr,
     )

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -47,6 +48,39 @@ def interval_nodes(coeffs, outer_grid):
 def _interval_assembly(coeffs, nodes):
     return hermite.assemble(nodes, *(hermite.poly_fn(c) for c in (
         coeffs.k0, coeffs.k1, coeffs.k2, coeffs.p)))
+
+
+def _eigs_near(asm: Assembly, sigma, k):
+    """Ritz pairs of the clamped pencil nearest to sigma, unpolished.
+
+    ARPACK in generalized shift-invert mode, with the SuperLU solve
+    ``asm.factor(sigma)`` as its OPinv and the band product as its mass
+    operator, stopped at ``hermite.RITZ_TOL`` from the all-ones start
+    vector.  The lambda_i digest pins the rounding of this path, so the
+    outer chain keeps it while the oracle runs ``hermite.eigs_near``;
+    ROADMAP item 2 deletes it together with the outer chain's SuperLU
+    solves.
+
+    Returns (values ascending, vectors as columns in full dof numbering,
+    zero on the clamped dofs).
+    """
+    Kf, Mf = asm.bands[..., asm.free]
+    n = Kf.shape[1]
+    v0 = np.ones(n) / np.sqrt(n)
+    K, M, opinv = (spla.LinearOperator((n, n), matvec=f, dtype=float)
+                   for f in (partial(asm.product, Kf),
+                             partial(asm.product, Mf), asm.factor(sigma)))
+    try:
+        vals, vecs = spla.eigsh(K, k=min(k, n - 2), M=M, sigma=sigma,
+                                which="LM", v0=v0, tol=hermite.RITZ_TOL,
+                                OPinv=opinv)
+    except spla.ArpackNoConvergence as exc:
+        raise hermite.EigenConvergenceError(
+            f"shift-invert failed to converge at sigma={sigma!r}") from exc
+    order = np.argsort(vals)
+    out_vecs = np.zeros((asm.ndof, vals.size))
+    out_vecs[asm.free] = vecs[:, order]
+    return vals[order], out_vecs
 
 
 def endpoint_derivatives(coeffs, lam0, seeds, g_derivs, depth):
@@ -140,7 +174,7 @@ def solve_three_point_eigen(coeffs: CoefficientSet, mode_index: int = 1,
                    for nodes in interval_nodes(coeffs, outer_grid))
 
     k_want = mode_index + 4
-    vals_l, vecs_l = hermite.eigs_near(left, 0.0, left.factor, k=k_want)
+    vals_l, vecs_l = _eigs_near(left, 0.0, k_want)
     if mode_index > vals_l.size:
         raise ValueError(f"mode_index {mode_index} beyond computed spectrum")
     lam0, v = hermite.polish(left, vals_l[mode_index - 1],
@@ -149,7 +183,7 @@ def solve_three_point_eigen(coeffs: CoefficientSet, mode_index: int = 1,
 
     # a mirror-symmetric beam has gap_right ~ 0, below the Ritz error of
     # the right pair, so that pair is polished; gap_left uses Ritz values
-    vals_r, vecs_r = hermite.eigs_near(right, lam0, right.factor, k=6)
+    vals_r, vecs_r = _eigs_near(right, lam0, 6)
     j = int(np.argmin(np.abs(vals_r - lam0)))
     lam_r, _ = hermite.polish(right, vals_r[j], vecs_r[:, j], right.factor)
 

@@ -377,7 +377,7 @@ def load_vector_add_at(nodes, rhs_fn):
     nodes = np.asarray(nodes, float)
     h = np.diff(nodes)
     xg, wg = hermite.gauss_points(nodes)
-    B0, _, _ = hermite._basis_blocks(h)
+    B0 = hermite._basis_block(h, 0)
     fe = np.einsum("eg,eig->ei", rhs_fn(xg) * wg, B0)
     F = np.zeros(2 * nodes.size)
     edof = 2 * np.arange(h.size)[:, None] + np.arange(4)[None, :]

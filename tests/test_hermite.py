@@ -2,10 +2,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.linalg.lapack
 import scipy.sparse.linalg
 
-from beamwkb import hermite, oracle
+from beamwkb import hermite, oracle, outer
 from dense_forms import (band_of, csr_forms, free_blocks,
                          hermite_call_all_stacks, load_vector_add_at,
                          pencil_apply_add_at)
@@ -93,10 +94,47 @@ def test_band_factor_raises_on_illegal_lapack_argument(asm, monkeypatch):
 
 
 def test_eigs_near_vectors_vanish_on_clamped_dofs(asm):
-    vals, vecs = hermite.eigs_near(asm, 0.0, asm.factor, k=4)
+    vals, vecs = hermite.eigs_near(asm, 0.0, k=4)
     assert vecs.shape == (asm.ndof, vals.size)
     assert np.all(vecs[asm.clamped] == 0.0)
     assert np.all(np.abs(vecs[asm.free]).max(axis=0) > 0.0)
+
+
+def test_eigs_near_matches_dense_pencil(asm):
+    # the standard-form operator U (K_ff - sigma M_ff)^-1 U^T against a
+    # dense solve of the pencil: values nearest sigma and M-orthonormal
+    # vectors spanning the same eigenvectors
+    Kff, Mff = (B.toarray() for B in free_blocks(asm))
+    ref, ref_vecs = scipy.linalg.eigh(Kff, Mff)
+    sigma = 0.5 * (ref[3] + ref[4])
+    near = np.sort(np.argsort(np.abs(ref - sigma))[:4])
+    vals, vecs = hermite.eigs_near(asm, sigma, k=4)
+    np.testing.assert_allclose(vals, ref[near], rtol=1e-10, atol=0)
+    xf = vecs[asm.free]
+    np.testing.assert_allclose(xf.T @ Mff @ xf, np.eye(4), rtol=0, atol=1e-10)
+    overlap = np.abs(ref_vecs[:, near].T @ Mff @ xf)
+    np.testing.assert_allclose(overlap, np.eye(4), rtol=0, atol=1e-8)
+
+
+def test_rayleigh_is_the_ratio_of_the_two_quadratic_forms(asm):
+    v = np.random.default_rng(8).standard_normal(asm.ndof)
+    assert asm.rayleigh(v) == float(asm._quad_form(asm.Ke, v, v)
+                                    / asm._quad_form(asm.Me, v, v))
+
+
+@pytest.mark.parametrize("name", ["asym_artifact", "variable_artifact"])
+def test_gauss_values_match_evaluation_at_gauss_points(name, request):
+    # the tabulation on the function's own mesh against __call__ at
+    # gauss_points, on the outer meshes and on an oracle mesh
+    art = request.getfixturevalue(name)
+    eps = art.epsilon(20)
+    res = oracle.solve_near(oracle.assemble(art.coeffs, eps, art.S1),
+                            art.lambda_trunc(eps, art.n_max))
+    for fn in (art.outer_left[1], art.outer_right[1], res.eigenfunction):
+        got = fn.gauss_values()
+        ref = fn(hermite.gauss_points(fn.nodes)[0])
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
 def _chain(request, name):
@@ -132,24 +170,29 @@ def test_hermite_function_matches_all_stack_basis(variable_artifact):
         assert fn(x0, deriv) == hermite_call_all_stacks(fn, x0, deriv)
 
 
-def test_ritz_values_at_ritz_tol_match_machine_precision(asym_chain):
+def test_ritz_values_at_ritz_tol_match_machine_precision(asym_chain,
+                                                         monkeypatch):
     # stopped at RITZ_TOL, ARPACK's Ritz values (not only the polished
     # pairs) still agree with its machine-precision default (tol=0) on
-    # the same shift-invert operator: the oracle's band LU, the outer
-    # chain's SuperLU
+    # the same shift-invert operator: the oracle's standard form on the
+    # band LU and the mass Cholesky, the outer chain's generalized form
+    # on SuperLU
     art = asym_chain.art
     eps = art.epsilon(20)
     prob = oracle.assemble(art.coeffs, eps, art.S1)
+    sigma = art.lambda_trunc(eps, art.n_max)
+    vals, _ = hermite.eigs_near(prob.asm, sigma, k=6)
+    with monkeypatch.context() as mp:
+        mp.setattr(hermite, "RITZ_TOL", 0)
+        ref = hermite.eigs_near(prob.asm, sigma, k=6)[0]
+    np.testing.assert_allclose(vals, ref, rtol=1e-12, atol=0)
     left, right = asym_chain.mode.left_asm, asym_chain.mode.right_asm
-    for asm, sigma, factor in (
-            (prob.asm, art.lambda_trunc(eps, art.n_max), prob.asm.band_factor),
-            (left, 0.0, left.factor),
-            (right, art.lambdas[0], right.factor)):
-        vals, _ = hermite.eigs_near(asm, sigma, factor, k=6)
+    for asm, sigma in ((left, 0.0), (right, art.lambdas[0])):
+        vals, _ = outer._eigs_near(asm, sigma, 6)
         Kff, Mff = free_blocks(asm)
         n = Kff.shape[0]
         opinv = scipy.sparse.linalg.LinearOperator(
-            (n, n), matvec=factor(sigma), dtype=float)
+            (n, n), matvec=asm.factor(sigma), dtype=float)
         ref = np.sort(scipy.sparse.linalg.eigsh(
             Kff.tocsc(), k=6, M=Mff.tocsc(), sigma=sigma, which="LM",
             v0=np.ones(n) / np.sqrt(n), tol=0, OPinv=opinv)[0])

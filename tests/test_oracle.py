@@ -7,7 +7,7 @@ import scipy.sparse.linalg
 
 from beamwkb import hermite, oracle
 from beamwkb.model import CoefficientSet
-from dense_forms import csr_forms, exact_eigenvalue, free_blocks
+from dense_forms import csr_forms, exact_eigenvalue
 
 
 @pytest.fixture(scope="module")
@@ -65,7 +65,7 @@ def test_no_mass_reproduces_clamped_spectrum(uniform_coeffs, beam_root,
         nodes = np.linspace(-1.0, 1.0, n_el + 1)
         one = lambda x: np.ones_like(x)
         asm = hermite.assemble(nodes, one, None, None, one)
-        vals, vecs = hermite.eigs_near(asm, 10.0, asm.factor, k=4)
+        vals, vecs = hermite.eigs_near(asm, 10.0, k=4)
         vals = [hermite.polish(asm, vals[i], vecs[:, i], asm.factor)[0]
                 for i in (0, 1)]
         expect = [(beam_root / 2.0) ** 4, (beam_root_2 / 2.0) ** 4]
@@ -89,6 +89,14 @@ def test_solve_near_contract(uniform_coeffs, uniform_artifact):
                                                         rel=1e-12)
 
 
+def _counting(calls, name, fn):
+    """fn, counting its calls in calls[name]."""
+    def wrapped(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapped
+
+
 def test_solve_near_polishes_only_the_reported_pair(uniform_coeffs,
                                                     uniform_artifact,
                                                     monkeypatch):
@@ -101,18 +109,29 @@ def test_solve_near_polishes_only_the_reported_pair(uniform_coeffs,
     splu = scipy.sparse.linalg.splu
     dgbtrf = scipy.linalg.lapack.dgbtrf
     calls = {"splu": 0, "dgbtrf": 0}
-
-    def counting(name, fn):
-        def wrapped(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapped
-
-    monkeypatch.setattr(scipy.sparse.linalg, "splu", counting("splu", splu))
+    monkeypatch.setattr(scipy.sparse.linalg, "splu",
+                        _counting(calls, "splu", splu))
     monkeypatch.setattr(scipy.linalg.lapack, "dgbtrf",
-                        counting("dgbtrf", dgbtrf))
+                        _counting(calls, "dgbtrf", dgbtrf))
     oracle.solve_near(prob, art.lambda_trunc(eps, 1))
     assert calls == {"splu": 0, "dgbtrf": hermite.POLISH_STEPS + 1}
+
+
+def test_eigs_near_makes_no_mass_product(uniform_coeffs, uniform_artifact,
+                                        monkeypatch):
+    # the standard-form operator: one band LU and no Assembly.product
+    art = uniform_artifact
+    eps = art.epsilon(14)
+    prob = oracle.assemble(uniform_coeffs, eps, art.S1)
+    product = hermite.Assembly.product
+    dgbtrf = scipy.linalg.lapack.dgbtrf
+    calls = {"product": 0, "dgbtrf": 0}
+    monkeypatch.setattr(hermite.Assembly, "product",
+                        staticmethod(_counting(calls, "product", product)))
+    monkeypatch.setattr(scipy.linalg.lapack, "dgbtrf",
+                        _counting(calls, "dgbtrf", dgbtrf))
+    hermite.eigs_near(prob.asm, art.lambda_trunc(eps, 1), k=4)
+    assert calls == {"product": 0, "dgbtrf": 1}
 
 
 def test_oracle_row_builds_no_sparse_matrix(variable_artifact, monkeypatch):
@@ -180,7 +199,7 @@ def test_local_mode_capture_detected(uniform_coeffs, uniform_artifact):
     art = uniform_artifact
     eps = 0.15
     prob = oracle.assemble(uniform_coeffs, eps, art.S1)
-    vals, _ = hermite.eigs_near(prob.asm, 1e-6, prob.asm.factor, k=3)
+    vals, _ = hermite.eigs_near(prob.asm, 1e-6, k=3)
     assert vals[0] < 1e-2 * art.lambdas[0] * eps ** 4 * 100
     res = oracle.solve_near(prob, max(vals[0], 1e-9))
     with pytest.raises(oracle.ModeCaptureError, match="correlation"):
@@ -203,7 +222,7 @@ def test_eigenvalue_ordering_stable_under_refinement(uniform_coeffs,
     for refine in (1.0, 1.5):
         prob = oracle.assemble(uniform_coeffs, eps, uniform_artifact.S1,
                                refine=refine)
-        v, _ = hermite.eigs_near(prob.asm, 1e-6, prob.asm.factor, k=20)
+        v, _ = hermite.eigs_near(prob.asm, 1e-6, k=20)
         vals.append(np.sort(v))
     rel = np.abs(vals[0] - vals[1]) / np.abs(vals[0])
     assert np.max(rel) < 1e-3
@@ -211,14 +230,10 @@ def test_eigenvalue_ordering_stable_under_refinement(uniform_coeffs,
 
 def _direct_flanks(prob, lam, target):
     # twelve Ritz pairs at ARPACK's machine-precision default, bracketing
-    # lam, on the shift-invert operator that solve_near uses
-    Kff, Mff = free_blocks(prob.asm)
-    n = Kff.shape[0]
-    opinv = scipy.sparse.linalg.LinearOperator(
-        (n, n), matvec=prob.asm.band_factor(target), dtype=float)
-    vals = np.sort(scipy.sparse.linalg.eigsh(
-        Kff.tocsc(), k=12, M=Mff.tocsc(), sigma=target, which="LM",
-        v0=np.ones(n) / np.sqrt(n), tol=0, OPinv=opinv)[0])
+    # lam, on the standard-form shift-invert operator that solve_near uses
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hermite, "RITZ_TOL", 0)
+        vals = hermite.eigs_near(prob.asm, target, k=12)[0]
     j = int(np.argmin(np.abs(vals - lam)))
     assert 0 < j < vals.size - 1
     return vals[j - 1], vals[j + 1]
@@ -226,8 +241,8 @@ def _direct_flanks(prob, lam, target):
 
 FIXTURE_LS = [("uniform", (6, 12, 18)), ("asym", (8, 20, 40)),
               ("variable", (8, 24, 44))]
-# measured on these nine rows: at most 3.4e-10 (uniform l = 18, upper
-# flank), 1.5e-11 on asym and 2.9e-11 on variable
+# measured on these nine rows: at most 2.8e-10 (uniform), 4.5e-11 on
+# asym and 2.9e-11 on variable
 FLANK_POLISH_RTOL = 1e-9
 
 
@@ -259,31 +274,32 @@ def test_flanks_match_their_polished_eigenvalues(name, ls, request):
         eps = art.epsilon(l)
         target = art.lambda_trunc(eps, art.n_max)
         prob = oracle.assemble(art.coeffs, eps, art.S1)
-        band = prob.asm.band_factor
         res = oracle.solve_near(prob, target)
-        vals, vecs = hermite.eigs_near(prob.asm, target, band, k=4)
+        vals, vecs = hermite.eigs_near(prob.asm, target, k=4)
         for flank in res.flanking():
             j = int(np.argmin(np.abs(vals - flank)))
             assert vals[j] == flank
-            lam = hermite.polish(prob.asm, vals[j], vecs[:, j], band)[0]
+            lam = hermite.polish(prob.asm, vals[j], vecs[:, j],
+                                 prob.asm.band_factor)[0]
             assert flank == pytest.approx(lam, rel=FLANK_POLISH_RTOL, abs=0)
 
 
 def test_solve_near_shift_invert_work(asym_artifact, monkeypatch):
-    # counts applications of the OPinv that solve_near hands to eigsh
-    # (its band LU); tol=0 with six pairs makes about 41
+    # counts applications of the shift-invert operator that solve_near
+    # hands to eigsh (one band solve each); tol=0 with six pairs makes
+    # about 41
     art = asym_artifact
     eigsh = scipy.sparse.linalg.eigsh
     applied = []
 
-    def counting_eigsh(A, *args, OPinv, **kwargs):
+    def counting_eigsh(A, *args, **kwargs):
         def matvec(x):
             applied.append(1)
-            return OPinv.matvec(x)
+            return A.matvec(x)
 
-        op = scipy.sparse.linalg.LinearOperator(OPinv.shape, matvec=matvec,
+        op = scipy.sparse.linalg.LinearOperator(A.shape, matvec=matvec,
                                                 dtype=float)
-        return eigsh(A, *args, OPinv=op, **kwargs)
+        return eigsh(op, *args, **kwargs)
 
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counting_eigsh)
     eps = art.epsilon(20)

@@ -309,6 +309,6 @@ def test_symmetry_and_nonnegative_spectrum(uniform_coeffs):
     asm = outer._interval_assembly(cset, np.linspace(cset.a, 0.0, 65))
     K = csr_forms(asm)[0].toarray()
     assert np.max(np.abs(K - K.T)) / np.max(np.abs(K)) < 1e-14
-    vals, _ = hermite.eigs_near(asm, 0.0, asm.factor, k=6)
+    vals, _ = hermite.eigs_near(asm, 0.0, k=6)
     assert np.all(vals > 0.0)
     assert np.all(np.imag(vals) == 0.0)
