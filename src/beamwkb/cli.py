@@ -134,7 +134,7 @@ def cmd_oracle(args):
     phase = inner.compute_phase(coeffs, mode.lambda0, lam1, run.inner_grid)
     prob = oracle.assemble(coeffs, args.epsilon, phase.S1)
     res = oracle.solve_near(prob, args.target)
-    res = oracle.normalize_weighted(res, prob, lambda x: mode.v_left(x))
+    res = oracle.normalize_weighted(res, prob, mode.v_left)
     lo, hi = res.flanking()
     payload = {
         "epsilon": args.epsilon, "target": args.target,

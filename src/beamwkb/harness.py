@@ -320,7 +320,7 @@ def compare_eigenfunction(art: ExpansionArtifact, prob, result, eps, n):
     columns compare the order-n sums region by region; a column whose
     terms a degenerate configuration ruled out comes back as NaN.
     """
-    xg, wg = hermite.gauss_points(prob.nodes)
+    xg, wg = hermite.gauss_points(prob.asm.nodes)
     xf = xg.ravel()
     wf = wg.ravel()
     u = result.eigenfunction.gauss_values().ravel()
@@ -408,7 +408,7 @@ def run_convergence(art: ExpansionArtifact, n: int, l_values=None,
         try:
             prob = oracle.assemble(art.coeffs, eps, art.S1, refine=refine)
             res = oracle.solve_near(prob, target)
-            res = oracle.normalize_weighted(res, prob, lambda x: v0(x))
+            res = oracle.normalize_weighted(res, prob, v0)
         except (oracle.ModeCaptureError, oracle.MeshResolutionError,
                 oracle.OracleInputError, hermite.EigenConvergenceError) as exc:
             row["exclude_reason"] = f"{type(exc).__name__}: {exc}"

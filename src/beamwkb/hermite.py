@@ -13,9 +13,7 @@ kept once, in one LAPACK band store over all dofs that every product
 (summed in CSR order) and factorization reads.  The free block is its
 column slice: the shifted band LU (dgbtrf) and the banded Cholesky
 M_ff = U^T U of the mass block.  ``eigs_near`` runs ARPACK in standard
-form on U (K_ff - sigma M_ff)^-1 U^T, so it makes no mass product.  The
-outer chain keeps SuperLU of a CSC copy (``factor``) and its own
-generalized eigensolve, whose rounding its lambda_i digest pins.
+form on U (K_ff - sigma M_ff)^-1 U^T, so it makes no mass product.
 
 Element matrices are accumulated in extended precision: the 1/h^3
 stiffness scaling otherwise pollutes eigenvalues near the 1e-9 relative
@@ -24,10 +22,12 @@ double precision.  ``eigs_near`` returns unpolished Ritz pairs, with
 ARPACK stopped at the relative tolerance RITZ_TOL rather than at machine
 precision; a caller polishes only the pairs it reports with ``polish``
 (inverse iteration and a Rayleigh quotient evaluated against the
-extended-precision element data).  Rayleigh-quotient iteration converges
-only the pair it starts from, so the other Ritz values, which feed gaps
-and flanks, stay as ARPACK returns them: far more accurate than any gap
-or flank check needs.
+extended-precision element data), which finishes each pair: a float
+eigenvalue and a vector of unit M-norm, scaled by the mass form of its
+last Rayleigh step.  Rayleigh-quotient iteration converges only the pair
+it starts from, so the other Ritz values, which feed gaps and flanks,
+stay as ARPACK returns them: far more accurate than any gap or flank
+check needs.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg.blas import dtbmv, dtbsv
 
@@ -50,7 +49,7 @@ _GS = 0.5 * (_GAUSS_X + 1.0)      # reference coordinates on [0, 1]
 _GW = 0.5 * _GAUSS_W
 
 
-# the four Hermite shape functions' d-th s-derivatives, d = 0..3
+# the four Hermite shape functions' d-th s-derivatives, d = 0..2
 _SHAPES = (
     lambda s: (1.0 - 3.0 * s**2 + 2.0 * s**3,
                s - 2.0 * s**2 + s**3,
@@ -64,10 +63,6 @@ _SHAPES = (
                -4.0 + 6.0 * s,
                6.0 - 12.0 * s,
                -2.0 + 6.0 * s),
-    lambda s: (12.0 * np.ones_like(s),
-               6.0 * np.ones_like(s),
-               -12.0 * np.ones_like(s),
-               6.0 * np.ones_like(s)),
 )
 
 
@@ -111,8 +106,8 @@ class Assembly:
     """Assembled bilinear forms plus extended-precision element data.
 
     Also the clamped/free dof split and the free-block factorizations:
-    ``band_factor`` and ``factor`` (shifted band and sparse LU) and
-    ``mass_inverse_norm`` (banded Cholesky of M_ff, cached).
+    ``band_factor`` (shifted band LU) and ``mass_inverse_norm`` (banded
+    Cholesky of M_ff, cached).
     """
 
     nodes: np.ndarray
@@ -154,13 +149,6 @@ class Assembly:
             y[i:i + m] += band[2 * bw - d, j:j + m] * x[j:j + m]
         return y
 
-    def pencil_csc(self, shift):
-        """K_ff - shift M_ff as CSC, zero entries and corner cells dropped."""
-        bw = MASS_BANDWIDTH
-        band = self.pencil(shift)[bw:, self.free]
-        return sp.dia_array((band, np.arange(bw, -bw - 1, -1)),
-                            shape=(band.shape[1],) * 2).tocsc()
-
     @cached_property
     def _mass_cholesky(self):
         """Upper banded Cholesky factor of M_ff."""
@@ -183,18 +171,6 @@ class Assembly:
             raise np.linalg.LinAlgError(f"dgbtrf failed with info={info}")
         return lambda b: sla.lapack.dgbtrs(lu, bw, bw, b, piv)[0]
 
-    def factor(self, shift):
-        """SuperLU of K_ff - shift M_ff, returned as its solve b -> x.
-
-        An exactly singular shift is nudged.  Outer chain only, whose
-        lambda_i digest pins its rounding, until ROADMAP item 2.
-        """
-        try:
-            lu = spla.splu(self.pencil_csc(shift))
-        except RuntimeError:
-            lu = spla.splu(self.pencil_csc(shift * (1.0 + 1e-11)))
-        return lu.solve
-
     def mass_inverse_norm(self, r):
         """sqrt(r_f^T M_ff^-1 r_f) for a residual r over all dofs.
 
@@ -216,15 +192,13 @@ class Assembly:
         we = wl[ed]
         return np.einsum("ei,eij,ej->", ve, elem_mats, we)
 
-    def mass(self, v, w=None):
-        """v^T M w accumulated in extended precision."""
-        return float(self._quad_form(self.Me, v, v if w is None else w))
-
     def rayleigh(self, v):
-        """v^T K v / v^T M v, both forms in extended precision."""
+        """(v^T K v / v^T M v, v^T M v), both forms in extended precision
+        from one gather of v."""
         ve = np.asarray(v, dtype=np.longdouble)[self.edof()]
-        return float(np.einsum("ei,eij,ej->", ve, self.Ke, ve)
-                     / np.einsum("ei,eij,ej->", ve, self.Me, ve))
+        mass = np.einsum("ei,eij,ej->", ve, self.Me, ve)
+        return (float(np.einsum("ei,eij,ej->", ve, self.Ke, ve) / mass),
+                float(mass))
 
     def pencil_apply(self, v, lam, load=None):
         """K v - lam M v (- load) over all dofs, accumulated in extended precision."""
@@ -325,16 +299,13 @@ class HermiteFunction:
         s = (x - self.nodes[idx]) / h
         return idx, h, s
 
-    def __call__(self, x, deriv: int = 0):
-        if not 0 <= deriv <= 3:
-            raise ValueError("piecewise cubics support derivatives 0..3")
+    def __call__(self, x):
+        """Values at x: nodal values and h-scaled slopes against the
+        reference shape functions."""
         idx, h, s = self._locate(x)
-        phi = _reference_basis(s, deriv)
-        fac = np.stack([np.ones_like(h), h, np.ones_like(h), h])
-        pow_h = h ** float(-deriv)
-        coef = np.stack([self.values[idx], self.slopes[idx],
-                         self.values[idx + 1], self.slopes[idx + 1]]) * fac
-        out = np.sum(coef * phi, axis=0) * pow_h
+        coef = np.stack([self.values[idx], h * self.slopes[idx],
+                         self.values[idx + 1], h * self.slopes[idx + 1]])
+        out = np.sum(coef * _reference_basis(s, 0), axis=0)
         return out[()] if np.ndim(x) == 0 else out
 
     def gauss_values(self):
@@ -370,7 +341,7 @@ class EigenConvergenceError(RuntimeError):
     """Shift-invert iteration failed to converge near the requested target."""
 
 
-def eigs_near(asm: Assembly, sigma, k=6):
+def eigs_near(asm: Assembly, sigma, k):
     """Ritz pairs of the clamped pencil nearest to sigma, unpolished.
 
     The spectral transformation in standard form (Ericsson & Ruhe, Math.
@@ -422,12 +393,17 @@ def polish(asm: Assembly, lam, v, factor):
 
     Each step solves with K_ff - lam M_ff (by ``factor(lam)``),
     M-normalizes, and updates lam to the extended-precision Rayleigh
-    quotient.  ``v`` is in full dof numbering; returns (lam, vector in
-    full dof numbering).
+    quotient.  The mass form v^T M v of that last Rayleigh step scales the
+    vector to unit M-norm; should a step's solve come back zero or not
+    finite, the last good pair is returned, normalized the same way.
+    ``v`` is in full dof numbering; returns (lam as a float, unit vector
+    in full dof numbering).
     """
     Mff = asm.bands[1, :, asm.free]
     vf = v[asm.free]
     out = np.zeros(asm.ndof)
+    out[asm.free] = vf
+    mass = None
     for _ in range(POLISH_STEPS):
         w = factor(lam)(asm.product(Mff, vf))
         nrm = np.sqrt(abs(w @ asm.product(Mff, w)))
@@ -435,6 +411,7 @@ def polish(asm: Assembly, lam, v, factor):
             break
         vf = w / nrm
         out[asm.free] = vf
-        lam = asm.rayleigh(out)
-    out[asm.free] = vf
-    return lam, out
+        lam, mass = asm.rayleigh(out)
+    if mass is None:              # the first step broke: the pair as given
+        mass = asm.rayleigh(out)[1]
+    return float(lam), out / math.sqrt(mass)

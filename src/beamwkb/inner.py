@@ -381,7 +381,7 @@ class PhaseData:
 
 
 def compute_phase(coeffs: CoefficientSet, lam0: float, lam1: float,
-                  n_nodes: int = 128) -> PhaseData:
+                  n_nodes: int) -> PhaseData:
     """Phase S, tilt alpha and the exact coefficient functions of A.
 
     S' solves the eikonal equation k0(0) S'^4 = lam0 q with S(-1) = 0;

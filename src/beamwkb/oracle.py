@@ -8,15 +8,16 @@ polished to an extended-precision Rayleigh quotient.  A row builds no
 sparse matrix: it factors by LAPACK band LU (``Assembly.band_factor``),
 one at the target for the standard-form shift-invert operator on the
 banded mass Cholesky (``hermite.eigs_near``) and one per polish step.
-Its mass norm is computed once, for the polished vector, and its
-eigenfunction is tabulated at the Gauss points of its own mesh
-(``HermiteFunction.gauss_values``) rather than located point by point.
+``hermite.polish`` hands the pair back finished, its vector at unit mass
+norm, so the row forms that norm once; its eigenfunction is tabulated
+at the Gauss points of its own mesh (``HermiteFunction.gauss_values``)
+rather than located point by point.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -47,22 +48,8 @@ class DiscreteProblem:
 
     coeffs: CoefficientSet
     eps: float
-    nodes: np.ndarray
     asm: Assembly = field(repr=False)
     n_inner: int
-
-    def weighted_norm(self, dofs):
-        return math.sqrt(self.asm.mass(dofs))
-
-    def residual_norm(self, dofs, lam, nrm):
-        """Mass-inverse residual norm over the free dofs, for nrm = ||dofs||_M.
-
-        Bounds the eigenvalue error: min_j |lam - lam_j| is at most
-        ||K v - lam M v||_{M^-1} / ||v||_M.
-        """
-        K, M = self.asm.bands
-        r = self.asm.product(K, dofs) - lam * self.asm.product(M, dofs)
-        return self.asm.mass_inverse_norm(r) / nrm
 
 
 def build_mesh(coeffs: CoefficientSet, eps: float, S1: float,
@@ -102,8 +89,7 @@ def assemble(coeffs: CoefficientSet, eps: float, S1: float,
     k2 = hermite.poly_fn(coeffs.k2)
     asm = hermite.assemble(nodes, k0, k1, k2,
                            lambda x: coeffs.density(x, eps))
-    return DiscreteProblem(coeffs=coeffs, eps=eps, nodes=nodes, asm=asm,
-                           n_inner=n_inner)
+    return DiscreteProblem(coeffs=coeffs, eps=eps, asm=asm, n_inner=n_inner)
 
 
 @dataclass
@@ -111,12 +97,10 @@ class SpectralResult:
     """One converged eigenpair with its flanking spectrum."""
 
     eigenvalue: float
-    eigenfunction: HermiteFunction
-    dofs: np.ndarray
+    eigenfunction: HermiteFunction    # unit mass norm
     residual: float
     gap: float
     neighbors: np.ndarray
-    mass_norm: float              # ||dofs||_M; 1 once normalized
     sign_correlation: float = 0.0
 
     def flanking(self):
@@ -135,40 +119,47 @@ def solve_near(problem: DiscreteProblem, target: float):
     reported pair is polished; ``neighbors`` are the other Ritz values,
     and the returned gap is the distance to the nearest of them,
     supporting the isolation checks.
+
+    ``residual`` is ||K v - lam M v||_{M^-1} / |lam| over the free dofs
+    for the vector v of unit mass norm.  It bounds the relative
+    eigenvalue error: min_j |lam - lam_j| is at most ||K v - lam M v||_{M^-1}.
     """
     if target <= 0.0:
         raise OracleInputError("target must be positive")
-    vals, vecs = hermite.eigs_near(problem.asm, target, k=4)
+    asm = problem.asm
+    vals, vecs = hermite.eigs_near(asm, target, k=4)
     idx = int(np.argmin(np.abs(vals - target)))
-    lam, v = hermite.polish(problem.asm, vals[idx], vecs[:, idx],
-                            problem.asm.band_factor)
-    lam = float(lam)
-    nrm = problem.weighted_norm(v)
-    residual = problem.residual_norm(v, lam, nrm) / abs(lam)
+    lam, v = hermite.polish(asm, vals[idx], vecs[:, idx], asm.band_factor)
+    K, M = asm.bands
+    r = asm.product(K, v) - lam * asm.product(M, v)
     others = np.delete(vals, idx)
     gap = float(np.min(np.abs(others - lam))) if others.size else np.inf
     return SpectralResult(
         eigenvalue=lam,
-        eigenfunction=HermiteFunction.from_dofs(problem.nodes, v),
-        dofs=v, residual=residual, gap=gap, neighbors=others, mass_norm=nrm,
+        eigenfunction=HermiteFunction.from_dofs(asm.nodes, v),
+        residual=asm.mass_inverse_norm(r) / abs(lam), gap=gap,
+        neighbors=others,
     )
 
 
 def normalize_weighted(result: SpectralResult, problem: DiscreteProblem,
                        reference):
-    """Scale to unit weighted norm; fix the sign against a reference profile.
+    """Fix the sign of the pair against a reference profile.
 
-    ``reference`` is a callable approximating the limit eigenfunction on
-    (a, -eps).  A near-zero correlation signals that the solve captured a
-    mode outside the targeted global family (for example a low local
-    vibration), which is reported rather than silently normalized.
+    The eigenfunction already has unit weighted norm (``hermite.polish``);
+    it comes back negated when its p-weighted correlation with
+    ``reference``, a callable approximating the limit eigenfunction on
+    (a, -eps), is negative.  A near-zero correlation signals that the
+    solve captured a mode outside the targeted global family (for example
+    a low local vibration), which is reported rather than silently
+    signed.
     """
-    dofs = result.dofs / result.mass_norm
-    fn = HermiteFunction.from_dofs(problem.nodes, dofs)
+    fn = result.eigenfunction
+    nodes = problem.asm.nodes
     # both integrals over (a, -eps) read one evaluation of reference and p;
     # -eps is a node, so those elements end at or left of it
-    xg, wg = hermite.gauss_points(problem.nodes)
-    left = problem.nodes[1:] <= -problem.eps
+    xg, wg = hermite.gauss_points(nodes)
+    left = nodes[1:] <= -problem.eps
     xg, wg = xg[left], wg[left]
     ref = reference(xg)
     p = problem.coeffs.p_at(xg)
@@ -180,11 +171,6 @@ def normalize_weighted(result: SpectralResult, problem: DiscreteProblem,
             f"eigenvector correlation {rel:.3e} with the reference profile "
             "is negligible: captured a mode outside the global family")
     if corr < 0.0:
-        dofs = -dofs
         fn = fn.scaled(-1.0)
         corr = -corr
-    return SpectralResult(
-        eigenvalue=result.eigenvalue, eigenfunction=fn, dofs=dofs,
-        residual=result.residual, gap=result.gap, neighbors=result.neighbors,
-        mass_norm=1.0, sign_correlation=corr,
-    )
+    return replace(result, eigenfunction=fn, sign_correlation=corr)

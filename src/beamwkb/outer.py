@@ -50,28 +50,48 @@ def _interval_assembly(coeffs, nodes):
         coeffs.k0, coeffs.k1, coeffs.k2, coeffs.p)))
 
 
+def _pencil_csc(asm: Assembly, shift):
+    """K_ff - shift M_ff as CSC, zero entries and corner cells dropped."""
+    bw = hermite.MASS_BANDWIDTH
+    band = asm.pencil(shift)[bw:, asm.free]
+    return sp.dia_array((band, np.arange(bw, -bw - 1, -1)),
+                        shape=(band.shape[1],) * 2).tocsc()
+
+
+def _factor(asm: Assembly, shift):
+    """SuperLU of K_ff - shift M_ff, returned as its solve b -> x.
+
+    An exactly singular shift is nudged.
+    """
+    try:
+        lu = spla.splu(_pencil_csc(asm, shift))
+    except RuntimeError:
+        lu = spla.splu(_pencil_csc(asm, shift * (1.0 + 1e-11)))
+    return lu.solve
+
+
 def _eigs_near(asm: Assembly, sigma, k):
     """Ritz pairs of the clamped pencil nearest to sigma, unpolished.
 
     ARPACK in generalized shift-invert mode, with the SuperLU solve
-    ``asm.factor(sigma)`` as its OPinv and the band product as its mass
+    ``_factor(asm, sigma)`` as its OPinv and the band product as its mass
     operator, stopped at ``hermite.RITZ_TOL`` from the all-ones start
-    vector.  The lambda_i digest pins the rounding of this path, so the
-    outer chain keeps it while the oracle runs ``hermite.eigs_near``;
-    ROADMAP item 2 deletes it together with the outer chain's SuperLU
-    solves.
+    vector.  That mode applies only OPinv and M, never the pencil's A, so
+    the mass operator stands in for A.  The lambda_i digest pins the
+    rounding of this path, so the outer chain keeps it and its SuperLU
+    solves while the oracle runs ``hermite.eigs_near``; ROADMAP item 2
+    deletes them.
 
     Returns (values ascending, vectors as columns in full dof numbering,
     zero on the clamped dofs).
     """
-    Kf, Mf = asm.bands[..., asm.free]
-    n = Kf.shape[1]
+    Mf = asm.bands[1, :, asm.free]
+    n = Mf.shape[1]
     v0 = np.ones(n) / np.sqrt(n)
-    K, M, opinv = (spla.LinearOperator((n, n), matvec=f, dtype=float)
-                   for f in (partial(asm.product, Kf),
-                             partial(asm.product, Mf), asm.factor(sigma)))
+    M, opinv = (spla.LinearOperator((n, n), matvec=f, dtype=float)
+                for f in (partial(asm.product, Mf), _factor(asm, sigma)))
     try:
-        vals, vecs = spla.eigsh(K, k=min(k, n - 2), M=M, sigma=sigma,
+        vals, vecs = spla.eigsh(M, k=min(k, n - 2), M=M, sigma=sigma,
                                 which="LM", v0=v0, tol=hermite.RITZ_TOL,
                                 OPinv=opinv)
     except spla.ArpackNoConvergence as exc:
@@ -178,14 +198,14 @@ def solve_three_point_eigen(coeffs: CoefficientSet, mode_index: int = 1,
     if mode_index > vals_l.size:
         raise ValueError(f"mode_index {mode_index} beyond computed spectrum")
     lam0, v = hermite.polish(left, vals_l[mode_index - 1],
-                             vecs_l[:, mode_index - 1], left.factor)
-    lam0 = float(lam0)
+                             vecs_l[:, mode_index - 1], partial(_factor, left))
 
     # a mirror-symmetric beam has gap_right ~ 0, below the Ritz error of
     # the right pair, so that pair is polished; gap_left uses Ritz values
     vals_r, vecs_r = _eigs_near(right, lam0, 6)
     j = int(np.argmin(np.abs(vals_r - lam0)))
-    lam_r, _ = hermite.polish(right, vals_r[j], vecs_r[:, j], right.factor)
+    lam_r, _ = hermite.polish(right, vals_r[j], vecs_r[:, j],
+                              partial(_factor, right))
 
     others = np.delete(vals_l, mode_index - 1)
     gap_left = float(np.min(np.abs(others - lam0))) if others.size else np.inf
@@ -197,14 +217,12 @@ def solve_three_point_eigen(coeffs: CoefficientSet, mode_index: int = 1,
             f"{gap_left:.3g} < gap_min={gap_min:.3g}")
     degenerate = gap_right < gap_min
 
-    # normalize: integral of p v0^2 over (a, 0) equals 1, sign via v0''(0-)
-    v = v / math.sqrt(left.mass(v, v))
+    # the polish returns v0 with unit p-weighted norm on (a, 0); the sign
+    # makes v0''(0-) > 0, and the endpoint table is linear in v0
     ep_minus = _endpoint_data(coeffs, left, v, lam0, None, "left", 0.0, 0.0,
                               [], table_depth)
     if ep_minus[2] < 0.0:
-        v = -v
-        ep_minus = _endpoint_data(coeffs, left, v, lam0, None, "left", 0.0,
-                                  0.0, [], table_depth)
+        v, ep_minus = -v, -ep_minus
 
     v_left = HermiteFunction.from_dofs(left.nodes, v)
     v_right = HermiteFunction.zero(right.nodes)
@@ -286,7 +304,7 @@ def factor_pencils(mode: OuterMode):
     the right interval is resonant (``mode.degenerate_right``).
     """
     left = mode.left_asm
-    A = left.pencil_csc(mode.lambda0)
+    A = _pencil_csc(left, mode.lambda0)
     c_full = left.product(left.bands[1], mode.v_left.dofs())
     c = c_full[left.free]
     # scale the border to the stiffness magnitude so the factorization is balanced
@@ -295,7 +313,7 @@ def factor_pencils(mode: OuterMode):
     B = sp.bmat([[A, sc[:, None]], [sp.csr_matrix(sc[None, :]), None]],
                 format="csc")
     right = None if mode.degenerate_right else (
-        mode.right_asm.pencil(mode.lambda0), mode.right_asm.factor(mode.lambda0))
+        mode.right_asm.pencil(mode.lambda0), _factor(mode.right_asm, mode.lambda0))
     return (left.pencil(mode.lambda0), c_full, s, sc, spla.splu(B)), right
 
 

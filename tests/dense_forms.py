@@ -314,7 +314,8 @@ def correction_residual(mode, prev_terms, term, lambdas):
         forcing_dofs += lambdas[j] * funcs[i - j].dofs()
     r = pencil_apply_add_at(left, term.v_left.dofs(), mode.lambda0,
                             mass_vec=forcing_dofs)
-    scale = math.sqrt(max(left.mass(forcing_dofs), 1e-300))
+    scale = math.sqrt(max(float(left._quad_form(left.Me, forcing_dofs,
+                                                forcing_dofs)), 1e-300))
     return left.mass_inverse_norm(r) / scale
 
 

@@ -247,7 +247,7 @@ def test_criterion_7_amplitude_scaling(art, uniform_coeffs):
         eps = art.epsilon(l)
         prob = oracle.assemble(uniform_coeffs, eps, art.S1)
         res = oracle.solve_near(prob, art.lambda_trunc(eps, 2))
-        xg, _ = hermite.gauss_points(prob.nodes)
+        xg, _ = hermite.gauss_points(prob.asm.nodes)
         xf = xg.ravel()
         u = np.abs(res.eigenfunction(xf))
         ratios.append(u[np.abs(xf) < eps].max() / u[xf < -eps].max())

@@ -1,4 +1,5 @@
 import dataclasses
+from functools import partial
 
 import numpy as np
 import pytest
@@ -63,7 +64,7 @@ def _shifted_solve_residual(asm, factor):
 
 
 def test_factor_solves_free_block(asm):
-    assert _shifted_solve_residual(asm, asm.factor) <= 1e-10
+    assert _shifted_solve_residual(asm, partial(outer._factor, asm)) <= 1e-10
 
 
 def test_band_factor_solves_free_block(asm):
@@ -116,10 +117,63 @@ def test_eigs_near_matches_dense_pencil(asm):
     np.testing.assert_allclose(overlap, np.eye(4), rtol=0, atol=1e-8)
 
 
+def _quadratic_forms(monkeypatch):
+    """The element matrices of every extended-precision quadratic form
+    v^T A w evaluated from here on, in call order."""
+    einsum = np.einsum
+    forms = []
+
+    def counting(subscripts, *operands, **kwargs):
+        if subscripts == "ei,eij,ej->":
+            forms.append(operands[1])
+        return einsum(subscripts, *operands, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", counting)
+    return forms
+
+
+def test_solve_near_forms_the_mass_norm_only_in_the_polish(asym_artifact,
+                                                          monkeypatch):
+    # each polish step forms v^T K v and v^T M v once, for its Rayleigh
+    # quotient; the last mass form scales the reported vector, and the
+    # row forms no other
+    art = asym_artifact
+    eps = art.epsilon(20)
+    prob = oracle.assemble(art.coeffs, eps, art.S1)
+    forms = _quadratic_forms(monkeypatch)
+    oracle.solve_near(prob, art.lambda_trunc(eps, art.n_max))
+    assert sum(A is prob.asm.Me for A in forms) == hermite.POLISH_STEPS
+    assert len(forms) == 2 * hermite.POLISH_STEPS
+
+
+def test_three_point_solve_forms_the_mass_norm_only_in_the_polish(
+        asym_coeffs, monkeypatch):
+    # the polished left pair (v0) and right pair (gap_right), and no
+    # second mass form to normalize v0
+    forms = _quadratic_forms(monkeypatch)
+    mode = outer.solve_three_point_eigen(asym_coeffs, 1, outer_grid=128)
+    for asm in (mode.left_asm, mode.right_asm):
+        assert sum(A is asm.Me for A in forms) == hermite.POLISH_STEPS
+    assert len(forms) == 4 * hermite.POLISH_STEPS
+
+
+def test_polish_returns_a_unit_vector_when_its_first_step_breaks(asm):
+    # a solve that comes back zero stops the iteration: the pair as given,
+    # its vector scaled to unit mass norm
+    vals, vecs = hermite.eigs_near(asm, 0.0, k=4)
+    v = 3.0 * vecs[:, 0]
+    lam, out = hermite.polish(asm, vals[0], v, lambda shift: np.zeros_like)
+    assert lam == float(vals[0]) and type(lam) is float
+    mass = float(asm._quad_form(asm.Me, v, v))
+    assert np.array_equal(out, v / np.sqrt(mass))
+
+
 def test_rayleigh_is_the_ratio_of_the_two_quadratic_forms(asm):
+    # the quotient and the mass form it divides by, bit for bit
     v = np.random.default_rng(8).standard_normal(asm.ndof)
-    assert asm.rayleigh(v) == float(asm._quad_form(asm.Ke, v, v)
-                                    / asm._quad_form(asm.Me, v, v))
+    mass = asm._quad_form(asm.Me, v, v)
+    assert asm.rayleigh(v) == (float(asm._quad_form(asm.Ke, v, v) / mass),
+                               float(mass))
 
 
 @pytest.mark.parametrize("name", ["asym_artifact", "variable_artifact"])
@@ -163,11 +217,9 @@ def test_hermite_function_matches_all_stack_basis(variable_artifact):
     fn = variable_artifact.outer_left[0]
     xs = np.concatenate([fn.nodes, np.random.default_rng(4).uniform(
         fn.nodes[0], fn.nodes[-1], 257)])
-    for deriv in range(4):
-        assert np.array_equal(fn(xs, deriv),
-                              hermite_call_all_stacks(fn, xs, deriv))
-        x0 = float(xs[-1])
-        assert fn(x0, deriv) == hermite_call_all_stacks(fn, x0, deriv)
+    assert np.array_equal(fn(xs), hermite_call_all_stacks(fn, xs))
+    x0 = float(xs[-1])
+    assert fn(x0) == hermite_call_all_stacks(fn, x0)
 
 
 def test_ritz_values_at_ritz_tol_match_machine_precision(asym_chain,
@@ -192,7 +244,7 @@ def test_ritz_values_at_ritz_tol_match_machine_precision(asym_chain,
         Kff, Mff = free_blocks(asm)
         n = Kff.shape[0]
         opinv = scipy.sparse.linalg.LinearOperator(
-            (n, n), matvec=asm.factor(sigma), dtype=float)
+            (n, n), matvec=outer._factor(asm, sigma), dtype=float)
         ref = np.sort(scipy.sparse.linalg.eigsh(
             Kff.tocsc(), k=6, M=Mff.tocsc(), sigma=sigma, which="LM",
             v0=np.ones(n) / np.sqrt(n), tol=0, OPinv=opinv)[0])
@@ -236,7 +288,7 @@ def test_pencil_csc_matches_csr_pencil(name, request):
     for asm in _assemblies(chain):
         Kff, Mff = free_blocks(asm)
         for shift in (0.0, chain.art.lambdas[0]):
-            got = asm.pencil_csc(shift)
+            got = outer._pencil_csc(asm, shift)
             ref = (Kff - shift * Mff).tocsc()
             ref.eliminate_zeros()
             assert got.has_sorted_indices and ref.has_sorted_indices

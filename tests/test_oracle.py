@@ -1,11 +1,13 @@
+import dataclasses
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 import scipy.linalg.lapack
 import scipy.sparse.linalg
 
-from beamwkb import hermite, oracle
+from beamwkb import hermite, oracle, outer
 from beamwkb.model import CoefficientSet
 from dense_forms import csr_forms, exact_eigenvalue
 
@@ -16,8 +18,9 @@ def uprob(uniform_coeffs, uniform_artifact):
 
 
 def test_mesh_aligned_at_interface(uprob):
-    assert 0.12 in uprob.nodes and -0.12 in uprob.nodes
-    assert np.all(np.diff(uprob.nodes) > 0)
+    nodes = uprob.asm.nodes
+    assert 0.12 in nodes and -0.12 in nodes
+    assert np.all(np.diff(nodes) > 0)
 
 
 def test_mesh_resolution_invariant(uniform_coeffs, uniform_artifact):
@@ -45,7 +48,7 @@ def test_inner_mass_scaling(uniform_coeffs, uniform_artifact):
     # at m = 8 and eps = 0.1 the inner density is exactly 1e8 q(x/eps)
     eps = 0.1
     prob = oracle.assemble(uniform_coeffs, eps, uniform_artifact.S1)
-    nodes = prob.nodes
+    nodes = prob.asm.nodes
     h = np.diff(nodes)
     mids = 0.5 * (nodes[:-1] + nodes[1:])
     inner_el = np.abs(mids) < eps
@@ -66,7 +69,8 @@ def test_no_mass_reproduces_clamped_spectrum(uniform_coeffs, beam_root,
         one = lambda x: np.ones_like(x)
         asm = hermite.assemble(nodes, one, None, None, one)
         vals, vecs = hermite.eigs_near(asm, 10.0, k=4)
-        vals = [hermite.polish(asm, vals[i], vecs[:, i], asm.factor)[0]
+        vals = [hermite.polish(asm, vals[i], vecs[:, i],
+                               partial(outer._factor, asm))[0]
                 for i in (0, 1)]
         expect = [(beam_root / 2.0) ** 4, (beam_root_2 / 2.0) ** 4]
         assert vals[0] == pytest.approx(expect[0], rel=1e-8)
@@ -85,8 +89,9 @@ def test_solve_near_contract(uniform_coeffs, uniform_artifact):
     assert lo is not None and hi is not None and lo < res.eigenvalue < hi
     # the eigenvalue locks onto the expansion to second order
     assert abs(res.eigenvalue - target) < 6000.0 * eps ** 2
-    assert prob.asm.rayleigh(res.dofs) == pytest.approx(res.eigenvalue,
-                                                        rel=1e-12)
+    quotient, mass = prob.asm.rayleigh(res.eigenfunction.dofs())
+    assert quotient == pytest.approx(res.eigenvalue, rel=1e-12)
+    assert mass == pytest.approx(1.0, rel=1e-12)
 
 
 def _counting(calls, name, fn):
@@ -164,7 +169,7 @@ def test_solve_near_determinism(uniform_coeffs, uniform_artifact):
     r2 = oracle.solve_near(oracle.assemble(uniform_coeffs, eps,
                                            uniform_artifact.S1), t)
     assert r1.eigenvalue == r2.eigenvalue
-    assert np.array_equal(r1.dofs, r2.dofs)
+    assert np.array_equal(r1.eigenfunction.dofs(), r2.eigenfunction.dofs())
 
 
 def test_mesh_doubling_moves_below_asymptotic_error(asym_coeffs,
@@ -185,12 +190,32 @@ def test_normalization_and_sign(uniform_coeffs, uniform_artifact, uprob):
     art = uniform_artifact
     res = oracle.solve_near(uprob, art.lambda_trunc(0.12, 2))
     v0 = art.outer_left[0]
-    nres = oracle.normalize_weighted(res, uprob, lambda x: v0(x))
-    assert uprob.weighted_norm(nres.dofs) == pytest.approx(1.0, rel=1e-12)
+    nres = oracle.normalize_weighted(res, uprob, v0)
+    assert uprob.asm.rayleigh(nres.eigenfunction.dofs())[1] == \
+        pytest.approx(1.0, rel=1e-12)
     assert nres.sign_correlation > 0.0
-    # idempotent up to sign bookkeeping
-    again = oracle.normalize_weighted(nres, uprob, lambda x: v0(x))
-    np.testing.assert_allclose(again.dofs, nres.dofs, rtol=1e-13)
+    # idempotent
+    again = oracle.normalize_weighted(nres, uprob, v0)
+    assert np.array_equal(again.eigenfunction.dofs(), nres.eigenfunction.dofs())
+
+
+def test_normalize_weighted_only_signs_the_pair(uniform_artifact, uprob):
+    # against a negated reference the eigenfunction comes back negated bit
+    # for bit, with the same correlation, and every other field is the
+    # solve's own
+    art = uniform_artifact
+    res = oracle.solve_near(uprob, art.lambda_trunc(0.12, 2))
+    v0 = art.outer_left[0]
+    pos = oracle.normalize_weighted(res, uprob, v0)
+    neg = oracle.normalize_weighted(res, uprob, lambda x: -v0(x))
+    assert np.array_equal(neg.eigenfunction.values, -pos.eigenfunction.values)
+    assert np.array_equal(neg.eigenfunction.slopes, -pos.eigenfunction.slopes)
+    assert np.array_equal(neg.eigenfunction.nodes, pos.eigenfunction.nodes)
+    assert neg.sign_correlation == pos.sign_correlation > 0.0
+    for f in dataclasses.fields(oracle.SpectralResult):
+        if f.name not in ("eigenfunction", "sign_correlation"):
+            assert getattr(neg, f.name) is getattr(res, f.name)
+            assert getattr(pos, f.name) is getattr(res, f.name)
 
 
 def test_local_mode_capture_detected(uniform_coeffs, uniform_artifact):

@@ -3,10 +3,15 @@
 The fast kernels (slice scatters, the vectorized antiderivative, the
 single-derivative Hermite basis) must match their straightforward forms
 in ``dense_forms`` bit for bit, signed zeros included, and every QFunc
-derived from a positive q must carry q' exactly.
+derived from a positive q must carry q' exactly.  The suite's own pytest
+configuration must report a failing property test as a failure.
 """
 
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
@@ -80,7 +85,7 @@ def test_cheb_antideriv_values_matches_loop(vals):
 @PROPERTY
 @given(st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0]),
                           st.floats(0.0, 1.0)), min_size=1, max_size=40),
-       st.integers(0, 3))
+       st.integers(0, 2))
 def test_reference_basis_matches_all_stacks(s, deriv):
     s = np.array(s)
     assert_bits_equal(hermite._reference_basis(s, deriv),
@@ -88,13 +93,13 @@ def test_reference_basis_matches_all_stacks(s, deriv):
 
 
 @PROPERTY
-@given(ELEMENT_SIZES, st.integers(0, 3), st.integers(0, 2 ** 32 - 1))
-def test_hermite_function_matches_all_stacks(sizes, deriv, seed):
+@given(ELEMENT_SIZES, st.integers(0, 2 ** 32 - 1))
+def test_hermite_function_matches_all_stacks(sizes, seed):
     nodes = mesh(sizes)
     rng = np.random.default_rng(seed)
     fn = hermite.HermiteFunction(nodes, *rng.standard_normal((2, nodes.size)))
     xs = np.concatenate([nodes, rng.uniform(nodes[0], nodes[-1], 33)])
-    assert_bits_equal(fn(xs, deriv), hermite_call_all_stacks(fn, xs, deriv))
+    assert_bits_equal(fn(xs), hermite_call_all_stacks(fn, xs))
 
 
 # q(xi) = c0 + sum t_k xi^k with c0 = 1 + sum |t_k| stays >= 1 on [-1, 1]
@@ -114,3 +119,38 @@ def test_derived_qfuncs_carry_exact_dq(q, p1, p2, poly):
                *t.c, *t.deriv().c]
     for qf in derived:
         assert np.array_equal(qf.dq, expect)
+
+
+_PROBE = textwrap.dedent("""
+    from hypothesis import given, settings, strategies as st
+
+    PROPERTY = settings(derandomize=True, database=None)
+
+
+    @PROPERTY
+    @given(st.integers())
+    def test_fails(n):
+        assert n != n
+
+
+    @PROPERTY
+    @given(st.integers())
+    def test_passes(n):
+        assert n == n
+""")
+
+
+def test_failing_property_test_is_reported(tmp_path):
+    # reporting a failing @given test makes hypothesis import libcst, whose
+    # import warns; under the suite's filterwarnings that warning must not
+    # turn the report into an INTERNALERROR (exit 3) that stops the run
+    (tmp_path / "test_probe.py").write_text(_PROBE)
+    ini = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(ini), "--rootdir",
+         str(tmp_path), "-p", "no:cacheprovider", "-q", "test_probe.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    out = proc.stdout + proc.stderr
+    assert proc.returncode == 1, out
+    assert "INTERNALERROR" not in out
+    assert "1 failed, 1 passed" in proc.stdout, out

@@ -132,7 +132,7 @@ def test_right_interval_mass_is_second_order(asym_artifact, asym_coeffs):
         res = oracle.normalize_weighted(res, prob,
                                         lambda x: art.outer_left[0](x))
         rmass = np.sqrt(inner_product(
-            prob.nodes, res.eigenfunction, res.eigenfunction,
+            prob.asm.nodes, res.eigenfunction, res.eigenfunction,
             lo=prob.eps, hi=None))
         assert rmass == pytest.approx(eps ** 2 * v2_norm, rel=0.2)
 
