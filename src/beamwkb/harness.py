@@ -36,7 +36,12 @@ class ExpansionError(RuntimeError):
 @dataclass
 class ExpansionArtifact:
     """Per order lambda_i, the outer terms v_i on (a, 0) and (0, b) and the
-    (beta, h) of the inner f_i: all the validation stage reads, as JSON."""
+    (beta, h) of the inner f_i: all the validation stage reads, as JSON.
+
+    ``phase`` and ``series`` are caches that ``ensure_phase`` fills: the
+    phase data and the chopped Chebyshev series of S, alpha and each
+    beta_i + h_i (``inner.inner_series``), which every inner evaluation
+    reads."""
 
     coeffs: CoefficientSet
     run: RunSpec
@@ -50,6 +55,7 @@ class ExpansionArtifact:
     alpha1: float
     diagnostics: dict = field(default_factory=dict)
     phase: object = None             # PhaseData cache, filled by ensure_phase
+    series: object = None            # (2 + 4 (N + 1), m) array, likewise
 
     # ------------------------------------------------------------------
     @property
@@ -62,6 +68,9 @@ class ExpansionArtifact:
                 self.coeffs, self.lambdas[0],
                 self.lambdas[1] if len(self.lambdas) > 1 else
                 self.diagnostics["lambda1"], self.run.inner_grid)
+        if self.series is None:
+            self.series, _ = inner.inner_series(
+                self.phase, zip(self.f_beta, self.f_h))
         return self.phase
 
     def epsilon(self, l: int):
@@ -101,9 +110,9 @@ class ExpansionArtifact:
         """Truncated inner expansion at stretched points xi."""
         if n >= len(self.f_beta):
             raise inner.MissingDataError(f"inner term f_{n} not in artifact")
-        return inner.evaluate_inner(
-            self.ensure_phase(),
-            list(zip(self.f_beta[:n + 1], self.f_h[:n + 1])), eps, xi)
+        phase = self.ensure_phase()
+        return inner.evaluate_inner(phase, self.series[:2 + 4 * (n + 1)],
+                                    eps, xi)
 
 
 def build_expansion(coeffs: CoefficientSet, run: RunSpec) -> ExpansionArtifact:
@@ -114,7 +123,10 @@ def build_expansion(coeffs: CoefficientSet, run: RunSpec) -> ExpansionArtifact:
     that every order shares live only in this call.  Terms that a
     multiple limit eigenvalue makes unsolvable (right-interval resonance
     with nonzero data) are recorded as missing; the eigenvalue chain
-    continues as long as its left-interface data exist.
+    continues as long as its left-interface data exist.  Every inner grid
+    function (S, alpha, each h_i) must be resolved on ``run.inner_grid``
+    nodes: one whose Chebyshev series reaches no plateau raises
+    ExpansionError.
     """
     mode = outer.solve_three_point_eigen(
         coeffs, run.mode_index, outer_grid=run.outer_grid,
@@ -161,6 +173,13 @@ def build_expansion(coeffs: CoefficientSet, run: RunSpec) -> ExpansionArtifact:
         except inner.MissingDataError as exc:
             raise ExpansionError(
                 f"inner coefficient f_{i - 1} at stage {i}: {exc}") from exc
+    series, unresolved = inner.inner_series(
+        phase, [(f.beta, f.h) for f in f_terms])
+    if unresolved:
+        raise ExpansionError(
+            f"inner series {', '.join(unresolved)} not resolved on "
+            f"inner_grid = {run.inner_grid} Chebyshev nodes: their "
+            "coefficients reach no plateau; raise inner_grid")
 
     diagnostics = {
         "lambda1": lam1,
@@ -179,7 +198,7 @@ def build_expansion(coeffs: CoefficientSet, run: RunSpec) -> ExpansionArtifact:
         f_beta=[f.beta for f in f_terms],
         f_h=[f.h for f in f_terms],
         l0=l0, S1=phase.S1, alpha1=phase.alpha1,
-        diagnostics=diagnostics, phase=phase,
+        diagnostics=diagnostics, phase=phase, series=series,
     )
 
 

@@ -23,12 +23,17 @@ Representation choices that keep the numerics exact where possible:
 field (S', S'^-3, eta, theta, q, q^-3/8, q^3/8, A and -A).  An
 ``InnerCoefficient`` (f_i with its derivative stacks) exists only as
 ``transport_solve`` builds it, with its forcing w; ``evaluate_inner``
-needs only the (beta_i, h_i) pairs, which is all an artifact stores.
+needs only the series of c_i = beta_i + h_i, which ``inner_series`` makes
+from the (beta_i, h_i) pairs that an artifact stores.
 
 Only two quadratures appear (the antiderivatives for S, alpha and h);
 everything else is algebra on the Chebyshev grid.  Off the grid, the grid
 functions S, alpha and h are read only through their Chebyshev
-coefficients (``cheb_coeffs``), the same ones the antiderivatives use.
+coefficients (``cheb_coeffs``, the same ones the antiderivatives use),
+each cut where it reaches its round-off plateau (``chop``, Aurentz and
+Trefethen's standardChop).  ``inner_series`` stacks the cut series, once
+per artifact, and ``cheb_eval`` sums them; a series with no plateau on the
+grid is under-resolved, and the build rejects it.
 """
 
 from __future__ import annotations
@@ -53,6 +58,8 @@ N_MINUS = np.array([1.0, 0.0, 1.0, 0.0])
 # cheb_eval: Chebyshev degrees per block of the T_j(x) recurrence, so its
 # buffer holds CHEB_BLOCK + 2 rows of points, never one row per degree
 CHEB_BLOCK = 16
+# chop: the relative level of a resolved series' plateau, float64 epsilon
+CHOP_TOL = 2.0 ** -52
 
 
 class MissingDataError(RuntimeError):
@@ -200,17 +207,87 @@ def cheb_antideriv_values(values, nodes):
     return vals - vals[0]
 
 
-def cheb_eval(values, x):
-    """Chebyshev interpolant of grid values (1d, or (k, n) rows) at 1d x.
+def chop(coeffs):
+    """Aurentz & Trefethen's ``standardChop`` of one Chebyshev series.
+
+    Returns ``(cutoff, resolved)``: the series to keep is
+    ``coeffs[:cutoff]``.  ``resolved`` says the coefficients reach a
+    plateau at the relative level CHOP_TOL; without one (a series of fewer
+    than 17 coefficients, or a tail still falling at the end) the cutoff
+    is the full length.  (Aurentz & Trefethen, "Chopping a Chebyshev
+    series", ACM TOMS 43, 2017.)
+    """
+    b = np.abs(np.asarray(coeffs, dtype=float))
+    n = b.size
+    if n < 17:
+        return n, False
+    env = np.maximum.accumulate(b[::-1])[::-1]     # max of |a_k|, k >= j
+    if env[0] == 0.0:
+        return 1, True
+    env = env / env[0]
+    # plateau: the first j (1-based, 2..n) whose envelope keeps more than
+    # a share r out to j2 = round(1.25 j + 5) <= n, where r falls from 3
+    # at the level 1 to 0 at the level CHOP_TOL
+    j = np.arange(2, n + 1)
+    j2 = np.floor(1.25 * j + 5.5).astype(int)
+    j, j2 = j[j2 <= n], j2[j2 <= n]
+    e1, e2 = env[j - 1], env[j2 - 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = 3.0 * (1.0 - np.log(e1) / np.log(CHOP_TOL))
+        hits = np.flatnonzero((e1 == 0.0) | (e2 / e1 > r))
+    if hits.size == 0:
+        return n, False
+    point, j2 = int(j[hits[0]]) - 1, int(j2[hits[0]])
+    if env[point - 1] == 0.0:
+        return point, True
+    # cutoff: the lowest point of the envelope under a line tilted by
+    # CHOP_TOL^(1/3) over [1, j2], the envelope floored at CHOP_TOL^(7/6)
+    floor = CHOP_TOL ** (7.0 / 6.0)
+    j3 = int(np.count_nonzero(env >= floor))
+    cc = env[:min(j2, j3 + 1)].copy()
+    if j3 < j2:
+        cc[-1] = floor
+    cc = np.log10(cc) + np.linspace(0.0, -np.log10(CHOP_TOL) / 3.0, cc.size)
+    return max(int(np.argmin(cc)), 1), True
+
+
+def inner_series(phase: PhaseData, terms):
+    """The rows ``evaluate_inner`` reads, for the (beta_i, h_i) pairs terms.
+
+    Rows 0 and 1 are the Chebyshev series of S and alpha, rows 2 + 4i ..
+    5 + 4i those of the coordinates c_i = beta_i + h_i.  Each series of
+    S, alpha and h_i is cut by ``chop`` and zeroed past its cutoff; beta_i
+    then joins the constant term.  The stack keeps as many columns as its
+    longest series, so one ``cheb_eval`` recurrence serves every row.
+    Returns the stack and the names of the grid functions whose series
+    reach no plateau on the grid (those keep their full series).
+    """
+    terms = list(terms)
+    a = cheb_coeffs(np.vstack([phase.S, phase.alpha] +
+                              [h for _, h in terms]).T).T
+    cuts = [chop(row) for row in a]
+    out = a[:, :max(cut for cut, _ in cuts)].copy()
+    for row, (cut, _) in zip(out, cuts):
+        row[cut:] = 0.0
+    for i, (beta, _) in enumerate(terms):
+        out[2 + 4 * i:6 + 4 * i, 0] += beta
+    names = ["S", "alpha"] + [f"h_{i}" for i in range(len(terms))
+                              for _ in range(4)]
+    return out, list(dict.fromkeys(
+        name for name, (_, resolved) in zip(names, cuts) if not resolved))
+
+
+def cheb_eval(coeffs, x):
+    """Chebyshev series (1d, or (k, m) rows of coefficients) at 1d x.
 
     T_j(x) comes from the three-term recurrence over all points at once,
     CHEB_BLOCK degrees at a time; each block is one product with the
     matching coefficient columns, accumulated into the output, and
     T_{j-2}, T_{j-1} carry over to the next block.  Memory stays of the
     order of the output: (CHEB_BLOCK + 2) rows of T plus one product
-    buffer.
+    buffer, however many coefficients a row has.
     """
-    a = cheb_coeffs(np.asarray(values).T).T
+    a = np.asarray(coeffs, dtype=float)
     x = np.asarray(x, dtype=float)
     n = a.shape[-1]
     out = np.empty(a.shape[:-1] + x.shape)
@@ -810,23 +887,24 @@ def transport_solve(phase: PhaseData, delta: float, sigma, w_stack=None):
 # evaluation of the inner expansion
 # ---------------------------------------------------------------------------
 
-def evaluate_inner(phase: PhaseData, terms, eps: float, xi):
+def evaluate_inner(phase: PhaseData, series, eps: float, xi):
     """eps^4 sum_i eps^i <f_i(xi), N(xi, S/eps)> at arbitrary xi.
 
-    ``terms`` lists the (beta_i, h_i) pairs of f_0, f_1, ...  Uses the
-    fundamental-matrix identity to evaluate through the coordinates
-    c_i = beta_i + h_i, which keeps every exponential in the safe range:
-    the result is q^-3/8 <c_i, N(xi, gamma_eps)>.
+    ``series`` holds the rows of ``inner_series``: S, alpha and the
+    coordinates c_i = beta_i + h_i of f_0, f_1, ..., four rows each.  Uses
+    the fundamental-matrix identity to evaluate through c_i, which keeps
+    every exponential in the safe range: the result is
+    q^-3/8 <c_i, N(xi, gamma_eps)>.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    rows = cheb_eval(np.vstack([phase.S, phase.alpha] + [h for _, h in terms]), xi)
+    rows = cheb_eval(series, xi)
     gam = rows[0] / eps + rows[1]
     gam1 = phase.gamma1(eps)
     qv = phase.coeffs.q_at(xi) ** (-0.375)
     N = (np.cos(gam), np.sin(gam), np.exp(-gam), np.exp(gam - gam1))
     out = np.zeros(xi.size)
-    for i, (beta, _) in enumerate(terms):
-        cv = beta[:, None] + rows[2 + 4 * i:6 + 4 * i]
+    for i in range((rows.shape[0] - 2) // 4):
+        cv = rows[2 + 4 * i:6 + 4 * i]
         bracket = cv[0] * N[0] + cv[1] * N[1] + cv[2] * N[2] + cv[3] * N[3]
         out = out + eps ** (4 + i) * qv * bracket
     return out

@@ -203,8 +203,9 @@ class RunSpec:
             raise ConfigError(f"invalid l_range {self.l_range}")
         if self.mode_index < 1:
             raise ConfigError("mode_index is 1-based and must be >= 1")
-        if self.inner_grid < 16:
-            raise ConfigError("inner_grid too coarse (need >= 16 Chebyshev nodes)")
+        if self.inner_grid < 17:
+            raise ConfigError("inner_grid too coarse (need >= 17 Chebyshev "
+                              "nodes, the fewest on which a series can chop)")
         if self.outer_grid < 8:
             raise ConfigError("outer_grid too coarse (need >= 8 elements per unit length)")
 

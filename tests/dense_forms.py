@@ -410,6 +410,46 @@ def cheb_antideriv_values_loop(values, nodes):
     return vals - np.polynomial.chebyshev.chebval(-1.0, b)
 
 
+def standard_chop_loop(coeffs):
+    """``inner.chop`` as Aurentz & Trefethen print ``standardChop``: one
+    loop per step, 1-based indices, MATLAB's round (half away from zero)."""
+    tol = inner.CHOP_TOL
+    b = np.abs(np.asarray(coeffs, dtype=float))
+    n = b.size
+    if n < 17:
+        return n, False
+    m = b.copy()
+    for j in range(n - 2, -1, -1):
+        m[j] = max(b[j], m[j + 1])
+    if m[0] == 0.0:
+        return 1, True
+    envelope = m / m[0]
+    plateau_point = j2 = None
+    for j in range(2, n + 1):
+        j2 = int(math.floor(1.25 * j + 5.0 + 0.5))
+        if j2 > n:
+            return n, False
+        e1, e2 = envelope[j - 1], envelope[j2 - 1]
+        r = 3.0 * (1.0 - math.log(e1) / math.log(tol)) if e1 > 0.0 else 0.0
+        if e1 == 0.0 or e2 / e1 > r:
+            plateau_point = j - 1
+            break
+    if envelope[plateau_point - 1] == 0.0:
+        return plateau_point, True
+    j3 = sum(1 for e in envelope if e >= tol ** (7.0 / 6.0))
+    envelope = envelope.copy()
+    if j3 < j2:
+        j2 = j3 + 1
+        envelope[j2 - 1] = tol ** (7.0 / 6.0)
+    best, d = math.inf, 0
+    for k in range(1, j2 + 1):
+        cc = math.log10(envelope[k - 1]) + \
+            (k - 1) / (j2 - 1) * (-math.log10(tol) / 3.0)
+        if cc < best:
+            best, d = cc, k
+    return max(d - 1, 1), True
+
+
 def reference_basis_all(s):
     """All four derivative stacks of the Hermite shape functions."""
     s = np.asarray(s)

@@ -1,5 +1,8 @@
 import dataclasses
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +11,7 @@ from beamwkb import (CSV_HEADER, build_expansion, cli, emit_report, fit_rate,
                      harness, inner, load_artifact, oracle, run_convergence,
                      save_artifact)
 from beamwkb.harness import artifact_to_dict, drop_one_spread
-from beamwkb.model import RunSpec
+from beamwkb.model import RunSpec, config_from_dict, load_config
 from dense_forms import (drop_one_spread_loop, outer_value_per_order,
                          save_artifact_streaming, save_config)
 
@@ -268,6 +271,46 @@ def test_chain_raises_with_stage_index(uniform_coeffs):
                   inner_grid=64)
     with pytest.raises(harness.ExpansionError, match="stage 3"):
         build_expansion(uniform_coeffs, run)
+
+
+# asym geometry with q(-1) = 0.01: alpha's series needs more than 128 nodes
+STEEP_Q = {"a": -1.0, "b": 0.8, "k0": [1.0], "p": [1.0], "q": [1.0, 0.99],
+           "delta": 0.3, "n_max": 3, "l_range": [8, 40], "outer_grid": 256}
+
+
+def test_under_resolved_inner_series_fails_the_build(tmp_path, capsys):
+    config = tmp_path / "steep.json"
+    config.write_text(json.dumps({**STEEP_Q, "inner_grid": 128}))
+    with pytest.raises(harness.ExpansionError,
+                       match=r"inner series S, alpha, .* inner_grid = 128"):
+        build_expansion(*load_config(config))
+    out = tmp_path / "steep.artifact.json"
+    assert cli.main(["expand", "--config", str(config),
+                     "--out", str(out)]) == 1
+    assert "inner_grid = 128" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_steep_density_builds_on_a_finer_inner_grid():
+    art = build_expansion(*config_from_dict({**STEEP_Q, "inner_grid": 512}))
+    assert len(art.lambdas) == 4
+    # the longest chopped series is longer than the 128-node grid holds
+    assert 128 < art.series.shape[1] < 512
+
+
+def test_benchmark_fixture_configs_build(tmp_path, monkeypatch):
+    # the benchmark writes every fixture with "inner_grid": 128
+    spec = importlib.util.spec_from_file_location(
+        "workloads", Path(__file__).resolve().parent.parent / "bench" /
+        "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    for name in workloads.FIXTURES:
+        config = workloads.write_config(tmp_path, name, workloads.DELTAS[0])
+        art = build_expansion(*load_config(config))
+        assert art.run.inner_grid == 128
+        assert art.n_max == workloads.FIXTURES[name][1]["n_max"]
 
 
 def test_problem_data_immutable(uniform_coeffs):

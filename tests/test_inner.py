@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import math
 import tracemalloc
 
@@ -13,7 +14,7 @@ from dense_forms import (A_entries, A_matrices, N_of_S, barycentric_eval,
                          cheb_antideriv_values_loop, cheb_diff_matrix,
                          det_g_closed_form, g_matrix, gamma_values,
                          interface_quantities, interface_tables,
-                         phi_apply_at, phi_matrices,
+                         phi_apply_at, phi_matrices, standard_chop_loop,
                          talg_apply_per_call, transport_solve_full, w_values)
 
 
@@ -550,7 +551,7 @@ def test_evaluate_inner_scaling_and_safety(uniform_artifact):
     ph = art.phase
     xi = np.linspace(-1.0, 1.0, 301)
     for eps in (0.15, 0.08):
-        vals = inner.evaluate_inner(ph, _pairs(art)[:1], eps, xi)
+        vals = inner.evaluate_inner(ph, art.series[:6], eps, xi)
         scale = np.max(np.abs(vals)) / eps ** 4
         assert 0.05 < scale < 50.0
         N = N_of_S(ph, eps, xi)
@@ -558,7 +559,7 @@ def test_evaluate_inner_scaling_and_safety(uniform_artifact):
 
 
 def _pairs(art):
-    """The (beta_i, h_i) pairs that evaluate_inner reads."""
+    """The (beta_i, h_i) pairs of the artifact's inner terms."""
     return list(zip(art.f_beta, art.f_h))
 
 
@@ -582,22 +583,28 @@ def test_evaluate_inner_matches_direct_form(uniform_artifact):
     xi = np.linspace(-0.99, 0.99, 57)
     eps = 0.09
     direct = _direct_inner(ph, _pairs(art), eps, xi)
-    vals = inner.evaluate_inner(ph, _pairs(art), eps, xi)
+    vals = inner.evaluate_inner(ph, art.series, eps, xi)
     np.testing.assert_allclose(vals, direct, rtol=0, atol=1e-13 * eps ** 4)
 
 
 def _grid_rows(art):
-    """[S, alpha, h_0..h_n] stacked, as evaluate_inner reads them."""
+    """[S, alpha, h_0..h_n] stacked: the grid values whose series
+    ``inner.inner_series`` cuts."""
     rows = np.vstack([art.phase.S, art.phase.alpha] + art.f_h)
     assert np.max(np.abs(art.f_h[-1])) > 0.0
     return rows, np.max(np.abs(rows), axis=1, keepdims=True)
+
+
+def _series(rows):
+    """The full (unchopped) Chebyshev series of grid-value rows."""
+    return inner.cheb_coeffs(rows.T).T
 
 
 def test_cheb_eval_returns_grid_values_at_nodes(variable_artifact):
     # every Lobatto node, +-1 included, gives back its grid value
     ph = variable_artifact.phase
     rows, scale = _grid_rows(variable_artifact)
-    got = inner.cheb_eval(rows, ph.nodes)
+    got = inner.cheb_eval(_series(rows), ph.nodes)
     assert np.all(np.abs(got - rows) <= 1e-14 * scale)
 
 
@@ -614,26 +621,96 @@ def test_cheb_eval_matches_barycentric_off_grid(variable_artifact):
         scale = np.max(np.abs(rows), axis=1, keepdims=True)
         for n_points in (1, 301, 512, 513, 1061):
             xi = np.random.default_rng(3).uniform(-1.0, 1.0, n_points)
-            got = inner.cheb_eval(rows, xi)
+            got = inner.cheb_eval(_series(rows), xi)
             ref = barycentric_eval(nodes, rows, xi)
             assert got.shape == ref.shape
             assert np.all(np.abs(got - ref) <= 1e-13 * scale)
 
 
 def test_cheb_eval_memory_is_of_the_order_of_its_output(variable_artifact):
-    # 18 rows at 20,000 points: the output alone is 18 doubles per point;
-    # one T row per degree (128 here) would exceed the bound by itself
-    rows, _ = _grid_rows(variable_artifact)
-    assert rows.shape == (18, 128)
+    # 18 full series at 20,000 points: the output alone is 18 doubles per
+    # point; one T row per degree (128 here) would exceed the bound by itself
+    coeffs = _series(_grid_rows(variable_artifact)[0])
+    assert coeffs.shape == (18, 128)
     xi = np.random.default_rng(4).uniform(-1.0, 1.0, 20_000)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        inner.cheb_eval(rows, xi)
+        inner.cheb_eval(coeffs, xi)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
     assert peak <= 64 * 8 * xi.size
+
+
+def _chop_cases():
+    """Series for ``chop``: smooth functions on three grids, geometric
+    decays over noise floors, exact and short tails, and zero rows."""
+    rng = np.random.default_rng(11)
+    cases = []
+    for n_nodes in (33, 65, 129):
+        x = inner.cheb_nodes(n_nodes)
+        for f in (np.exp, lambda t: np.cos(20.0 * t), lambda t: 1.0 / (2.0 + t),
+                  lambda t: t ** 3, lambda t: np.abs(t) ** 3):
+            cases.append(inner.cheb_coeffs(f(x)))
+    for rate in (0.3, 0.5, 0.7, 0.9):
+        for floor in (0.0, 1e-17, 1e-16, 1e-14):
+            k = np.arange(100)
+            cases.append(rate ** k + floor * rng.standard_normal(k.size))
+    cases += [np.zeros(40), np.ones(16), np.ones(17), np.r_[1.0, np.zeros(30)],
+              rng.standard_normal(64)]
+    # noisy decays reaching the plateau search's boundaries (among them j2
+    # = round(1.25 j + 5) at a half, which rounds up)
+    for _ in range(500):
+        k = np.arange(rng.integers(17, 80))
+        cases.append(rng.uniform(0.2, 0.9) ** k *
+                     (1.0 + 0.5 * rng.standard_normal(k.size)) +
+                     10.0 ** rng.uniform(-20, -13) * rng.standard_normal(k.size))
+    return cases
+
+
+def test_chop_matches_the_loop_transcription():
+    for coeffs in _chop_cases():
+        assert inner.chop(coeffs) == standard_chop_loop(coeffs)
+
+
+def test_chop_cuts_a_resolved_series_at_its_plateau():
+    # exp on three grids: the same 15 coefficients, whatever the grid; the
+    # dropped tail lies at the round-off level of the largest coefficient
+    for n_nodes in (33, 65, 129):
+        a = inner.cheb_coeffs(np.exp(inner.cheb_nodes(n_nodes)))
+        cut, resolved = inner.chop(a)
+        assert (cut, resolved) == (15, True)
+        assert np.max(np.abs(a[cut:])) <= 1e-15 * np.max(np.abs(a))
+    # a tail still falling at the end, and too short a series, are not
+    # resolved and keep every coefficient
+    assert inner.chop(0.7 ** np.arange(40)) == (40, False)
+    assert inner.chop(np.ones(16)) == (16, False)
+    assert inner.chop(np.zeros(40)) == (1, True)
+
+
+@pytest.mark.parametrize("name, width", [("asym", 3), ("variable", 32)])
+@pytest.mark.parametrize("grid", [64, 128])
+def test_inner_series_chop_to_a_few_coefficients(name, width, grid, request):
+    art = request.getfixturevalue(f"{name}_artifact")
+    if grid != art.run.inner_grid:
+        art = build_expansion(art.coeffs, dataclasses.replace(
+            art.run, inner_grid=grid))
+    assert art.series.shape[0] == 2 + 4 * len(art.f_h)
+    assert art.series.shape[1] <= width
+
+
+@pytest.mark.parametrize("name", ["uniform", "asym", "variable"])
+def test_chopped_series_match_the_full_series(name, request):
+    # the rows of S, alpha and c_i = beta_i + h_i, cut and in full
+    art = request.getfixturevalue(f"{name}_artifact")
+    rows = np.vstack([art.phase.S, art.phase.alpha] +
+                     [b[:, None] + h for b, h in _pairs(art)])
+    scale = np.max(np.abs(rows), axis=1, keepdims=True)
+    xi = np.random.default_rng(5).uniform(-1.0, 1.0, 2000)
+    got = inner.cheb_eval(art.series, xi)
+    ref = inner.cheb_eval(_series(rows), xi)
+    assert np.all(np.abs(got - ref) <= 1e-14 * scale)
 
 
 def test_evaluate_inner_at_grid_nodes_matches_direct_form(variable_artifact):
@@ -643,5 +720,5 @@ def test_evaluate_inner_at_grid_nodes_matches_direct_form(variable_artifact):
                          [-0.5, 0.2, 0.7]])
     eps = 0.09
     direct = _direct_inner(ph, _pairs(art), eps, xi)
-    vals = inner.evaluate_inner(ph, _pairs(art), eps, xi)
+    vals = inner.evaluate_inner(ph, art.series, eps, xi)
     np.testing.assert_allclose(vals, direct, rtol=0.0, atol=1e-13 * eps ** 4)

@@ -56,6 +56,13 @@ def test_runspec_validation():
         RunSpec(mode_index=0)
 
 
+def test_inner_grid_holds_a_choppable_series():
+    # inner.chop finds no plateau on fewer than 17 coefficients
+    with pytest.raises(ConfigError, match="inner_grid too coarse"):
+        RunSpec(inner_grid=16)
+    RunSpec(inner_grid=17)
+
+
 @pytest.mark.parametrize("key, value", [
     ("n_max", True), ("n_max", "3"), ("delta", "0.3"), ("delta", np.True_),
     ("a", True), ("k0", ["1"]), ("q", [1.0, False]),

@@ -1,13 +1,24 @@
+import hashlib
 import importlib.util
 import json
+import math
 from pathlib import Path
 
 import pytest
 
-_PATH = Path(__file__).resolve().parent.parent / "tools" / "paired_bench.py"
-_spec = importlib.util.spec_from_file_location("paired_bench", _PATH)
-paired_bench = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(paired_bench)
+_TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+def _tool(name):
+    spec = importlib.util.spec_from_file_location(name, _TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+paired_bench = _tool("paired_bench")
+column_moves = _tool("column_moves")
+output_digest = _tool("output_digest")
 
 
 def _record(wall, rss, correct=True, failed=0):
@@ -109,3 +120,68 @@ def test_summarize_reports_median_change_and_verdict():
     assert (wall["bound"], wall["verdict"]) == (0.25, "within bound")
     text = paired_bench.format_summary(s)
     assert "-6.2%" in text and "gain" in text and "within bound" in text
+
+
+def test_output_digest_keeps_each_hashed_output(tmp_path, capsys):
+    keep = tmp_path / "keep"
+    keep.mkdir()
+    report = tmp_path / "report.csv"
+    report.write_text("l,kappa\n8,1.0\n")
+    output_digest._emitter(keep)(report, "validate asym csv delta=0.0")
+    output_digest._emitter(None)(report, "validate asym csv delta=0.0")
+    sha = hashlib.sha256(report.read_bytes()).hexdigest()
+    assert capsys.readouterr().out.splitlines() == \
+        [f"{sha}  validate asym csv delta=0.0"] * 2
+    kept = keep / "validate_asym_csv_delta=0.0.csv"
+    assert [p.name for p in keep.iterdir()] == [kept.name]
+    assert kept.read_bytes() == report.read_bytes()
+
+
+def test_relative_move():
+    assert column_moves.relative_move(2.0, 2.0) == 0.0
+    assert column_moves.relative_move(-4.0, -3.0) == 0.25
+    assert column_moves.relative_move(math.nan, math.nan) == 0.0
+    assert column_moves.relative_move(0.0, 1e-30) == math.inf
+    assert column_moves.relative_move(1.0, math.nan) == math.inf
+
+
+def _write_outputs(root, kappa, l2, slope, lam=3.0, note="ok"):
+    root.mkdir()
+    (root / "report.json").write_text(json.dumps({
+        "n": 2, "rows": [{"l": 8, "kappa": kappa[0], "l2_inner": l2,
+                          "lambda_oracle": lam, "valid": True, "note": note},
+                         {"l": 9, "kappa": kappa[1], "l2_inner": None,
+                          "lambda_oracle": lam, "valid": True, "note": note}],
+        "fits": {"l2_inner": {"slope": slope}}}))
+    (root / "report.csv").write_text(
+        "l,kappa,lambda_oracle\n"
+        f"8,{kappa[0]!r},{lam!r}\n9,{kappa[1]!r},{lam!r}\n")
+    (root / "artifact.json").write_text(json.dumps({"lambdas": [lam, 1.0]}))
+
+
+def test_column_moves_on_synthetic_outputs(tmp_path, capsys):
+    old, new = tmp_path / "old", tmp_path / "new"
+    _write_outputs(old, kappa=(1.0, 2.0), l2=1e-8, slope=3.0)
+    _write_outputs(new, kappa=(1.0 + 1e-13, 2.0 - 8e-13), l2=1.1e-8,
+                   slope=3.0, note="changed")
+    (new / "extra.json").write_text("{}")
+    result = column_moves.compare(old, new)
+    moves = result["moves"]
+    assert moves["json rows[].kappa"]["values"] == 2
+    assert moves["json rows[].kappa"]["moved"] == 2
+    assert moves["json rows[].kappa"]["largest"] == pytest.approx(4e-13)
+    assert moves["csv kappa"]["largest"] == pytest.approx(4e-13)
+    assert moves["csv kappa"]["file"] == "report.csv"
+    assert moves["json rows[].l2_inner"]["largest"] == pytest.approx(0.1)
+    for key in ("json rows[].lambda_oracle", "csv lambda_oracle",
+                "json fits.l2_inner.slope", "json rows[].l"):
+        assert (moves[key]["moved"], moves[key]["largest"]) == (0, 0.0)
+    assert "json n" in moves and "json rows[].valid" not in moves
+    assert result["identical"] == ["artifact.json"]
+    assert (result["only_old"], result["only_new"]) == ([], ["extra.json"])
+    assert result["changed"] == [("report.json", "rows[].note", "ok",
+                                  "changed")] * 2
+    assert column_moves.main([str(old), str(new)]) == 0
+    text = capsys.readouterr().out
+    assert "json rows[].kappa" in text and "4e-13" in text
+    assert "byte-identical files: 1" in text and "only new: extra.json" in text

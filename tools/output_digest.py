@@ -28,6 +28,14 @@ Run it once against each tree and compare the output with ``diff``:
     python3 tools/output_digest.py --src path/to/old/src > old.txt
     python3 tools/output_digest.py --src src > new.txt
 
+``--keep DIR`` also saves every output it hashes into DIR, named after its
+line (``validate_asym_json_delta=0.0.json``), so that the outputs of two
+trees can be compared value by value:
+
+    python3 tools/output_digest.py --src path/to/old/src --keep old
+    python3 tools/output_digest.py --src src --keep new
+    python3 tools/column_moves.py old new
+
 ``--src`` is the directory holding the ``beamwkb`` package; the fixture
 configurations are always read from the ``bench/`` next to this script,
 so both trees are fed the same inputs.  BLAS pools are pinned to one
@@ -42,6 +50,7 @@ import hashlib
 import io
 import json
 import os
+import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -52,19 +61,31 @@ VALIDATE_FIXTURES = ("asym", "variable")
 EDGE_ORDERS = (0, 1)
 
 
-def _sha(path):
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+def _emitter(keep):
+    """print(sha256, label) for one output file; with ``keep``, also copy
+    the file there as label (spaces as underscores) plus its suffix."""
+    def emit(path, label):
+        path = Path(path)
+        print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {label}")
+        if keep is not None:
+            shutil.copyfile(path, keep / (label.replace(" ", "_") + path.suffix))
+    return emit
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", default=str(ROOT / "src"),
                     help="directory holding the beamwkb package")
+    ap.add_argument("--keep", type=Path, default=None,
+                    help="directory to save every hashed output into")
     args = ap.parse_args(argv)
     src = Path(args.src).resolve()
     if not (src / "beamwkb" / "__init__.py").is_file():
         print(f"error: no beamwkb package under {src}", file=sys.stderr)
         return 2
+    if args.keep is not None:
+        args.keep.mkdir(parents=True, exist_ok=True)
+    emit = _emitter(args.keep)
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
     sys.path[:0] = [str(src), str(ROOT / "bench")]
@@ -85,7 +106,7 @@ def main(argv=None):
                     *load_config(write_config(tmp, name, delta)))
                 path = tmp / "artifact.json"
                 harness.save_artifact(art, path)
-                print(f"{_sha(path)}  artifact {name} delta={delta!r}")
+                emit(path, f"artifact {name} delta={delta!r}")
         for n_max in EDGE_ORDERS:
             config = tmp / "edge.config.json"
             config.write_text(json.dumps(
@@ -93,8 +114,7 @@ def main(argv=None):
             art = harness.build_expansion(*load_config(config))
             path = tmp / "artifact.json"
             harness.save_artifact(art, path)
-            print(f"{_sha(path)}  artifact asym n_max={n_max} "
-                  f"delta={DELTAS[0]!r}")
+            emit(path, f"artifact asym n_max={n_max} delta={DELTAS[0]!r}")
         for name in VALIDATE_FIXTURES:
             for delta in DELTAS[:VALIDATE_DELTAS]:
                 art = harness.build_expansion(
@@ -112,8 +132,8 @@ def main(argv=None):
                     print(f"error: validate exited with {code} on {name} at "
                           f"delta={delta!r}", file=sys.stderr)
                     return 1
-                print(f"{_sha(csv)}  validate {name} csv delta={delta!r}")
-                print(f"{_sha(js)}  validate {name} json delta={delta!r}")
+                emit(csv, f"validate {name} csv delta={delta!r}")
+                emit(js, f"validate {name} json delta={delta!r}")
         config = write_config(tmp, "asym", DELTAS[0])
         art = harness.build_expansion(*load_config(config))
         eps = art.epsilon(VALIDATE_L[0])
@@ -133,11 +153,11 @@ def main(argv=None):
             if code != 0:
                 print(f"error: {command} exited with {code}", file=sys.stderr)
                 return 1
-        print(f"{_sha(tmp / 'oracle.json')}  oracle asym delta={DELTAS[0]!r}")
-        print(f"{_sha(tmp / 'sweep_summary.json')}  sweep-delta asym summary "
-              f"delta={DELTAS[0]!r}")
-        print(f"{_sha(tmp / f'sweep_delta{DELTAS[0]:g}.json')}  sweep-delta "
-              f"asym json delta={DELTAS[0]!r}")
+        emit(tmp / "oracle.json", f"oracle asym delta={DELTAS[0]!r}")
+        emit(tmp / "sweep_summary.json",
+             f"sweep-delta asym summary delta={DELTAS[0]!r}")
+        emit(tmp / f"sweep_delta{DELTAS[0]:g}.json",
+             f"sweep-delta asym json delta={DELTAS[0]!r}")
     return 0
 
 
