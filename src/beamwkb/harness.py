@@ -41,7 +41,8 @@ class ExpansionArtifact:
     ``phase`` and ``series`` are caches that ``ensure_phase`` fills: the
     phase data and the chopped Chebyshev series of S, alpha and each
     beta_i + h_i (``inner.inner_series``), which every inner evaluation
-    reads."""
+    reads.  A series that reaches no plateau on the grid (in a file
+    written without the build's check) raises ExpansionError there."""
 
     coeffs: CoefficientSet
     run: RunSpec
@@ -69,8 +70,10 @@ class ExpansionArtifact:
                 self.lambdas[1] if len(self.lambdas) > 1 else
                 self.diagnostics["lambda1"], self.run.inner_grid)
         if self.series is None:
-            self.series, _ = inner.inner_series(
+            series, unresolved = inner.inner_series(
                 self.phase, zip(self.f_beta, self.f_h))
+            _require_resolved(unresolved, self.run)
+            self.series = series
         return self.phase
 
     def epsilon(self, l: int):
@@ -115,24 +118,36 @@ class ExpansionArtifact:
                                     eps, xi)
 
 
+def _require_resolved(unresolved, run: RunSpec):
+    """Raise ExpansionError naming the inner series that reach no plateau."""
+    if unresolved:
+        raise ExpansionError(
+            f"inner series {', '.join(unresolved)} not resolved on "
+            f"inner_grid = {run.inner_grid} Chebyshev nodes: their "
+            "coefficients reach no plateau; raise inner_grid")
+
+
 def build_expansion(coeffs: CoefficientSet, run: RunSpec) -> ExpansionArtifact:
     """Run the construction chain to order run.n_max.
 
     Each order i = 1..n_max is one step: boundary_data, solve_correction,
-    then f_{i-1} by transport (f0 comes from solve_f0).  The pencil LUs
-    that every order shares live only in this call.  Terms that a
-    multiple limit eigenvalue makes unsolvable (right-interval resonance
-    with nonzero data) are recorded as missing; the eigenvalue chain
-    continues as long as its left-interface data exist.  Every inner grid
-    function (S, alpha, each h_i) must be resolved on ``run.inner_grid``
-    nodes: one whose Chebyshev series reaches no plateau raises
-    ExpansionError.
+    then f_{i-1} by transport (f0 comes from solve_f0).  What the outer
+    stages share (``outer.OuterWork``: the coefficient Taylor tables, the
+    pencil LUs, the Gauss tables of the load vectors) lives only in this
+    call.  Terms that a multiple limit eigenvalue makes unsolvable
+    (right-interval resonance with nonzero data) are recorded as missing;
+    the eigenvalue chain continues as long as its left-interface data
+    exist.  Every inner grid function (S, alpha, each h_i) must be
+    resolved on ``run.inner_grid`` nodes: one whose Chebyshev series
+    reaches no plateau raises ExpansionError, for S and alpha as soon as
+    the phase is built.
     """
-    mode = outer.solve_three_point_eigen(
-        coeffs, run.mode_index, outer_grid=run.outer_grid,
-        table_depth=run.n_max + 5)
+    work = outer.OuterWork(
+        coeffs, outer.interval_nodes(coeffs, run.outer_grid), run.n_max)
+    mode = outer.solve_three_point_eigen(coeffs, run.mode_index, work=work)
     lam1 = outer.compute_lambda1(mode)
     phase = inner.compute_phase(coeffs, mode.lambda0, lam1, run.inner_grid)
+    _require_resolved(inner.inner_series(phase, [])[1], run)
     l0, det_G_delta = inner.quantize(phase, run.delta, run.l_range)
 
     if mode.lambda0 <= 0.0:
@@ -144,15 +159,14 @@ def build_expansion(coeffs: CoefficientSet, run: RunSpec) -> ExpansionArtifact:
     tables = {-1: [mode.endpoint_minus], +1: [mode.endpoint_plus]}
     f_terms = [inner.solve_f0(phase, run.delta, mode.vpp_minus0)]
     notes = {}
-    # the lambda0-pencil LUs every order shares; they end with this build
-    factors = outer.factor_pencils(mode) if run.n_max else None
+    if run.n_max:
+        outer.factor_pencils(mode, work)
     for i in range(1, run.n_max + 1):
         try:
             bd = inner.boundary_data(i, tables, phase, f_terms, run.delta)
             term = outer.solve_correction(
-                mode, factors, i, lambdas, corrections,
-                bd["V_minus"], bd["V_plus"], bd["W_minus"], bd["W_plus"],
-                table_depth=run.n_max + 5)
+                mode, work, i, lambdas, corrections,
+                bd["V_minus"], bd["V_plus"], bd["W_minus"], bd["W_plus"])
         except (outer.SolvabilityError, inner.MissingDataError) as exc:
             raise ExpansionError(f"construction stage {i}: {exc}") from exc
         lambdas.append(term.lambda_i)
@@ -175,11 +189,7 @@ def build_expansion(coeffs: CoefficientSet, run: RunSpec) -> ExpansionArtifact:
                 f"inner coefficient f_{i - 1} at stage {i}: {exc}") from exc
     series, unresolved = inner.inner_series(
         phase, [(f.beta, f.h) for f in f_terms])
-    if unresolved:
-        raise ExpansionError(
-            f"inner series {', '.join(unresolved)} not resolved on "
-            f"inner_grid = {run.inner_grid} Chebyshev nodes: their "
-            "coefficients reach no plateau; raise inner_grid")
+    _require_resolved(unresolved, run)
 
     diagnostics = {
         "lambda1": lam1,

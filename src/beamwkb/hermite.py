@@ -15,6 +15,11 @@ column slice: the shifted band LU (dgbtrf) and the banded Cholesky
 M_ff = U^T U of the mass block.  ``eigs_near`` runs ARPACK in standard
 form on U (K_ff - sigma M_ff)^-1 U^T, so it makes no mass product.
 
+A load vector has one path: ``GaussRule.load_vector`` sums density
+values given at the rule's points against its weights and shape values.
+A caller makes the rule once per mesh; the outer chain keeps one per
+side for the whole build (``outer.GaussSide``).
+
 Element matrices are accumulated in extended precision: the 1/h^3
 stiffness scaling otherwise pollutes eigenvalues near the 1e-9 relative
 targets whenever h is not exactly representable.  Factorizations stay in
@@ -201,11 +206,11 @@ class Assembly:
                 float(mass))
 
     def pencil_apply(self, v, lam, load=None):
-        """K v - lam M v (- load) over all dofs, accumulated in extended precision."""
-        vl = np.asarray(v, dtype=np.longdouble)
-        ed = self.edof()
-        re = np.einsum("eij,ej->ei", self.Ke, vl[ed]) - \
-            np.longdouble(lam) * np.einsum("eij,ej->ei", self.Me, vl[ed])
+        """K v - lam M v (- load) over all dofs, accumulated in extended
+        precision from one gather of v."""
+        ve = np.asarray(v, dtype=np.longdouble)[self.edof()]
+        re = np.einsum("eij,ej->ei", self.Ke, ve) - \
+            np.longdouble(lam) * np.einsum("eij,ej->ei", self.Me, ve)
         out = _scatter(re, self.ndof)
         if load is not None:
             out = out - np.asarray(load, dtype=np.longdouble)
@@ -324,13 +329,20 @@ class HermiteFunction:
         return HermiteFunction(self.nodes, self.values * factor, self.slopes * factor)
 
 
-def load_vector(nodes, rhs_fn):
-    """Consistent load vector for a vectorized right-hand side density."""
-    nodes = np.asarray(nodes, float)
-    h = np.diff(nodes)
-    xg, wg = gauss_points(nodes)
-    fe = np.einsum("eg,eig->ei", rhs_fn(xg) * wg, _basis_block(h, 0))
-    return _scatter(fe, 2 * nodes.size)
+class GaussRule:
+    """A mesh's element Gauss points ``x``, their weights ``w`` scaled by
+    h, and the shape values there: what every load vector on the mesh
+    reads, made once per mesh by its user."""
+
+    def __init__(self, nodes):
+        self.nodes = np.asarray(nodes, float)
+        self.x, self.w = gauss_points(self.nodes)
+        self.shapes = _basis_block(np.diff(self.nodes), 0)
+
+    def load_vector(self, density):
+        """Consistent load vector of a density given by its values at x."""
+        fe = np.einsum("eg,eig->ei", density * self.w, self.shapes)
+        return _scatter(fe, 2 * self.nodes.size)
 
 
 POLISH_STEPS = 2

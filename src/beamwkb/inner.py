@@ -79,8 +79,21 @@ def n_plus(delta: float):
 # exact scalar functions: sums of q^p * polynomial
 # ---------------------------------------------------------------------------
 
+def _eighths(p):
+    """The exponent p (int, Fraction or float) as a whole number of
+    eighths; raises ValueError unless p is a multiple of 1/8."""
+    k = Fraction(p) * 8
+    if k.denominator != 1:
+        raise ValueError(f"exponent {p} of q is not a multiple of 1/8")
+    return int(k)
+
+
 class QFunc:
-    """Sum of q(xi)^p * poly(xi) terms with exact differentiation."""
+    """Sum of q(xi)^p * poly(xi) terms with exact differentiation.
+
+    Every exponent in the inner chain is a multiple of 1/8, so ``terms``
+    keys each p by the integer 8 p; k / 8 is exact in binary.
+    """
 
     __slots__ = ("q", "dq", "terms")
 
@@ -89,34 +102,33 @@ class QFunc:
         if dq is None:
             dq = P.polyder(self.q) if self.q.size > 1 else np.zeros(1)
         self.dq = dq
-        self.terms = {}
+        self.terms = {}                  # 8 p -> polynomial of the q^p term
         if terms:
             for p, poly in terms.items():
-                self._add_term(p, poly)
+                self._add_term(_eighths(p), poly)
 
-    def _add_term(self, p, poly):
+    def _add_term(self, k, poly):
         poly = np.atleast_1d(np.asarray(poly, dtype=float))
         if np.all(poly == 0.0):
             return
-        p = Fraction(p)
-        if p in self.terms:
-            self.terms[p] = P.polyadd(self.terms[p], poly)
-            if np.all(self.terms[p] == 0.0):
-                del self.terms[p]
+        if k in self.terms:
+            self.terms[k] = P.polyadd(self.terms[k], poly)
+            if np.all(self.terms[k] == 0.0):
+                del self.terms[k]
         else:
-            self.terms[p] = poly
+            self.terms[k] = poly
 
     @classmethod
     def const(cls, q, value):
-        return cls(q, {Fraction(0): np.array([float(value)])})
+        return cls(q, {0: np.array([float(value)])})
 
     @classmethod
     def poly(cls, q, coeffs):
-        return cls(q, {Fraction(0): np.asarray(coeffs, dtype=float)})
+        return cls(q, {0: np.asarray(coeffs, dtype=float)})
 
     @classmethod
     def qpow(cls, q, p, scale=1.0):
-        return cls(q, {Fraction(p): np.array([float(scale)])})
+        return cls(q, {p: np.array([float(scale)])})
 
     def zero(self):
         """The zero function on the same q, sharing q and q'."""
@@ -124,21 +136,21 @@ class QFunc:
 
     def __add__(self, other):
         out = self.zero()
-        for p, poly in self.terms.items():
-            out._add_term(p, poly)
-        for p, poly in other.terms.items():
-            out._add_term(p, poly)
+        for k, poly in self.terms.items():
+            out._add_term(k, poly)
+        for k, poly in other.terms.items():
+            out._add_term(k, poly)
         return out
 
     def __mul__(self, other):
         out = self.zero()
         if isinstance(other, QFunc):
-            for p1, a in self.terms.items():
-                for p2, b in other.terms.items():
-                    out._add_term(p1 + p2, P.polymul(a, b))
+            for k1, a in self.terms.items():
+                for k2, b in other.terms.items():
+                    out._add_term(k1 + k2, P.polymul(a, b))
         else:
-            for p, a in self.terms.items():
-                out._add_term(p, np.asarray(a) * float(other))
+            for k, a in self.terms.items():
+                out._add_term(k, np.asarray(a) * float(other))
         return out
 
     __rmul__ = __mul__
@@ -146,14 +158,14 @@ class QFunc:
     def deriv(self):
         """d/dxi, exact: q^p P -> q^(p-1) (p q' P + q P')."""
         out = self.zero()
-        for p, poly in self.terms.items():
-            if p == 0:
+        for k, poly in self.terms.items():
+            if k == 0:
                 out._add_term(0, P.polyder(poly) if poly.size > 1 else [0.0])
                 continue
-            contrib = float(p) * P.polymul(self.dq, poly)
+            contrib = (k / 8) * P.polymul(self.dq, poly)
             if poly.size > 1:
                 contrib = P.polyadd(contrib, P.polymul(self.q, P.polyder(poly)))
-            out._add_term(p - 1, contrib)
+            out._add_term(k - 8, contrib)
         return out
 
     def __call__(self, xs):
@@ -162,10 +174,10 @@ class QFunc:
         if not self.terms:
             return out
         qv = P.polyval(xs, self.q)
-        for p, poly in self.terms.items():
+        for k, poly in self.terms.items():
             val = P.polyval(xs, poly)
-            if p != 0:
-                val = val * qv ** float(p)
+            if k != 0:
+                val = val * qv ** (k / 8)
             out = out + val
         return out
 
@@ -194,17 +206,20 @@ def cheb_coeffs(values):
 def cheb_antideriv_values(values, nodes):
     """Antiderivative on the same grid, vanishing at xi = -1 (spectral).
 
-    ``nodes`` is the ascending Lobatto grid, so nodes[0] is exactly -1.
+    ``values`` is one grid function (n,) or a stack of them (k, n), one
+    per row, all taken in one pass.  ``nodes`` is the ascending Lobatto
+    grid, so nodes[0] is exactly -1.
     """
-    a = cheb_coeffs(values)
+    a = cheb_coeffs(np.asarray(values, dtype=float).T)
     n = a.shape[0]
-    c = np.zeros(n + 2)                  # c_n = c_{n+1} = 0
+    c = np.zeros((n + 2,) + a.shape[1:])     # c_n = c_{n+1} = 0
     c[:n] = a
     c[0] = 2.0 * c[0]
-    b = np.zeros(n + 1)
-    b[1:] = (c[:n] - c[2:]) / (2.0 * np.arange(1, n + 1))
+    b = np.zeros((n + 1,) + a.shape[1:])
+    k = np.arange(1, n + 1).reshape((n,) + (1,) * (a.ndim - 1))
+    b[1:] = (c[:n] - c[2:]) / (2.0 * k)
     vals = C.chebval(nodes, b)
-    return vals - vals[0]
+    return vals - vals[..., :1]
 
 
 def chop(coeffs):
@@ -867,8 +882,7 @@ def transport_solve(phase: PhaseData, delta: float, sigma, w_stack=None):
     if w_stack is None:
         h = np.zeros((4, xs.size))
     else:
-        integrand = phase.phi_inv_apply(w_stack(0))
-        h = np.stack([cheb_antideriv_values(integrand[k], xs) for k in range(4)])
+        h = cheb_antideriv_values(phase.phi_inv_apply(w_stack(0)), xs)
     h1 = h[:, -1]
     N1 = n_plus(delta)
     m_minus = phase.at(phase.q_38, -1)

@@ -10,17 +10,20 @@ determinant: the exact reference for the finite-element oracle.
 
 The second half keeps the straightforward forms of the package's fast
 kernels (np.add.at scatters, the COO -> CSR assembly of the Hermite
-forms, the loop antiderivative, the all-derivatives Hermite basis,
-per-call coefficient evaluation, streaming JSON writes), which the fast
+forms, the loop antiderivative, the Fraction-keyed QFunc, the
+all-derivatives Hermite basis, per-call coefficient evaluation, the
+per-order load density, streaming JSON writes), which the fast
 kernels must match bit for bit, and the refit-per-row drop-one spread
 that the closed form must match to round-off.
 """
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import scipy.sparse as sp
+from numpy.polynomial import polynomial as P
 from scipy.optimize import brentq
 
 from beamwkb import harness, hermite, inner
@@ -374,7 +377,9 @@ def band_of(A):
 
 
 def load_vector_add_at(nodes, rhs_fn):
-    """``hermite.load_vector`` with its element scatter done by np.add.at."""
+    """Consistent load vector of the density ``rhs_fn`` on the mesh: the
+    Gauss rule, shape values and weights made afresh, and the element
+    scatter done by np.add.at."""
     nodes = np.asarray(nodes, float)
     h = np.diff(nodes)
     xg, wg = hermite.gauss_points(nodes)
@@ -384,6 +389,18 @@ def load_vector_add_at(nodes, rhs_fn):
     edof = 2 * np.arange(h.size)[:, None] + np.arange(4)[None, :]
     np.add.at(F, edof.ravel(), fe.ravel())
     return F
+
+
+def forcing_density(p_fn, pairs):
+    """The density p g, g = sum of lambda_j v_j(x) over the (lambda_j, v_j)
+    of ``pairs``, that evaluates p and every term at each call."""
+    def density(x):
+        g = np.zeros_like(np.asarray(x, dtype=float))
+        for lam_j, vf in pairs:
+            g = g + lam_j * vf(x)
+        return p_fn(x) * g
+
+    return density
 
 
 def scatter_add_at(elem_vecs, ndof):
@@ -408,6 +425,85 @@ def cheb_antideriv_values_loop(values, nodes):
         b[k] = (am - ap) / (2.0 * k)
     vals = np.polynomial.chebyshev.chebval(nodes, b)
     return vals - np.polynomial.chebyshev.chebval(-1.0, b)
+
+
+class FractionQFunc:
+    """``inner.QFunc`` with its exponents kept as ``Fraction`` keys: sums of
+    q^p * polynomial terms, differentiated exactly."""
+
+    def __init__(self, q, terms=None, dq=None):
+        self.q = np.asarray(q, dtype=float)
+        if dq is None:
+            dq = P.polyder(self.q) if self.q.size > 1 else np.zeros(1)
+        self.dq = dq
+        self.terms = {}
+        for p, poly in (terms or {}).items():
+            self._add_term(p, poly)
+
+    def _add_term(self, p, poly):
+        poly = np.atleast_1d(np.asarray(poly, dtype=float))
+        if np.all(poly == 0.0):
+            return
+        p = Fraction(p)
+        if p in self.terms:
+            self.terms[p] = P.polyadd(self.terms[p], poly)
+            if np.all(self.terms[p] == 0.0):
+                del self.terms[p]
+        else:
+            self.terms[p] = poly
+
+    @classmethod
+    def poly(cls, q, coeffs):
+        return cls(q, {Fraction(0): np.asarray(coeffs, dtype=float)})
+
+    @classmethod
+    def qpow(cls, q, p, scale=1.0):
+        return cls(q, {Fraction(p): np.array([float(scale)])})
+
+    def zero(self):
+        return FractionQFunc(self.q, dq=self.dq)
+
+    def __add__(self, other):
+        out = self.zero()
+        for p, poly in list(self.terms.items()) + list(other.terms.items()):
+            out._add_term(p, poly)
+        return out
+
+    def __mul__(self, other):
+        out = self.zero()
+        if isinstance(other, FractionQFunc):
+            for p1, a in self.terms.items():
+                for p2, b in other.terms.items():
+                    out._add_term(p1 + p2, P.polymul(a, b))
+        else:
+            for p, a in self.terms.items():
+                out._add_term(p, np.asarray(a) * float(other))
+        return out
+
+    def deriv(self):
+        out = self.zero()
+        for p, poly in self.terms.items():
+            if p == 0:
+                out._add_term(0, P.polyder(poly) if poly.size > 1 else [0.0])
+                continue
+            contrib = float(p) * P.polymul(self.dq, poly)
+            if poly.size > 1:
+                contrib = P.polyadd(contrib, P.polymul(self.q, P.polyder(poly)))
+            out._add_term(p - 1, contrib)
+        return out
+
+    def __call__(self, xs):
+        xs = np.asarray(xs, dtype=float)
+        out = np.zeros_like(xs)
+        if not self.terms:
+            return out
+        qv = P.polyval(xs, self.q)
+        for p, poly in self.terms.items():
+            val = P.polyval(xs, poly)
+            if p != 0:
+                val = val * qv ** float(p)
+            out = out + val
+        return out
 
 
 def standard_chop_loop(coeffs):

@@ -282,13 +282,48 @@ def test_under_resolved_inner_series_fails_the_build(tmp_path, capsys):
     config = tmp_path / "steep.json"
     config.write_text(json.dumps({**STEEP_Q, "inner_grid": 128}))
     with pytest.raises(harness.ExpansionError,
-                       match=r"inner series S, alpha, .* inner_grid = 128"):
+                       match=r"inner series S, alpha not .* inner_grid = 128"):
         build_expansion(*load_config(config))
     out = tmp_path / "steep.artifact.json"
     assert cli.main(["expand", "--config", str(config),
                      "--out", str(out)]) == 1
     assert "inner_grid = 128" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_unresolved_phase_fails_before_any_transport_solve(monkeypatch):
+    # S and alpha are known, and unresolved, as soon as the phase is built
+    transport_solve = inner.transport_solve
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return transport_solve(*args, **kwargs)
+
+    monkeypatch.setattr(inner, "transport_solve", recording)
+    with pytest.raises(harness.ExpansionError,
+                       match=r"inner series S, alpha not .* inner_grid = 128"):
+        build_expansion(*config_from_dict({**STEEP_Q, "inner_grid": 128}))
+    assert calls == []
+
+
+def test_loaded_under_resolved_artifact_is_rejected(tmp_path, capsys):
+    # an artifact written without the build's resolution check (as by an
+    # older build) fails at its first inner evaluation, and validate exits 1
+    path = tmp_path / "steep.artifact.json"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "_require_resolved", lambda unresolved, run: None)
+        save_artifact(build_expansion(
+            *config_from_dict({**STEEP_Q, "inner_grid": 128})), path)
+    art = load_artifact(path)
+    with pytest.raises(harness.ExpansionError,
+                       match=r"inner series S, alpha, .* inner_grid = 128"):
+        art.inner_value(np.linspace(-1.0, 1.0, 5), art.epsilon(8), 0)
+    assert art.series is None
+    assert cli.main(["validate", "--artifact", str(path), "--n", "2",
+                     "--l", "8:11"]) == 1
+    err = capsys.readouterr().err
+    assert "ExpansionError" in err and "inner_grid = 128" in err
 
 
 def test_steep_density_builds_on_a_finer_inner_grid():

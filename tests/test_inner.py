@@ -381,10 +381,12 @@ def test_talg_coefficients_evaluated_once_per_build(variable_coeffs,
     assert len(held) == 28
     assert set(grid_evals) == held
     assert max(grid_evals.values()) == 1
-    # 113 = 112 for the chain and the phase, plus k0'(0) in compute_lambda1;
+    # 89 = 88 for the chain and the phase, plus k0'(0) in compute_lambda1;
     # this beam's v0 flips sign, which negates its endpoint table instead of
-    # recomputing it (that second table cost 4)
-    assert n_polyder[0] == 113
+    # recomputing it.  The build's one Taylor table of k0, k1, k2 and p at
+    # x = 0 costs 3 (k0', p', p''); rebuilt for each of its 9 endpoint
+    # tables, it cost 27, and the count was 113
+    assert n_polyder[0] == 89
 
 
 def test_talg_apply_matches_per_call_evaluation(vphase):
@@ -405,6 +407,15 @@ def test_cheb_antideriv_values_matches_loop(uphase, vphase, variable_chain):
     for vals, nodes in cases:
         assert np.array_equal(inner.cheb_antideriv_values(vals, nodes),
                               cheb_antideriv_values_loop(vals, nodes))
+    # transport_solve takes the four rows of Phi^-1 w in one call on the
+    # (4, n) stack: each row is the loop form's, bit for bit
+    for term in variable_chain.f_terms[1:]:
+        stack = vphase.phi_inv_apply(w_values(term, 0))
+        loop = np.stack([cheb_antideriv_values_loop(row, vphase.nodes)
+                         for row in stack])
+        assert np.array_equal(inner.cheb_antideriv_values(stack, vphase.nodes),
+                              loop)
+        assert np.array_equal(term.h, loop)
 
 
 def test_cheb_nodes_end_exactly_at_plus_minus_one():

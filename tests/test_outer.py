@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 
 import numpy as np
@@ -9,8 +10,9 @@ from scipy.sparse.linalg import SuperLU
 
 from beamwkb import hermite, inner, outer
 from beamwkb.model import CoefficientSet
-from dense_forms import (correction_residual, csr_forms,
-                         hermite_call_all_stacks, inner_product)
+from dense_forms import (correction_residual, csr_forms, forcing_density,
+                         hermite_call_all_stacks, inner_product,
+                         load_vector_add_at)
 
 
 def test_lambda0_matches_characteristic_root(uniform_mode, beam_root):
@@ -142,13 +144,20 @@ def test_lambda1_has_one_value(uniform_artifact, recorded_build):
     assert art.diagnostics["lambda1"] == lam1
 
 
-def _holds_superlu(obj, seen):
-    """Whether a SuperLU is reachable from obj through containers and
-    instance attributes."""
+# what a build makes for its own stages: LUs, the OuterWork and its Gauss
+# and extended-precision Taylor tables
+BUILD_SCOPED = (SuperLU, outer.OuterWork, outer.GaussSide, hermite.GaussRule,
+                np.longdouble)
+
+
+def _holds_build_store(obj, seen):
+    """Whether a SuperLU (or its solve), an OuterWork or one of its tables
+    is reachable from obj through containers and instance attributes."""
     if id(obj) in seen:
         return False
     seen.add(id(obj))
-    if isinstance(obj, SuperLU):
+    if isinstance(obj, BUILD_SCOPED) or \
+            isinstance(getattr(obj, "__self__", None), SuperLU):
         return True
     if isinstance(obj, dict):
         items = obj.values()
@@ -158,7 +167,7 @@ def _holds_superlu(obj, seen):
         items = vars(obj).values()
     else:
         return False
-    return any(_holds_superlu(v, seen) for v in items)
+    return any(_holds_build_store(v, seen) for v in items)
 
 
 def test_correction_chain_factors_each_pencil_once(asym_coeffs,
@@ -168,10 +177,11 @@ def test_correction_chain_factors_each_pencil_once(asym_coeffs,
                                                    recorded_build,
                                                    monkeypatch):
     # per build: on each interval one LU for ARPACK's shift-invert and two
-    # polish LUs for the three-point pair, then one bordered LU on (a, 0)
-    # and one LU on (0, b) shared by every order; the resonant uniform
-    # beam never solves on (0, b).  The LUs live only in the build: the
-    # artifact and the three-point mode hold none.
+    # polish LUs for the three-point pair, then one bordered LU on (a, 0);
+    # every order solves on (0, b) with the right eigensolve's LU at
+    # lambda0 (the resonant uniform beam never does).  The LUs and the
+    # Gauss and Taylor tables live only in the build: the artifact, the
+    # three-point mode and the outer terms hold none.
     splu = scipy.sparse.linalg.splu
     calls = []
 
@@ -181,16 +191,69 @@ def test_correction_chain_factors_each_pencil_once(asym_coeffs,
 
     monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
     for coeffs, run, n_max, want in (
-            (asym_coeffs, asym_artifact.run, 1, 8),
-            (asym_coeffs, asym_artifact.run, 2, 8),
-            (asym_coeffs, asym_artifact.run, 3, 8),
+            (asym_coeffs, asym_artifact.run, 1, 7),
+            (asym_coeffs, asym_artifact.run, 2, 7),
+            (asym_coeffs, asym_artifact.run, 3, 7),
             (uniform_coeffs, uniform_artifact.run, 2, 7)):
         calls.clear()
         chain = recorded_build(coeffs, dataclasses.replace(run, n_max=n_max))
         assert len(calls) == want, (n_max, calls)
-        assert not _holds_superlu(vars(chain.art), set())
-        assert not any(isinstance(v, SuperLU)
-                       for v in vars(chain.mode).values())
+        assert not _holds_build_store(vars(chain.art), set())
+        assert not _holds_build_store(vars(chain.mode), set())
+        for term in chain.corrections:
+            assert not _holds_build_store(vars(term), set())
+
+
+@pytest.mark.parametrize("name", ["uniform", "asym", "variable"])
+def test_load_vectors_match_the_per_order_density(name, request,
+                                                  recorded_build,
+                                                  monkeypatch):
+    # every order's load vector, read off the Gauss tables, is the one the
+    # density closure gives when it evaluates each lower term afresh
+    coeffs = request.getfixturevalue(f"{name}_coeffs")
+    run = request.getfixturevalue(f"{name}_artifact").run
+    load = outer.GaussSide.load
+    loads = []
+
+    def recording(side, pairs):
+        F = load(side, pairs)
+        loads.append((side.rule.nodes, list(pairs), F))
+        return F
+
+    monkeypatch.setattr(outer.GaussSide, "load", recording)
+    chain = recorded_build(coeffs, run)
+    terms = [chain.mode] + chain.corrections
+    p_fn = hermite.poly_fn(coeffs.p)
+    assert len(loads) >= run.n_max
+    for nodes, pairs, F in loads:
+        side = "v_left" if nodes[0] < 0.0 else "v_right"
+        assert all(fn is getattr(terms[k], side) for _, k, fn in pairs)
+        density = forcing_density(p_fn, [(lam, fn) for lam, _, fn in pairs])
+        assert np.array_equal(F, load_vector_add_at(nodes, density))
+
+
+def test_outer_terms_evaluated_once_per_build(variable_coeffs,
+                                              variable_artifact,
+                                              recorded_build, monkeypatch):
+    # each outer term is evaluated at its side's Gauss points once per
+    # build, where it first forces an order: 2 n_max evaluations at n_max
+    # 6, where re-evaluating every lower term at every order made 42
+    call = hermite.HermiteFunction.__call__
+    calls = []
+
+    def counting_call(fn, x):
+        calls.append(fn)              # keeps every fn alive: no id reuse
+        return call(fn, x)
+
+    monkeypatch.setattr(hermite.HermiteFunction, "__call__", counting_call)
+    run = dataclasses.replace(variable_artifact.run, n_max=6)
+    chain = recorded_build(variable_coeffs, run)
+    terms = [chain.mode] + chain.corrections
+    forcing = [fn for t in terms[:-1] for fn in (t.v_left, t.v_right)]
+    counts = collections.Counter(id(fn) for fn in calls)
+    assert len(calls) == 2 * run.n_max
+    assert sorted(counts) == sorted(id(fn) for fn in forcing)
+    assert max(counts.values()) == 1
 
 
 def test_endpoint_recurrence_manufactured():
@@ -209,7 +272,8 @@ def test_endpoint_recurrence_manufactured():
              for j in range(4)]
     gder = [P.polyval(0.0, P.polyder(gpoly, m)) if m else P.polyval(0.0, gpoly)
             for m in range(10)]
-    tab = outer.endpoint_derivatives(cset, lam0, seeds, gder, 8)
+    tab = outer.endpoint_derivatives(outer.coefficient_taylor(cset, 8), lam0,
+                                     seeds, gder)
     exact = [P.polyval(0.0, P.polyder(vpoly, j)) if j else vpoly[0]
              for j in range(9)]
     np.testing.assert_allclose(tab, exact, atol=1e-12)

@@ -1,8 +1,9 @@
 """Property tests on random inputs.
 
-The fast kernels (slice scatters, the vectorized antiderivative, the
-single-derivative Hermite basis) must match their straightforward forms
-in ``dense_forms`` bit for bit, signed zeros included, and every QFunc
+The fast kernels (slice scatters, the vectorized antiderivative, one row
+or a stack, the single-derivative Hermite basis, QFunc arithmetic on
+integer eighths) must match their straightforward forms in
+``dense_forms`` bit for bit, signed zeros included, and every QFunc
 derived from a positive q must carry q' exactly.  The suite's own pytest
 configuration must report a failing property test as a failure.
 """
@@ -14,14 +15,16 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as P
 
 from beamwkb import hermite, inner
-from dense_forms import (cheb_antideriv_values_loop, hermite_call_all_stacks,
-                         load_vector_add_at, pencil_apply_add_at,
-                         reference_basis_all, scatter_add_at)
+from dense_forms import (FractionQFunc, cheb_antideriv_values_loop,
+                         hermite_call_all_stacks, load_vector_add_at,
+                         pencil_apply_add_at, reference_basis_all,
+                         scatter_add_at)
 
 PROPERTY = settings(derandomize=True, max_examples=20, deadline=None,
                     database=None)
@@ -63,7 +66,8 @@ def test_scatter_matches_add_at(vals, extended):
 def test_assembly_scatters_match_add_at(sizes, rhs_coeffs, seed):
     nodes = mesh(sizes)
     rhs = lambda x: P.polyval(x, rhs_coeffs)
-    assert_bits_equal(hermite.load_vector(nodes, rhs),
+    rule = hermite.GaussRule(nodes)
+    assert_bits_equal(rule.load_vector(rhs(rule.x)),
                       load_vector_add_at(nodes, rhs))
     asm = hermite.assemble(nodes, lambda x: 1.0 + 0.25 * x, None, None,
                            lambda x: 1.0 + x ** 2)
@@ -80,6 +84,18 @@ def test_cheb_antideriv_values_matches_loop(vals):
     nodes = inner.cheb_nodes(v.size)
     assert_bits_equal(inner.cheb_antideriv_values(v, nodes),
                       cheb_antideriv_values_loop(v, nodes))
+
+
+@PROPERTY
+@given(st.integers(1, 5).flatmap(
+    lambda k: vectors(3, 40, mult=k).map(lambda v: (k, v))))
+def test_cheb_antideriv_stack_matches_loop_per_row(stack):
+    k, vals = stack
+    v = np.array(vals).reshape(k, -1)
+    nodes = inner.cheb_nodes(v.shape[1])
+    assert_bits_equal(inner.cheb_antideriv_values(v, nodes),
+                      np.stack([cheb_antideriv_values_loop(row, nodes)
+                                for row in v]))
 
 
 @PROPERTY
@@ -119,6 +135,39 @@ def test_derived_qfuncs_carry_exact_dq(q, p1, p2, poly):
                *t.c, *t.deriv().c]
     for qf in derived:
         assert np.array_equal(qf.dq, expect)
+
+
+def _qfunc_terms(qf):
+    """A QFunc's terms keyed by their exponents as Fractions."""
+    return {Fraction(k, 8): poly for k, poly in qf.terms.items()}
+
+
+@PROPERTY
+@given(POSITIVE_Q, POWERS, POWERS, st.lists(FLOATS, min_size=1, max_size=3),
+       st.floats(-2.0, 2.0))
+def test_eighths_qfunc_matches_fraction_reference(q, p1, p2, poly, scale):
+    # the same expressions in both: every term (in order) and every value
+    # on a grid agree bit for bit
+    xs = np.linspace(-1.0, 1.0, 33)
+    built = []
+    for Q in (inner.QFunc, FractionQFunc):
+        f = Q.qpow(q, p1, 1.5) + Q.poly(q, poly)
+        g = f * Q.qpow(q, p2, scale)
+        h = (g + f * 2.5).deriv()
+        built.append([f, g, h, h.deriv(), g * h])
+    for qf, ref in zip(*built):
+        got = _qfunc_terms(qf)
+        assert list(got) == list(ref.terms)
+        for p, arr in ref.terms.items():
+            assert_bits_equal(got[p], arr)
+        assert_bits_equal(qf(xs), ref(xs))
+
+
+@pytest.mark.parametrize("p", [Fraction(1, 3), 1.0 / 3.0, Fraction(1, 16),
+                               0.1])
+def test_qfunc_rejects_exponents_off_the_eighths(p):
+    with pytest.raises(ValueError, match="multiple of 1/8"):
+        inner.QFunc.qpow([1.0, 0.5], p)
 
 
 _PROBE = textwrap.dedent("""

@@ -137,6 +137,31 @@ def test_output_digest_keeps_each_hashed_output(tmp_path, capsys):
     assert kept.read_bytes() == report.read_bytes()
 
 
+def test_output_digest_expect_names_each_differing_label(capsys):
+    saved = "aa  artifact asym\nbb  artifact uniform\ncc  oracle asym\n"
+    same = ["aa  artifact asym", "bb  artifact uniform", "cc  oracle asym"]
+    assert output_digest.differing_labels(saved, same) == []
+    assert output_digest.report_differences(saved, same) == 0
+    assert capsys.readouterr().err == ""
+    # one hash moved, one label missing from the run, one new to it
+    run = ["aa  artifact asym", "b2  artifact uniform", "dd  sweep asym"]
+    assert output_digest.differing_labels(saved, run) == \
+        ["artifact uniform", "sweep asym", "oracle asym"]
+    assert output_digest.report_differences(saved, run) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "differs: artifact uniform", "differs: sweep asym",
+        "differs: oracle asym"]
+
+
+def test_output_digest_emitter_collects_its_lines(tmp_path, capsys):
+    report = tmp_path / "report.csv"
+    report.write_text("l\n8\n")
+    lines = []
+    output_digest._emitter(None, lines)(report, "validate asym csv")
+    assert lines == capsys.readouterr().out.splitlines()
+    assert output_digest.differing_labels("\n".join(lines), lines) == []
+
+
 def test_relative_move():
     assert column_moves.relative_move(2.0, 2.0) == 0.0
     assert column_moves.relative_move(-4.0, -3.0) == 0.25

@@ -28,6 +28,13 @@ Run it once against each tree and compare the output with ``diff``:
     python3 tools/output_digest.py --src path/to/old/src > old.txt
     python3 tools/output_digest.py --src src > new.txt
 
+``--expect FILE`` compares the run with a digest saved that way: it
+prints (to stderr) each label whose line differs, or that only one of
+the two has, and exits 1 if there is any, so one command checks a tree
+against the saved digest of another:
+
+    python3 tools/output_digest.py --src src --expect old.txt
+
 ``--keep DIR`` also saves every output it hashes into DIR, named after its
 line (``validate_asym_json_delta=0.0.json``), so that the outputs of two
 trees can be compared value by value:
@@ -61,15 +68,42 @@ VALIDATE_FIXTURES = ("asym", "variable")
 EDGE_ORDERS = (0, 1)
 
 
-def _emitter(keep):
+def _emitter(keep, lines=None):
     """print(sha256, label) for one output file; with ``keep``, also copy
-    the file there as label (spaces as underscores) plus its suffix."""
+    the file there as label (spaces as underscores) plus its suffix, and
+    with ``lines``, append the printed line to it."""
     def emit(path, label):
         path = Path(path)
-        print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {label}")
+        line = f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {label}"
+        print(line)
+        if lines is not None:
+            lines.append(line)
         if keep is not None:
             shutil.copyfile(path, keep / (label.replace(" ", "_") + path.suffix))
     return emit
+
+
+def _digests(lines):
+    """label -> sha256 of digest lines (``sha256  label``)."""
+    return {label: sha for sha, label in
+            (line.split("  ", 1) for line in lines if line.strip())}
+
+
+def differing_labels(expected, lines):
+    """The labels whose digest differs between the saved digest text
+    ``expected`` and the digest ``lines``, or that only one of them has:
+    those of ``lines`` first, in their order, then the rest."""
+    want, got = _digests(expected.splitlines()), _digests(lines)
+    return [label for label in dict.fromkeys([*got, *want])
+            if got.get(label) != want.get(label)]
+
+
+def report_differences(expected, lines):
+    """Print each differing label to stderr; the exit code, 1 if any."""
+    labels = differing_labels(expected, lines)
+    for label in labels:
+        print(f"differs: {label}", file=sys.stderr)
+    return 1 if labels else 0
 
 
 def main(argv=None):
@@ -78,6 +112,8 @@ def main(argv=None):
                     help="directory holding the beamwkb package")
     ap.add_argument("--keep", type=Path, default=None,
                     help="directory to save every hashed output into")
+    ap.add_argument("--expect", type=Path, default=None,
+                    help="saved digest to compare with; exit 1 on a difference")
     args = ap.parse_args(argv)
     src = Path(args.src).resolve()
     if not (src / "beamwkb" / "__init__.py").is_file():
@@ -85,7 +121,8 @@ def main(argv=None):
         return 2
     if args.keep is not None:
         args.keep.mkdir(parents=True, exist_ok=True)
-    emit = _emitter(args.keep)
+    emitted = []
+    emit = _emitter(args.keep, emitted)
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
     sys.path[:0] = [str(src), str(ROOT / "bench")]
@@ -158,6 +195,8 @@ def main(argv=None):
              f"sweep-delta asym summary delta={DELTAS[0]!r}")
         emit(tmp / f"sweep_delta{DELTAS[0]:g}.json",
              f"sweep-delta asym json delta={DELTAS[0]!r}")
+    if args.expect is not None:
+        return report_differences(args.expect.read_text(), emitted)
     return 0
 
 
