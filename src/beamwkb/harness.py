@@ -71,7 +71,7 @@ class ExpansionArtifact:
                 self.diagnostics["lambda1"], self.run.inner_grid)
         if self.series is None:
             series, unresolved = inner.inner_series(
-                self.phase, zip(self.f_beta, self.f_h))
+                inner.phase_series(self.phase), zip(self.f_beta, self.f_h))
             _require_resolved(unresolved, self.run)
             self.series = series
         return self.phase
@@ -147,7 +147,8 @@ def build_expansion(coeffs: CoefficientSet, run: RunSpec) -> ExpansionArtifact:
     mode = outer.solve_three_point_eigen(coeffs, run.mode_index, work=work)
     lam1 = outer.compute_lambda1(mode)
     phase = inner.compute_phase(coeffs, mode.lambda0, lam1, run.inner_grid)
-    _require_resolved(inner.inner_series(phase, [])[1], run)
+    head = inner.phase_series(phase)
+    _require_resolved(inner.inner_series(head, [])[1], run)
     l0, det_G_delta = inner.quantize(phase, run.delta, run.l_range)
 
     if mode.lambda0 <= 0.0:
@@ -188,7 +189,7 @@ def build_expansion(coeffs: CoefficientSet, run: RunSpec) -> ExpansionArtifact:
             raise ExpansionError(
                 f"inner coefficient f_{i - 1} at stage {i}: {exc}") from exc
     series, unresolved = inner.inner_series(
-        phase, [(f.beta, f.h) for f in f_terms])
+        head, [(f.beta, f.h) for f in f_terms])
     _require_resolved(unresolved, run)
 
     diagnostics = {
@@ -349,10 +350,11 @@ def compare_eigenfunction(art: ExpansionArtifact, prob, result, eps, n):
     columns compare the order-n sums region by region; a column whose
     terms a degenerate configuration ruled out comes back as NaN.
     """
-    xg, wg = hermite.gauss_points(prob.asm.nodes)
-    xf = xg.ravel()
-    wf = wg.ravel()
-    u = result.eigenfunction.gauss_values().ravel()
+    asm = prob.asm
+    xf = asm.x.ravel()
+    wf = asm.w.ravel()
+    rho_w = asm.rho_w.ravel()
+    u = result.gauss_values.ravel()
     left = xf < -eps
     right = xf > eps
     mid = ~(left | right)
@@ -373,14 +375,13 @@ def compare_eigenfunction(art: ExpansionArtifact, prob, result, eps, n):
     V_mid_n = V_mid_pad if n_inner_pad == n else \
         safe(art.inner_value, xf[mid] / eps, eps, n) if n < n_avail else None
 
-    rho = art.coeffs.density(xf, eps)
     num = 0.0
     den = 0.0
     for mask, V in ((left, V_left), (right, V_right), (mid, V_mid_pad)):
         if V is None:
             continue
-        num += float(np.sum(wf[mask] * rho[mask] * u[mask] * V))
-        den += float(np.sum(wf[mask] * rho[mask] * V * V))
+        num += float(np.sum(rho_w[mask] * u[mask] * V))
+        den += float(np.sum(rho_w[mask] * V * V))
     kappa = num / den if den > 0 else np.nan
 
     def l2(mask, V, stretch=1.0):

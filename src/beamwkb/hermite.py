@@ -20,25 +20,34 @@ values given at the rule's points against its weights and shape values.
 A caller makes the rule once per mesh; the outer chain keeps one per
 side for the whole build (``outer.GaussSide``).
 
-Element matrices are accumulated in extended precision: the 1/h^3
-stiffness scaling otherwise pollutes eigenvalues near the 1e-9 relative
-targets whenever h is not exactly representable.  Factorizations stay in
-double precision.  ``eigs_near`` returns unpolished Ritz pairs, with
-ARPACK stopped at the relative tolerance RITZ_TOL rather than at machine
-precision; a caller polishes only the pairs it reports with ``polish``
-(inverse iteration and a Rayleigh quotient evaluated against the
-extended-precision element data), which finishes each pair: a float
-eigenvalue and a vector of unit M-norm, scaled by the mass form of its
-last Rayleigh step.  Rayleigh-quotient iteration converges only the pair
-it starts from, so the other Ritz values, which feed gaps and flanks,
-stay as ARPACK returns them: far more accurate than any gap or flank
-check needs.
+Both forms are assembled in double precision from fixed Gauss tables:
+per bilinear-form term, the (n_elem, N_GAUSS) coefficient times weight
+times one matrix of reference shape-derivative products over the ten
+pairs i <= j, scaled by the pair's powers of h.  The assembly keeps the
+Gauss points, the weights and those coefficient arrays, so the Rayleigh
+quotient is an energy sum over the points, sum c u_d^2 over sum rho w
+u^2, u_d the vector's d-th derivative there.  With k0, k2 and rho
+nonnegative (and k1 too, or small beside k0) it is a sum of nonnegative
+terms, accurate to a few units of round-off in double precision
+(Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+ch. 4), where v^T K v through the assembled K loses digits to the 1/h^3
+stiffness scaling near the 1e-9 relative eigenvalue targets.
+
+``eigs_near`` returns unpolished Ritz pairs, with ARPACK stopped at the
+relative tolerance RITZ_TOL rather than at machine precision; a caller
+polishes only the pairs it reports with ``polish`` (inverse iteration
+and the assembly's Rayleigh quotient), which finishes each pair: a
+float eigenvalue and a vector of unit M-norm, scaled by the mass form of
+its last Rayleigh step.  Rayleigh-quotient iteration converges only the
+pair it starts from, so the other Ritz values, which feed gaps and
+flanks, stay as ARPACK returns them: far more accurate than any gap or
+flank check needs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -77,8 +86,15 @@ def _reference_basis(s, deriv):
     return np.stack(_SHAPES[deriv](np.asarray(s)))
 
 
-_PHI, _DPHI, _DDPHI = (_reference_basis(_GS, d) for d in range(3))
+_REF = tuple(_reference_basis(_GS, d) for d in range(3))   # (4, N_GAUSS)
+_PHI = _REF[0]
 MASS_BANDWIDTH = 3        # element e couples dofs 2e..2e+3
+
+# the ten local dof pairs i <= j of an element, and per derivative order
+# d the products of the reference shape derivatives over them (N_GAUSS, 10)
+_PAIRS = tuple((i, j) for i in range(4) for j in range(i, 4))
+_PAIR_TABLES = tuple(np.stack([R[i] * R[j] for i, j in _PAIRS], axis=1)
+                     for R in _REF)
 
 
 def gauss_points(nodes):
@@ -102,23 +118,34 @@ def _basis_block(h, deriv):
     """Per-element deriv-th basis derivative array (n_elem, 4, N_GAUSS)
     in x-space."""
     scale = np.stack(_SCALES[deriv](h, np.ones(h.size, dtype=h.dtype)), axis=1)
-    table = (_PHI, _DPHI, _DDPHI)[deriv]
+    table = _REF[deriv]
     return scale[:, :, None] * table.astype(h.dtype)[None, :, :]
+
+
+def _energy(weight, u):
+    """sum weight u^2 over the Gauss points."""
+    return float(np.vdot(weight, u * u))
 
 
 @dataclass
 class Assembly:
-    """Assembled bilinear forms plus extended-precision element data.
+    """Assembled bilinear forms and the Gauss data they come from.
 
-    Also the clamped/free dof split and the free-block factorizations:
-    ``band_factor`` (shifted band LU) and ``mass_inverse_norm`` (banded
-    Cholesky of M_ff, cached).
+    ``x`` and ``w`` are the element Gauss points and weights (n_elem,
+    N_GAUSS); ``rho_w`` is density times w, the mass form's weights;
+    ``stiffness`` holds (d, k_d w / h^2d) for each stiffness term k_d
+    u^(d)^2 the form has: the weights of its energy in the reference
+    derivatives.  Also the clamped/free dof split and the free-block
+    factorizations: ``band_factor`` (shifted band LU) and
+    ``mass_inverse_norm`` (banded Cholesky of M_ff, cached).
     """
 
     nodes: np.ndarray
     bands: np.ndarray         # (2, 3 MASS_BANDWIDTH + 1, ndof): K, M
-    Ke: np.ndarray            # (n_elem, 4, 4) longdouble
-    Me: np.ndarray            # (n_elem, 4, 4) longdouble
+    x: np.ndarray = field(repr=False)
+    w: np.ndarray = field(repr=False)
+    rho_w: np.ndarray = field(repr=False)
+    stiffness: tuple = field(repr=False)
 
     @property
     def ndof(self):
@@ -189,32 +216,21 @@ class Assembly:
     def edof(self):
         return 2 * np.arange(self.nodes.size - 1)[:, None] + np.arange(4)[None, :]
 
-    def _quad_form(self, elem_mats, v, w):
-        vl = np.asarray(v, dtype=np.longdouble)
-        wl = np.asarray(w, dtype=np.longdouble)
-        ed = self.edof()
-        ve = vl[ed]
-        we = wl[ed]
-        return np.einsum("ei,eij,ej->", ve, elem_mats, we)
-
     def rayleigh(self, v):
-        """(v^T K v / v^T M v, v^T M v), both forms in extended precision
-        from one gather of v."""
-        ve = np.asarray(v, dtype=np.longdouble)[self.edof()]
-        mass = np.einsum("ei,eij,ej->", ve, self.Me, ve)
-        return (float(np.einsum("ei,eij,ej->", ve, self.Ke, ve) / mass),
-                float(mass))
-
-    def pencil_apply(self, v, lam, load=None):
-        """K v - lam M v (- load) over all dofs, accumulated in extended
-        precision from one gather of v."""
-        ve = np.asarray(v, dtype=np.longdouble)[self.edof()]
-        re = np.einsum("eij,ej->ei", self.Ke, ve) - \
-            np.longdouble(lam) * np.einsum("eij,ej->ei", self.Me, ve)
-        out = _scatter(re, self.ndof)
-        if load is not None:
-            out = out - np.asarray(load, dtype=np.longdouble)
-        return out
+        """(v^T K v / v^T M v, v^T M v) as energy sums over the Gauss
+        points: sum c u_d^2 over the ``stiffness`` terms and sum rho_w
+        u_0^2, u_d the d-th reference derivative of v, all from one
+        gather of v."""
+        # each element's nodal values and h-scaled slopes: the
+        # coefficients of the reference shape functions
+        ve = np.asarray(v, dtype=float)[self.edof()]
+        h = np.diff(self.nodes)
+        ve[:, 1] *= h
+        ve[:, 3] *= h
+        u = [ve @ R for R in _REF]
+        mass = _energy(self.rho_w, u[0])
+        return (sum(_energy(c, u[d]) for d, c in self.stiffness) / mass,
+                mass)
 
 
 def _scatter(elem_vecs, ndof):
@@ -233,37 +249,36 @@ def assemble(nodes, k0_fn, k1_fn, k2_fn, weight_fn):
     """Assemble stiffness and mass forms on the given node vector.
 
     Coefficient callables must accept arrays; ``k1_fn``/``k2_fn`` may be
-    None when the corresponding term vanishes.
+    None when the corresponding term vanishes.  Per term, the entries
+    over the element pairs i <= j are the (n_elem, N_GAUSS) weights times
+    the reference pair table of the term's derivative order, scaled by
+    the pair's h-scales s_i s_j of the values and h-scaled slopes; each
+    goes to cell (i, j) and (j, i) of the band store, which holds no
+    cell with more than two addends (one per neighbouring element).
     """
     nodes = np.asarray(nodes, dtype=float)
-    h = np.diff(nodes).astype(np.longdouble)
+    h = np.diff(nodes)
     if np.any(h <= 0):
         raise ValueError("nodes must be strictly increasing")
-    xg, _ = gauss_points(nodes)
-    wg = h[:, None] * _GW.astype(np.longdouble)[None, :]
-    B0, B2 = _basis_block(h, 0), _basis_block(h, 2)
+    xg, wg = gauss_points(nodes)
+    stiffness = tuple((d, fn(xg) * wg / h[:, None] ** (2 * d))
+                      for d, fn in ((2, k0_fn), (1, k1_fn), (0, k2_fn))
+                      if fn is not None)
+    rho_w = weight_fn(xg) * wg
 
-    k0g = k0_fn(xg).astype(np.longdouble) * wg
-    Ke = np.einsum("eg,eig,ejg->eij", k0g, B2, B2)
-    if k1_fn is not None:
-        B1 = _basis_block(h, 1)
-        k1g = k1_fn(xg).astype(np.longdouble) * wg
-        Ke += np.einsum("eg,eig,ejg->eij", k1g, B1, B1)
-    if k2_fn is not None:
-        k2g = k2_fn(xg).astype(np.longdouble) * wg
-        Ke += np.einsum("eg,eig,ejg->eij", k2g, B0, B0)
-    wgt = weight_fn(xg).astype(np.longdouble) * wg
-    Me = np.einsum("eg,eig,ejg->eij", wgt, B0, B0)
+    scale = np.stack(_SCALES[0](h, np.ones(h.size)), axis=1)
+    pair_scale = np.stack([scale[:, i] * scale[:, j] for i, j in _PAIRS],
+                          axis=1)
+    entries = np.stack([sum(c @ _PAIR_TABLES[d] for d, c in stiffness),
+                        rho_w @ _PAIR_TABLES[0]]) * pair_scale
 
-    # element e couples dofs 2e..2e+3; each block is rounded to double
-    # before it is added, and no entry has more than two addends
     n_elem, bw = h.size, MASS_BANDWIDTH
     bands = np.zeros((2, 3 * bw + 1, 2 * nodes.size))
-    blocks = np.stack([Ke, Me]).astype(float)
-    for i in range(4):
-        for j in range(4):
-            bands[:, 2 * bw + i - j, j:j + 2 * n_elem:2] += blocks[:, :, i, j]
-    return Assembly(nodes=nodes, bands=bands, Ke=Ke, Me=Me)
+    for p, (i, j) in enumerate(_PAIRS):
+        for r, c in ((i, j), (j, i)) if i != j else ((i, j),):
+            bands[:, 2 * bw + r - c, c:c + 2 * n_elem:2] += entries[:, :, p]
+    return Assembly(nodes=nodes, bands=bands, x=xg, w=wg, rho_w=rho_w,
+                    stiffness=stiffness)
 
 
 def poly_fn(coeff):
@@ -404,10 +419,11 @@ def polish(asm: Assembly, lam, v, factor):
     """One eigenpair refined by POLISH_STEPS inverse-iteration steps.
 
     Each step solves with K_ff - lam M_ff (by ``factor(lam)``),
-    M-normalizes, and updates lam to the extended-precision Rayleigh
-    quotient.  The mass form v^T M v of that last Rayleigh step scales the
-    vector to unit M-norm; should a step's solve come back zero or not
-    finite, the last good pair is returned, normalized the same way.
+    M-normalizes, and updates lam to the assembly's Rayleigh quotient
+    (``Assembly.rayleigh``).  The mass form v^T M v of that last Rayleigh
+    step scales the vector to unit M-norm; should a step's solve come
+    back zero or not finite, the last good pair is returned, normalized
+    the same way.
     ``v`` is in full dof numbering; returns (lam as a float, unit vector
     in full dof numbering).
     """

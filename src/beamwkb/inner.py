@@ -31,9 +31,10 @@ everything else is algebra on the Chebyshev grid.  Off the grid, the grid
 functions S, alpha and h are read only through their Chebyshev
 coefficients (``cheb_coeffs``, the same ones the antiderivatives use),
 each cut where it reaches its round-off plateau (``chop``, Aurentz and
-Trefethen's standardChop).  ``inner_series`` stacks the cut series, once
-per artifact, and ``cheb_eval`` sums them; a series with no plateau on the
-grid is under-resolved, and the build rejects it.
+Trefethen's standardChop).  ``phase_series`` cuts S and alpha once per
+phase, ``inner_series`` stacks those with the cut series of each h_i,
+once per artifact, and ``cheb_eval`` sums them; a series with no plateau
+on the grid is under-resolved, and the build rejects it.
 """
 
 from __future__ import annotations
@@ -266,21 +267,32 @@ def chop(coeffs):
     return max(int(np.argmin(cc)), 1), True
 
 
-def inner_series(phase: PhaseData, terms):
+def phase_series(phase: PhaseData):
+    """The Chebyshev series of S and alpha, each with its ``chop`` cut:
+    the head of every ``inner_series`` stack on this phase, made once per
+    phase by its caller.  Returns (coefficients (2, n), [(cutoff,
+    resolved)] per row)."""
+    a = cheb_coeffs(np.vstack([phase.S, phase.alpha]).T).T
+    return a, [chop(row) for row in a]
+
+
+def inner_series(head, terms):
     """The rows ``evaluate_inner`` reads, for the (beta_i, h_i) pairs terms.
 
-    Rows 0 and 1 are the Chebyshev series of S and alpha, rows 2 + 4i ..
-    5 + 4i those of the coordinates c_i = beta_i + h_i.  Each series of
-    S, alpha and h_i is cut by ``chop`` and zeroed past its cutoff; beta_i
-    then joins the constant term.  The stack keeps as many columns as its
-    longest series, so one ``cheb_eval`` recurrence serves every row.
-    Returns the stack and the names of the grid functions whose series
-    reach no plateau on the grid (those keep their full series).
+    Rows 0 and 1 are ``head``, the cut series of S and alpha
+    (``phase_series``), rows 2 + 4i .. 5 + 4i those of the coordinates
+    c_i = beta_i + h_i.  Each series of h_i is cut by ``chop``; every row
+    is zeroed past its cutoff and beta_i then joins the constant term.
+    The stack keeps as many columns as its longest series, so one
+    ``cheb_eval`` recurrence serves every row.  Returns the stack and the
+    names of the grid functions whose series reach no plateau on the grid
+    (those keep their full series).
     """
     terms = list(terms)
-    a = cheb_coeffs(np.vstack([phase.S, phase.alpha] +
-                              [h for _, h in terms]).T).T
-    cuts = [chop(row) for row in a]
+    a, cuts = head
+    if terms:
+        h = cheb_coeffs(np.vstack([h for _, h in terms]).T).T
+        a, cuts = np.vstack([a, h]), cuts + [chop(row) for row in h]
     out = a[:, :max(cut for cut, _ in cuts)].copy()
     for row, (cut, _) in zip(out, cuts):
         row[cut:] = 0.0

@@ -4,14 +4,17 @@ Ground truth for validating the asymptotic construction: Hermite-cubic
 discretization of the clamped eigenvalue problem with the concentrated
 density eps^-8 q(x/eps) on (-eps, eps), mesh nodes aligned exactly at
 +-eps, and ARPACK shift-invert targeting; the reported eigenpair is
-polished to an extended-precision Rayleigh quotient.  A row builds no
-sparse matrix: it factors by LAPACK band LU (``Assembly.band_factor``),
-one at the target for the standard-form shift-invert operator on the
-banded mass Cholesky (``hermite.eigs_near``) and one per polish step.
-``hermite.polish`` hands the pair back finished, its vector at unit mass
-norm, so the row forms that norm once; its eigenfunction is tabulated
-at the Gauss points of its own mesh (``HermiteFunction.gauss_values``)
-rather than located point by point.
+polished to the energy-form Rayleigh quotient of ``Assembly.rayleigh``.
+A row runs in double precision and builds no sparse matrix: it factors
+by LAPACK band LU (``Assembly.band_factor``), one at the target for the
+standard-form shift-invert operator on the banded mass Cholesky
+(``hermite.eigs_near``) and one per polish step.  ``hermite.polish``
+hands the pair back finished, its vector at unit mass norm, so the row
+forms that norm once.  The row tabulates its Gauss data once: the
+assembly keeps the points, the weights and rho w, and the result keeps
+the eigenfunction's values there (``SpectralResult.gauss_values``, from
+``HermiteFunction.gauss_values``), which ``normalize_weighted`` and
+``harness.compare_eigenfunction`` read.
 """
 
 from __future__ import annotations
@@ -98,6 +101,7 @@ class SpectralResult:
 
     eigenvalue: float
     eigenfunction: HermiteFunction    # unit mass norm
+    gauss_values: np.ndarray = field(repr=False)  # its values at asm.x
     residual: float
     gap: float
     neighbors: np.ndarray
@@ -134,9 +138,9 @@ def solve_near(problem: DiscreteProblem, target: float):
     r = asm.product(K, v) - lam * asm.product(M, v)
     others = np.delete(vals, idx)
     gap = float(np.min(np.abs(others - lam))) if others.size else np.inf
+    fn = HermiteFunction.from_dofs(asm.nodes, v)
     return SpectralResult(
-        eigenvalue=lam,
-        eigenfunction=HermiteFunction.from_dofs(asm.nodes, v),
+        eigenvalue=lam, eigenfunction=fn, gauss_values=fn.gauss_values(),
         residual=asm.mass_inverse_norm(r) / abs(lam), gap=gap,
         neighbors=others,
     )
@@ -154,23 +158,22 @@ def normalize_weighted(result: SpectralResult, problem: DiscreteProblem,
     a low local vibration), which is reported rather than silently
     signed.
     """
-    fn = result.eigenfunction
-    nodes = problem.asm.nodes
-    # both integrals over (a, -eps) read one evaluation of reference and p;
-    # -eps is a node, so those elements end at or left of it
-    xg, wg = hermite.gauss_points(nodes)
-    left = nodes[1:] <= -problem.eps
-    xg, wg = xg[left], wg[left]
-    ref = reference(xg)
-    p = problem.coeffs.p_at(xg)
-    corr = float(np.sum(fn.gauss_values()[left] * ref * p * wg))
-    ref_nrm2 = float(np.sum(ref * ref * p * wg))
+    asm = problem.asm
+    # both integrals over (a, -eps) read one evaluation of reference and
+    # the assembly's rho w, which is p w there; -eps is a node, so those
+    # elements end at or left of it
+    left = asm.nodes[1:] <= -problem.eps
+    ref = reference(asm.x[left])
+    pw = asm.rho_w[left]
+    corr = float(np.sum(result.gauss_values[left] * ref * pw))
+    ref_nrm2 = float(np.sum(ref * ref * pw))
     rel = abs(corr) / math.sqrt(max(ref_nrm2, 1e-300))
     if rel < MIN_CORRELATION:
         raise ModeCaptureError(
             f"eigenvector correlation {rel:.3e} with the reference profile "
             "is negligible: captured a mode outside the global family")
     if corr < 0.0:
-        fn = fn.scaled(-1.0)
-        corr = -corr
-    return replace(result, eigenfunction=fn, sign_correlation=corr)
+        return replace(result, eigenfunction=result.eigenfunction.scaled(-1.0),
+                       gauss_values=-result.gauss_values,
+                       sign_correlation=-corr)
+    return replace(result, sign_correlation=corr)

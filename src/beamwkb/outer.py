@@ -15,6 +15,14 @@ right eigensolve's shift-invert, then every correction order), the
 bordered (a, 0) system that ``factor_pencils`` factors, and per side the
 Gauss table that every load vector reads: the rule, p and each outer
 term at its points, a term evaluated once, where it first forces an order.
+
+Each interval's forms come from ``_interval_assembly``, a private
+extended-precision assembly (``_ExtendedAssembly``: np.longdouble
+element tables, the Rayleigh quotient and pencil residuals read against
+them), not from the oracle's double-precision ``hermite.assemble``.  The
+lambda_i digest pins its rounding, like that of the SuperLU and
+generalized-ARPACK path (``_factor``, ``_eigs_near``) beside it, until
+ROADMAP item 2 replaces the FE chain and deletes all three.
 """
 
 from __future__ import annotations
@@ -53,9 +61,91 @@ def interval_nodes(coeffs, outer_grid):
     return meshes
 
 
+@dataclass
+class _ExtendedAssembly(Assembly):
+    """An interval assembly that keeps extended-precision element data.
+
+    ``Ke`` and ``Me`` are the (n_elem, 4, 4) np.longdouble element
+    matrices its band store was rounded from.  Its Rayleigh quotient
+    (which ``hermite.polish`` reads for lambda0 and the right pair) and
+    its pencil residuals (the correction chain's refinement and the
+    endpoint reactions) are evaluated against them; it has no Gauss
+    energy data (``x``, ``w``, ``rho_w`` and ``stiffness`` are None).
+    The lambda_i digest pins the rounding of this path, which the
+    oracle's double-precision ``hermite.assemble`` does not reproduce:
+    even the same extended sums taken pair by pair over i <= j, which
+    move Ke by 1.8e-22 of its largest entry, move the n_max 6 lambda_i
+    of the variable beam at outer_grid 512 by up to 2.5e-8 relative,
+    past the digest's 1e-9.  So the outer chain keeps it, with
+    ``_factor`` and ``_eigs_near``, until ROADMAP item 2 deletes them.
+    """
+
+    Ke: np.ndarray = field(repr=False)    # (n_elem, 4, 4) longdouble
+    Me: np.ndarray = field(repr=False)    # (n_elem, 4, 4) longdouble
+
+    def _quad_form(self, elem_mats, v, w):
+        vl = np.asarray(v, dtype=np.longdouble)
+        wl = np.asarray(w, dtype=np.longdouble)
+        ed = self.edof()
+        ve = vl[ed]
+        we = wl[ed]
+        return np.einsum("ei,eij,ej->", ve, elem_mats, we)
+
+    def rayleigh(self, v):
+        """(v^T K v / v^T M v, v^T M v), both forms in extended precision
+        from one gather of v."""
+        ve = np.asarray(v, dtype=np.longdouble)[self.edof()]
+        mass = np.einsum("ei,eij,ej->", ve, self.Me, ve)
+        return (float(np.einsum("ei,eij,ej->", ve, self.Ke, ve) / mass),
+                float(mass))
+
+    def pencil_apply(self, v, lam, load=None):
+        """K v - lam M v (- load) over all dofs, accumulated in extended
+        precision from one gather of v."""
+        ve = np.asarray(v, dtype=np.longdouble)[self.edof()]
+        re = np.einsum("eij,ej->ei", self.Ke, ve) - \
+            np.longdouble(lam) * np.einsum("eij,ej->ei", self.Me, ve)
+        out = hermite._scatter(re, self.ndof)
+        if load is not None:
+            out = out - np.asarray(load, dtype=np.longdouble)
+        return out
+
+
 def _interval_assembly(coeffs, nodes):
-    return hermite.assemble(nodes, *(hermite.poly_fn(c) for c in (
-        coeffs.k0, coeffs.k1, coeffs.k2, coeffs.p)))
+    """Stiffness and mass forms of k0, k1, k2 and p on one interval's
+    nodes, element matrices accumulated in extended precision."""
+    k0_fn, k1_fn, k2_fn, weight_fn = (hermite.poly_fn(c) for c in (
+        coeffs.k0, coeffs.k1, coeffs.k2, coeffs.p))
+    nodes = np.asarray(nodes, dtype=float)
+    h = np.diff(nodes).astype(np.longdouble)
+    if np.any(h <= 0):
+        raise ValueError("nodes must be strictly increasing")
+    xg, _ = hermite.gauss_points(nodes)
+    wg = h[:, None] * hermite._GW.astype(np.longdouble)[None, :]
+    B0, B2 = hermite._basis_block(h, 0), hermite._basis_block(h, 2)
+
+    k0g = k0_fn(xg).astype(np.longdouble) * wg
+    Ke = np.einsum("eg,eig,ejg->eij", k0g, B2, B2)
+    if k1_fn is not None:
+        B1 = hermite._basis_block(h, 1)
+        k1g = k1_fn(xg).astype(np.longdouble) * wg
+        Ke += np.einsum("eg,eig,ejg->eij", k1g, B1, B1)
+    if k2_fn is not None:
+        k2g = k2_fn(xg).astype(np.longdouble) * wg
+        Ke += np.einsum("eg,eig,ejg->eij", k2g, B0, B0)
+    wgt = weight_fn(xg).astype(np.longdouble) * wg
+    Me = np.einsum("eg,eig,ejg->eij", wgt, B0, B0)
+
+    # element e couples dofs 2e..2e+3; each block is rounded to double
+    # before it is added, and no entry has more than two addends
+    n_elem, bw = h.size, hermite.MASS_BANDWIDTH
+    bands = np.zeros((2, 3 * bw + 1, 2 * nodes.size))
+    blocks = np.stack([Ke, Me]).astype(float)
+    for i in range(4):
+        for j in range(4):
+            bands[:, 2 * bw + i - j, j:j + 2 * n_elem:2] += blocks[:, :, i, j]
+    return _ExtendedAssembly(nodes=nodes, bands=bands, x=None, w=None,
+                             rho_w=None, stiffness=None, Ke=Ke, Me=Me)
 
 
 def _free_block(asm: Assembly, band):

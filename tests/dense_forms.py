@@ -13,8 +13,11 @@ kernels (np.add.at scatters, the COO -> CSR assembly of the Hermite
 forms, the loop antiderivative, the Fraction-keyed QFunc, the
 all-derivatives Hermite basis, per-call coefficient evaluation, the
 per-order load density, streaming JSON writes), which the fast
-kernels must match bit for bit, and the refit-per-row drop-one spread
-that the closed form must match to round-off.
+kernels must match bit for bit; the extended-precision element tables
+and matrix-form Rayleigh quotient that the oracle's double-precision
+assembly and energy-form quotient replaced, which those must match to
+round-off; and the refit-per-row drop-one spread that the closed form
+must match to round-off.
 """
 
 import json
@@ -327,7 +330,8 @@ def correction_residual(mode, prev_terms, term, lambdas):
 # ---------------------------------------------------------------------------
 
 def pencil_apply_add_at(asm, v, lam, mass_vec=None, load=None):
-    """``Assembly.pencil_apply`` with its element scatter done by np.add.at."""
+    """The outer assembly's ``pencil_apply`` with its element scatter done
+    by np.add.at."""
     vl = np.asarray(v, dtype=np.longdouble)
     ed = asm.edof()
     re = np.einsum("eij,ej->ei", asm.Ke, vl[ed]) - \
@@ -342,18 +346,81 @@ def pencil_apply_add_at(asm, v, lam, mass_vec=None, load=None):
     return out
 
 
+def extended_tables(nodes, k0_fn, k1_fn, k2_fn, weight_fn):
+    """Element matrices (Ke, Me), (n_elem, 4, 4) np.longdouble, of the
+    forms ``hermite.assemble`` builds on ``nodes``: the x-space basis
+    blocks and two 3-operand einsums per term, accumulated in extended
+    precision (the outer chain's ``_interval_assembly`` still does so)."""
+    nodes = np.asarray(nodes, dtype=float)
+    h = np.diff(nodes).astype(np.longdouble)
+    xg, _ = hermite.gauss_points(nodes)
+    wg = h[:, None] * hermite._GW.astype(np.longdouble)[None, :]
+    B = [hermite._basis_block(h, d) for d in range(3)]
+    Ke = np.zeros((h.size, 4, 4), dtype=np.longdouble)
+    for d, fn in ((2, k0_fn), (1, k1_fn), (0, k2_fn)):
+        if fn is not None:
+            cg = fn(xg).astype(np.longdouble) * wg
+            Ke += np.einsum("eg,eig,ejg->eij", cg, B[d], B[d])
+    wgt = weight_fn(xg).astype(np.longdouble) * wg
+    return Ke, np.einsum("eg,eig,ejg->eij", wgt, B[0], B[0])
+
+
+def oracle_tables(coeffs, eps, asm):
+    """``extended_tables`` of the oracle's pencil ``asm`` at eps."""
+    return extended_tables(asm.nodes, *(hermite.poly_fn(c) for c in (
+        coeffs.k0, coeffs.k1, coeffs.k2)), lambda x: coeffs.density(x, eps))
+
+
+def quotient_extended(Ke, Me, v):
+    """(v^T K v / v^T M v, v^T M v) from element tables, in extended
+    precision: the matrix form of the Rayleigh quotient."""
+    ve = np.asarray(v, dtype=np.longdouble)[_edof(Ke.shape[0])]
+    mass = np.einsum("ei,eij,ej->", ve, Me, ve)
+    return np.einsum("ei,eij,ej->", ve, Ke, ve) / mass, mass
+
+
+def _edof(n_elem):
+    return 2 * np.arange(n_elem)[:, None] + np.arange(4)[None, :]
+
+
+def element_blocks(asm):
+    """(2, n_elem, 4, 4): the K and M element blocks in double precision
+    whose sums the band store of ``asm`` holds.
+
+    The outer's extended assembly rounds its tables ``Ke`` and ``Me``.  A
+    ``hermite.assemble`` assembly keeps no blocks, so they are formed
+    again from its Gauss data with its own arithmetic (weights times the
+    reference pair tables, then the pair's h-scales) and mirrored to the
+    full 4x4 block: set against the band store, they check where each
+    entry goes and how neighbouring elements' entries add up.
+    """
+    if hasattr(asm, "Ke"):
+        return np.stack([asm.Ke, asm.Me]).astype(float)
+    h = np.diff(asm.nodes)
+    scale = np.stack([np.ones_like(h), h, np.ones_like(h), h], axis=1)
+    tables = hermite._PAIR_TABLES
+    forms = (sum(c @ tables[d] for d, c in asm.stiffness),
+             asm.rho_w @ tables[0])
+    blocks = np.zeros((2, h.size, 4, 4))
+    for f, entries in enumerate(forms):
+        for p, (i, j) in enumerate(hermite._PAIRS):
+            blocks[f, :, i, j] = blocks[f, :, j, i] = \
+                entries[:, p] * (scale[:, i] * scale[:, j])
+    return blocks
+
+
 def csr_forms(asm):
     """(K, M) over all dofs as CSR, assembled from the element blocks.
 
-    Each block is rounded to double and the COO -> CSR conversion sums
-    the entries two neighbouring elements share.
+    Each block (``element_blocks``) is in double and the COO -> CSR
+    conversion sums the entries two neighbouring elements share.
     """
     edof = asm.edof()
     rows = np.repeat(edof, 4, axis=1).ravel()
     cols = np.tile(edof, (1, 4)).ravel()
-    return tuple(sp.coo_matrix((E.astype(float).ravel(), (rows, cols)),
+    return tuple(sp.coo_matrix((E.ravel(), (rows, cols)),
                                shape=(asm.ndof, asm.ndof)).tocsr()
-                 for E in (asm.Ke, asm.Me))
+                 for E in element_blocks(asm))
 
 
 def free_blocks(asm):

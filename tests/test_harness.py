@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from beamwkb import (CSV_HEADER, build_expansion, cli, emit_report, fit_rate,
-                     harness, inner, load_artifact, oracle, run_convergence,
-                     save_artifact)
+                     harness, hermite, inner, load_artifact, model, oracle,
+                     run_convergence, save_artifact)
 from beamwkb.harness import artifact_to_dict, drop_one_spread
 from beamwkb.model import RunSpec, config_from_dict, load_config
 from dense_forms import (drop_one_spread_loop, outer_value_per_order,
@@ -305,6 +305,43 @@ def test_unresolved_phase_fails_before_any_transport_solve(monkeypatch):
                        match=r"inner series S, alpha not .* inner_grid = 128"):
         build_expansion(*config_from_dict({**STEEP_Q, "inner_grid": 128}))
     assert calls == []
+
+
+def _counting(monkeypatch, owner, name):
+    """Patch owner.name to count its calls; returns the call list."""
+    fn = getattr(owner, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("n_max", [0, 3])
+def test_build_chops_each_series_once(asym_coeffs, n_max, monkeypatch):
+    # S and alpha are cut once, right after the phase, and that cut goes
+    # into the final stack with the four series of each f_i
+    calls = _counting(monkeypatch, inner, "chop")
+    run = RunSpec(delta=0.0, n_max=n_max, l_range=(8, 40), outer_grid=128,
+                  inner_grid=128)
+    art = build_expansion(asym_coeffs, run)
+    assert len(calls) == 2 + 4 * len(art.f_beta)
+
+
+def test_oracle_row_tabulates_its_gauss_data_once(asym_artifact,
+                                                  monkeypatch):
+    # per row: one Gauss rule and one density evaluation (the assembly's),
+    # and the eigenfunction's values at the points taken once
+    counts = {name: _counting(monkeypatch, owner, name) for owner, name in (
+        (hermite, "gauss_points"), (model.CoefficientSet, "density"),
+        (hermite.HermiteFunction, "gauss_values"))}
+    report = run_convergence(asym_artifact, 2, l_values=[12, 20])
+    assert [r["valid"] for r in report.rows] == [True, True]
+    assert {name: len(c) for name, c in counts.items()} == {
+        "gauss_points": 2, "density": 2, "gauss_values": 2}
 
 
 def test_loaded_under_resolved_artifact_is_rejected(tmp_path, capsys):

@@ -8,16 +8,28 @@ import scipy.linalg.lapack
 import scipy.sparse.linalg
 
 from beamwkb import hermite, oracle, outer
-from dense_forms import (band_of, csr_forms, free_blocks,
-                         hermite_call_all_stacks, load_vector_add_at,
-                         pencil_apply_add_at)
+from beamwkb.model import CoefficientSet
+from dense_forms import (band_of, csr_forms, element_blocks, extended_tables,
+                         free_blocks, hermite_call_all_stacks,
+                         load_vector_add_at, oracle_tables,
+                         pencil_apply_add_at, quotient_extended)
+
+FIXTURE_FNS = (lambda x: 1.0 + 0.3 * x, None, lambda x: 0.2 + 0.0 * x,
+               lambda x: 1.0 + x ** 2)
 
 
 @pytest.fixture(scope="module")
 def asm():
-    nodes = np.linspace(-1.0, 0.0, 25)
-    return hermite.assemble(nodes, lambda x: 1.0 + 0.3 * x, None,
-                            lambda x: 0.2 + 0.0 * x, lambda x: 1.0 + x ** 2)
+    return hermite.assemble(np.linspace(-1.0, 0.0, 25), *FIXTURE_FNS)
+
+
+@pytest.fixture(scope="module")
+def outer_asm():
+    # the same forms on the same mesh through the outer chain's extended
+    # assembly: k0 = 1 + 0.3 x, k2 = 0.2, p = 1 + x^2
+    cset = CoefficientSet(a=-1.0, b=1.0, k0=(1.0, 0.3), k2=(0.2,),
+                          p=(1.0, 0.0, 1.0))
+    return outer._interval_assembly(cset, np.linspace(-1.0, 0.0, 25))
 
 
 def test_mass_inverse_norm_matches_dense(asm):
@@ -132,18 +144,36 @@ def _quadratic_forms(monkeypatch):
     return forms
 
 
+def _energy_sums(monkeypatch):
+    """The weights of every Gauss-point energy sum evaluated from here
+    on, in call order."""
+    energy = hermite._energy
+    weights = []
+
+    def counting(weight, u):
+        weights.append(weight)
+        return energy(weight, u)
+
+    monkeypatch.setattr(hermite, "_energy", counting)
+    return weights
+
+
 def test_solve_near_forms_the_mass_norm_only_in_the_polish(asym_artifact,
                                                           monkeypatch):
-    # each polish step forms v^T K v and v^T M v once, for its Rayleigh
-    # quotient; the last mass form scales the reported vector, and the
-    # row forms no other
+    # each polish step forms the energy of each stiffness term and the
+    # mass once, for its Rayleigh quotient; the last mass form scales the
+    # reported vector, and the row forms no other, nor any
+    # extended-precision form
     art = asym_artifact
     eps = art.epsilon(20)
     prob = oracle.assemble(art.coeffs, eps, art.S1)
+    weights = _energy_sums(monkeypatch)
     forms = _quadratic_forms(monkeypatch)
     oracle.solve_near(prob, art.lambda_trunc(eps, art.n_max))
-    assert sum(A is prob.asm.Me for A in forms) == hermite.POLISH_STEPS
-    assert len(forms) == 2 * hermite.POLISH_STEPS
+    asm = prob.asm
+    assert sum(w is asm.rho_w for w in weights) == hermite.POLISH_STEPS
+    assert len(weights) == (1 + len(asm.stiffness)) * hermite.POLISH_STEPS
+    assert forms == []
 
 
 def test_three_point_solve_forms_the_mass_norm_only_in_the_polish(
@@ -164,16 +194,77 @@ def test_polish_returns_a_unit_vector_when_its_first_step_breaks(asm):
     v = 3.0 * vecs[:, 0]
     lam, out = hermite.polish(asm, vals[0], v, lambda shift: np.zeros_like)
     assert lam == float(vals[0]) and type(lam) is float
-    mass = float(asm._quad_form(asm.Me, v, v))
+    mass = asm.rayleigh(v)[1]
     assert np.array_equal(out, v / np.sqrt(mass))
 
 
-def test_rayleigh_is_the_ratio_of_the_two_quadratic_forms(asm):
-    # the quotient and the mass form it divides by, bit for bit
+def test_rayleigh_is_the_ratio_of_the_two_quadratic_forms(asm, outer_asm):
+    # the outer's extended assembly: the quotient and the mass form it
+    # divides by, bit for bit; the energy form of ``hermite.assemble``
+    # agrees with both extended-precision forms to round-off (2.2e-16
+    # and 6.9e-17 relative here)
     v = np.random.default_rng(8).standard_normal(asm.ndof)
-    mass = asm._quad_form(asm.Me, v, v)
-    assert asm.rayleigh(v) == (float(asm._quad_form(asm.Ke, v, v) / mass),
-                               float(mass))
+    mass = outer_asm._quad_form(outer_asm.Me, v, v)
+    assert outer_asm.rayleigh(v) == (
+        float(outer_asm._quad_form(outer_asm.Ke, v, v) / mass), float(mass))
+    ref, ref_mass = quotient_extended(
+        *extended_tables(asm.nodes, *FIXTURE_FNS), v)
+    quotient, mass = asm.rayleigh(v)
+    assert type(quotient) is float and type(mass) is float
+    assert abs(quotient - ref) <= 1e-15 * ref
+    assert abs(mass - ref_mass) <= 5e-16 * ref_mass
+
+
+def _oracle_rows(request):
+    # the polished oracle pairs of the three fixtures at l = 8 and at the
+    # top of each l range, with the extended tables of their pencils
+    for name in ("uniform_artifact", "asym_artifact", "variable_artifact"):
+        art = request.getfixturevalue(name)
+        for l in (8, art.run.l_range[1]):
+            eps = art.epsilon(l)
+            prob = oracle.assemble(art.coeffs, eps, art.S1)
+            res = oracle.solve_near(prob, art.lambda_trunc(eps, art.n_max))
+            yield (f"{name} l={l}", prob.asm, res.eigenfunction.dofs(),
+                   oracle_tables(art.coeffs, eps, prob.asm))
+
+
+def test_energy_quotient_matches_extended_matrix_form(request):
+    # the oracle's quotient, a double-precision sum of nonnegative Gauss
+    # terms, against v^T K v / v^T M v over the extended-precision element
+    # tables: at most 2.2e-13 relative (variable, l = 44), the rest within
+    # 1.8e-14.  The same quotient through the double band store, v . K v
+    # over v . M v, is farther off on every row: 2.9e-12 to 2.4e-10, the
+    # 1/h^3 stiffness entries cancelling in K v
+    for label, asm, v, (Ke, Me) in _oracle_rows(request):
+        ref = float(quotient_extended(Ke, Me, v)[0])
+        energy = abs(asm.rayleigh(v)[0] - ref)
+        K, M = asm.bands
+        matrix = abs((v @ asm.product(K, v)) / (v @ asm.product(M, v)) - ref)
+        assert energy <= 1e-12 * ref, label
+        assert matrix > energy, label
+
+
+def _arrays(value):
+    """Every numpy array in value, nested in tuples and lists."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _arrays(item)
+
+
+def test_double_assembly_matches_extended_tables(request):
+    # hermite.assemble keeps nothing in extended precision, and each
+    # element's blocks agree with the extended tables to 5.6e-16 of the
+    # element's largest entry (variable)
+    for label, asm, _, tables in _oracle_rows(request):
+        arrays = list(_arrays([getattr(asm, f.name)
+                               for f in dataclasses.fields(asm)]))
+        assert len(arrays) == 5 + len(asm.stiffness), label
+        assert all(a.dtype == np.float64 for a in arrays), label
+        for block, table in zip(element_blocks(asm), tables):
+            scale = np.abs(table).max(axis=(1, 2))[:, None, None]
+            assert np.all(np.abs(block - table) <= 1e-15 * scale), label
 
 
 @pytest.mark.parametrize("name", ["asym_artifact", "variable_artifact"])

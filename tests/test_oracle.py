@@ -9,7 +9,7 @@ import scipy.sparse.linalg
 
 from beamwkb import hermite, oracle, outer
 from beamwkb.model import CoefficientSet
-from dense_forms import csr_forms, exact_eigenvalue
+from dense_forms import csr_forms, element_blocks, exact_eigenvalue
 
 
 @pytest.fixture(scope="module")
@@ -52,7 +52,7 @@ def test_inner_mass_scaling(uniform_coeffs, uniform_artifact):
     h = np.diff(nodes)
     mids = 0.5 * (nodes[:-1] + nodes[1:])
     inner_el = np.abs(mids) < eps
-    Me = np.asarray(prob.asm.Me, float)
+    Me = element_blocks(prob.asm)[1]
     # consistent-mass diagonal entry of a uniform element: 156/420 rho h
     rho_in = Me[inner_el, 0, 0] / (156.0 / 420.0 * h[inner_el])
     rho_out = Me[~inner_el, 0, 0] / (156.0 / 420.0 * h[~inner_el])
@@ -200,9 +200,9 @@ def test_normalization_and_sign(uniform_coeffs, uniform_artifact, uprob):
 
 
 def test_normalize_weighted_only_signs_the_pair(uniform_artifact, uprob):
-    # against a negated reference the eigenfunction comes back negated bit
-    # for bit, with the same correlation, and every other field is the
-    # solve's own
+    # against a negated reference the eigenfunction and its Gauss values
+    # come back negated bit for bit, with the same correlation, and every
+    # other field is the solve's own
     art = uniform_artifact
     res = oracle.solve_near(uprob, art.lambda_trunc(0.12, 2))
     v0 = art.outer_left[0]
@@ -211,9 +211,12 @@ def test_normalize_weighted_only_signs_the_pair(uniform_artifact, uprob):
     assert np.array_equal(neg.eigenfunction.values, -pos.eigenfunction.values)
     assert np.array_equal(neg.eigenfunction.slopes, -pos.eigenfunction.slopes)
     assert np.array_equal(neg.eigenfunction.nodes, pos.eigenfunction.nodes)
+    assert np.array_equal(neg.gauss_values, -pos.gauss_values)
+    assert np.array_equal(neg.gauss_values, neg.eigenfunction.gauss_values())
     assert neg.sign_correlation == pos.sign_correlation > 0.0
     for f in dataclasses.fields(oracle.SpectralResult):
-        if f.name not in ("eigenfunction", "sign_correlation"):
+        if f.name not in ("eigenfunction", "gauss_values",
+                          "sign_correlation"):
             assert getattr(neg, f.name) is getattr(res, f.name)
             assert getattr(pos, f.name) is getattr(res, f.name)
 

@@ -20,7 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as P
 
-from beamwkb import hermite, inner
+from beamwkb import hermite, inner, outer
+from beamwkb.model import CoefficientSet
 from dense_forms import (FractionQFunc, cheb_antideriv_values_loop,
                          hermite_call_all_stacks, load_vector_add_at,
                          pencil_apply_add_at, reference_basis_all,
@@ -69,8 +70,9 @@ def test_assembly_scatters_match_add_at(sizes, rhs_coeffs, seed):
     rule = hermite.GaussRule(nodes)
     assert_bits_equal(rule.load_vector(rhs(rule.x)),
                       load_vector_add_at(nodes, rhs))
-    asm = hermite.assemble(nodes, lambda x: 1.0 + 0.25 * x, None, None,
-                           lambda x: 1.0 + x ** 2)
+    # the outer chain's extended assembly, the one with a pencil_apply
+    cset = CoefficientSet(a=-1.0, b=1.0, k0=(1.0, 0.25), p=(1.0, 0.0, 1.0))
+    asm = outer._interval_assembly(cset, nodes)
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(asm.ndof)
     v[rng.random(asm.ndof) < 0.2] = -0.0

@@ -210,3 +210,54 @@ def test_column_moves_on_synthetic_outputs(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "json rows[].kappa" in text and "4e-13" in text
     assert "byte-identical files: 1" in text and "only new: extra.json" in text
+
+
+def test_column_moves_identical_glob_fails_on_a_changed_file(tmp_path,
+                                                             capsys):
+    old, new = tmp_path / "old", tmp_path / "new"
+    _write_outputs(old, kappa=(1.0, 2.0), l2=1e-8, slope=3.0)
+    _write_outputs(new, kappa=(1.0, 2.0 + 1e-12), l2=1e-8, slope=3.0)
+    (new / "artifact_extra.json").write_text("{}")
+    assert column_moves.main([str(old), str(new),
+                              "--identical", "artifact.json"]) == 0
+    assert "FAILED" not in capsys.readouterr().out
+    result = column_moves.compare(old, new)
+    assert column_moves.check(result, ["artifact*"]) == [
+        "--identical artifact*: artifact_extra.json differs or is in one "
+        "directory only"]
+    assert column_moves.check(result, ["report.*"]) == [
+        "--identical report.*: report.csv differs or is in one directory "
+        "only",
+        "--identical report.*: report.json differs or is in one directory "
+        "only"]
+    assert column_moves.check(result, ["*.txt"]) == [
+        "--identical *.txt: no file matches"]
+    assert column_moves.main([str(old), str(new), "--identical", "art*",
+                              "--identical", "report.json"]) == 1
+    out = capsys.readouterr().out
+    assert out.count("FAILED --identical") == 2
+
+
+def test_column_moves_bound_fails_past_its_rtol(tmp_path, capsys):
+    old, new = tmp_path / "old", tmp_path / "new"
+    _write_outputs(old, kappa=(1.0, 2.0), l2=1e-8, slope=3.0)
+    _write_outputs(new, kappa=(1.0, 2.0 - 8e-13), l2=1.1e-8, slope=3.0)
+    kappa = ("csv kappa", 4e-13)
+    assert column_moves.parse_bound("csv kappa=4e-13") == kappa
+    assert column_moves.parse_bound("json a=b=1") == ("json a=b", 1.0)
+    for bad in ("csv kappa", "=1e-9", "csv kappa=small"):
+        with pytest.raises(column_moves.argparse.ArgumentTypeError):
+            column_moves.parse_bound(bad)
+    result = column_moves.compare(old, new)
+    assert column_moves.check(result, bounds=[("csv kappa", 5e-13),
+                                              ("csv lambda_oracle", 0.0)]) == []
+    failures = column_moves.check(result, bounds=[
+        ("csv kappa", 3e-13), ("json rows[].l2_inner", 0.05),
+        ("csv no_such_column", 1.0)])
+    assert failures[0].startswith("--bound csv kappa: moved 4e-13 > 3e-13")
+    assert failures[1].startswith("--bound json rows[].l2_inner: moved 0.1")
+    assert failures[2] == "--bound csv no_such_column: no value compared"
+    argv = [str(old), str(new), "--bound", "csv kappa=5e-13"]
+    assert column_moves.main(argv) == 0
+    assert column_moves.main(argv + ["--bound", "csv kappa=1e-13"]) == 1
+    assert "FAILED --bound csv kappa" in capsys.readouterr().out

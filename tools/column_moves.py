@@ -1,6 +1,7 @@
 """Print the largest relative move per numeric JSON key and CSV column.
 
-    python3 tools/column_moves.py OLD NEW
+    python3 tools/column_moves.py OLD NEW [--identical GLOB]... \
+        [--bound 'KEY=RTOL']...
 
 OLD and NEW are directories of program outputs with the same file names,
 for instance two ``tools/output_digest.py --keep DIR`` runs on two trees.
@@ -14,13 +15,29 @@ A value's relative move is |new - old| / |old|; an old 0 that moved, or a
 NaN on one side only, moves by inf.  Per key the report gives the number
 of values compared, how many moved, the largest move, and the file where
 it occurs.  Files whose bytes are equal, files in one directory only and
-non-numeric values that differ are listed too.  Standard library only.
+non-numeric values that differ are listed too.
+
+Two options turn the report into a check; each may be given more than
+once, and the command exits 1 if any check fails, naming each failure
+after the report:
+
+* ``--identical GLOB``: every file whose name matches the shell pattern
+  (in either directory) must be in both and byte-identical, and the
+  pattern must match at least one file;
+* ``--bound KEY=RTOL``: the largest move of the report key KEY (as
+  printed, ``'csv lambda_oracle'``, ``'json fits.l2_inner.slope'``) must
+  not exceed RTOL, and KEY must have at least one value compared.
+
+For instance ``--identical 'artifact*' --bound 'csv lambda_oracle=1e-12'``
+checks that no artifact changed and no oracle eigenvalue moved by more
+than 1e-12 relative.  Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import fnmatch
 import json
 import math
 import sys
@@ -78,13 +95,14 @@ def _cell(text):
 
 
 def compare(old_dir, new_dir):
-    """{"moves": {kind key: entry}, "identical": [...], "only_old": [...],
-    "only_new": [...], "changed": [(file, key, old, new)]}; an entry holds
-    the count of values, the count moved, the largest move and its file."""
+    """{"moves": {kind key: entry}, "identical": [...], "differing":
+    [...], "only_old": [...], "only_new": [...], "changed": [(file, key,
+    old, new)]}; an entry holds the count of values, the count moved, the
+    largest move and its file."""
     old_dir, new_dir = Path(old_dir), Path(new_dir)
     old_names = {p.name for p in old_dir.iterdir() if p.is_file()}
     new_names = {p.name for p in new_dir.iterdir() if p.is_file()}
-    out = {"moves": {}, "identical": [], "changed": [],
+    out = {"moves": {}, "identical": [], "differing": [], "changed": [],
            "only_old": sorted(old_names - new_names),
            "only_new": sorted(new_names - old_names)}
     for name in sorted(old_names & new_names):
@@ -93,6 +111,7 @@ def compare(old_dir, new_dir):
         if old_bytes == new_bytes:
             out["identical"].append(name)
             continue
+        out["differing"].append(name)
         if name.endswith(".json"):
             kind, pairs = "json", json_pairs(json.loads(old_bytes),
                                              json.loads(new_bytes))
@@ -133,16 +152,60 @@ def format_report(result):
     return "\n".join(lines)
 
 
+def parse_bound(text):
+    """'KEY=RTOL' -> (KEY, RTOL); KEY may hold '=' itself."""
+    key, sep, rtol = text.rpartition("=")
+    if not sep or not key:
+        raise argparse.ArgumentTypeError(f"expected KEY=RTOL, got {text!r}")
+    try:
+        return key, float(rtol)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"RTOL of {text!r} is not a number") from None
+
+
+def check(result, identical=(), bounds=()):
+    """The failures of the --identical patterns and --bound pairs against
+    a ``compare`` result, one line each; empty when every check holds."""
+    names = [name for part in ("identical", "differing", "only_old",
+                               "only_new") for name in result[part]]
+    failures = []
+    for pattern in identical:
+        matched = sorted(fnmatch.filter(names, pattern))
+        if not matched:
+            failures.append(f"--identical {pattern}: no file matches")
+        for name in matched:
+            if name not in result["identical"]:
+                failures.append(f"--identical {pattern}: {name} differs "
+                                "or is in one directory only")
+    for key, rtol in bounds:
+        entry = result["moves"].get(key)
+        if entry is None:
+            failures.append(f"--bound {key}: no value compared")
+        elif not entry["largest"] <= rtol:
+            failures.append(f"--bound {key}: moved {entry['largest']:.3g} "
+                            f"> {rtol:.3g} in {entry['file']}")
+    return failures
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("old", type=Path)
     ap.add_argument("new", type=Path)
+    ap.add_argument("--identical", action="append", default=[],
+                    metavar="GLOB")
+    ap.add_argument("--bound", action="append", default=[], type=parse_bound,
+                    metavar="KEY=RTOL")
     args = ap.parse_args(argv)
     for path in (args.old, args.new):
         if not path.is_dir():
             ap.error(f"not a directory: {path}")
-    print(format_report(compare(args.old, args.new)))
-    return 0
+    result = compare(args.old, args.new)
+    print(format_report(result))
+    failures = check(result, args.identical, args.bound)
+    for line in failures:
+        print(f"FAILED {line}")
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":
