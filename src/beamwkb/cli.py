@@ -128,13 +128,13 @@ def cmd_validate(args):
 def cmd_oracle(args):
     coeffs, run = load_config(args.config)
     # S1 comes from the phase of the limit problem; build the cheap pieces only
-    mode = outer.solve_three_point_eigen(
-        coeffs, run.mode_index, outer_grid=run.outer_grid)
-    lam1 = outer.compute_lambda1(mode)
-    phase = inner.compute_phase(coeffs, mode.lambda0, lam1, run.inner_grid)
+    chain = outer.solve_three_point_eigen(
+        outer.OuterChain(coeffs, run.outer_grid, 0), run.mode_index)
+    lam1 = outer.compute_lambda1(chain)
+    phase = inner.compute_phase(coeffs, chain.lambdas[0], lam1, run.inner_grid)
     prob = oracle.assemble(coeffs, args.epsilon, phase.S1)
     res = oracle.solve_near(prob, args.target)
-    res = oracle.normalize_weighted(res, prob, mode.v_left)
+    res = oracle.normalize_weighted(res, prob, chain.terms[-1][0])
     lo, hi = res.flanking()
     payload = {
         "epsilon": args.epsilon, "target": args.target,

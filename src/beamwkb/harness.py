@@ -3,7 +3,8 @@
 ``build_expansion`` runs the chain lambda0 -> v0 -> quantization -> f0,
 then one step per order i >= 1: interface data -> lambda_i -> v_i ->
 f_{i-1}, recording any term that a degenerate configuration makes
-unavailable instead of aborting the whole build.
+unavailable instead of aborting the whole build.  The outer terms live in
+one ``outer.OuterChain``, which ends with the build.
 ``run_convergence`` compares truncations against the direct solver along
 the quantized sequence and fits decay rates.
 """
@@ -131,10 +132,11 @@ def build_expansion(coeffs: CoefficientSet, run: RunSpec) -> ExpansionArtifact:
     """Run the construction chain to order run.n_max.
 
     Each order i = 1..n_max is one step: boundary_data, solve_correction,
-    then f_{i-1} by transport (f0 comes from solve_f0).  What the outer
-    stages share (``outer.OuterWork``: the coefficient Taylor tables, the
-    pencil LUs, the Gauss tables of the load vectors) lives only in this
-    call.  Terms that a multiple limit eigenvalue makes unsolvable
+    then f_{i-1} by transport (f0 comes from solve_f0).  The outer half
+    (``outer.OuterChain``: the terms (lambda_i, v_i), their endpoint
+    tables and what the orders share) lives only in this call.  A
+    lambda0 that is not positive raises ExpansionError before the phase
+    is built.  Terms that a multiple limit eigenvalue makes unsolvable
     (right-interval resonance with nonzero data) are recorded as missing;
     the eigenvalue chain continues as long as its left-interface data
     exist.  Every inner grid function (S, alpha, each h_i) must be
@@ -142,47 +144,33 @@ def build_expansion(coeffs: CoefficientSet, run: RunSpec) -> ExpansionArtifact:
     reaches no plateau raises ExpansionError, for S and alpha as soon as
     the phase is built.
     """
-    work = outer.OuterWork(
-        coeffs, outer.interval_nodes(coeffs, run.outer_grid), run.n_max)
-    mode = outer.solve_three_point_eigen(coeffs, run.mode_index, work=work)
-    lam1 = outer.compute_lambda1(mode)
-    phase = inner.compute_phase(coeffs, mode.lambda0, lam1, run.inner_grid)
+    chain = outer.solve_three_point_eigen(
+        outer.OuterChain(coeffs, run.outer_grid, run.n_max), run.mode_index)
+    if chain.lambdas[0] <= 0.0:
+        raise ExpansionError(
+            f"selected limit eigenvalue {chain.lambdas[0]!r} is not positive")
+    lam1 = outer.compute_lambda1(chain)
+    phase = inner.compute_phase(coeffs, chain.lambdas[0], lam1, run.inner_grid)
     head = inner.phase_series(phase)
     _require_resolved(inner.inner_series(head, [])[1], run)
     l0, det_G_delta = inner.quantize(phase, run.delta, run.l_range)
 
-    if mode.lambda0 <= 0.0:
-        raise ExpansionError(
-            f"selected limit eigenvalue {mode.lambda0!r} is not positive")
-    lambdas = [mode.lambda0]
-    corrections = []
-    # endpoint tables of the outer terms at x = 0- (-1) and 0+ (+1), by order
-    tables = {-1: [mode.endpoint_minus], +1: [mode.endpoint_plus]}
-    f_terms = [inner.solve_f0(phase, run.delta, mode.vpp_minus0)]
-    notes = {}
-    if run.n_max:
-        outer.factor_pencils(mode, work)
+    f_terms = [inner.solve_f0(phase, run.delta, chain.vpp_minus0)]
     for i in range(1, run.n_max + 1):
         try:
-            bd = inner.boundary_data(i, tables, phase, f_terms, run.delta)
-            term = outer.solve_correction(
-                mode, work, i, lambdas, corrections,
-                bd["V_minus"], bd["V_plus"], bd["W_minus"], bd["W_plus"])
+            bd = inner.boundary_data(i, chain.tables, phase, f_terms, run.delta)
+            outer.solve_correction(chain, i, bd["V_minus"], bd["V_plus"],
+                                   bd["W_minus"], bd["W_plus"])
         except (outer.SolvabilityError, inner.MissingDataError) as exc:
             raise ExpansionError(f"construction stage {i}: {exc}") from exc
-        lambdas.append(term.lambda_i)
-        corrections.append(term)
-        tables[-1].append(term.endpoint_minus)
-        tables[+1].append(term.endpoint_plus)
-        if term.right_skip_reason:
-            notes[f"right_order_{i}"] = term.right_skip_reason
         if i == 1:
             continue                  # f0 is the leading inner coefficient
         # next inner coefficient f_{i-1}
         try:
-            sigma = inner.transport_sigma(phase, i - 1, f_terms, tables,
+            sigma = inner.transport_sigma(phase, i - 1, f_terms, chain.tables,
                                           run.delta)
-            w_stack = inner.make_w_stack(phase, i, list(f_terms), list(lambdas))
+            w_stack = inner.make_w_stack(phase, i, list(f_terms),
+                                         list(chain.lambdas))
             f_terms.append(inner.transport_solve(
                 phase, run.delta, sigma, w_stack=w_stack))
         except inner.MissingDataError as exc:
@@ -194,18 +182,17 @@ def build_expansion(coeffs: CoefficientSet, run: RunSpec) -> ExpansionArtifact:
 
     diagnostics = {
         "lambda1": lam1,
-        "gap_left": mode.gap_left,
-        "gap_right": mode.gap_right,
-        "degenerate_right": mode.degenerate_right,
+        "gap_left": chain.gap_left,
+        "gap_right": chain.gap_right,
+        "degenerate_right": chain.degenerate_right,
         "det_G_delta": det_G_delta,
         "eikonal_residual": phase.eikonal_residual(),
-        "solvability_residuals": [t.solvability_residual for t in corrections],
-        "notes": notes,
+        "solvability_residuals": chain.residuals,
+        "notes": chain.notes,
     }
     return ExpansionArtifact(
-        coeffs=coeffs, run=run, lambdas=lambdas,
-        outer_left=[mode.v_left] + [t.v_left for t in corrections],
-        outer_right=[mode.v_right] + [t.v_right for t in corrections],
+        coeffs=coeffs, run=run, lambdas=chain.lambdas,
+        outer_left=chain.terms[-1], outer_right=chain.terms[+1],
         f_beta=[f.beta for f in f_terms],
         f_h=[f.h for f in f_terms],
         l0=l0, S1=phase.S1, alpha1=phase.alpha1,

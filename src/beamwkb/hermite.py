@@ -17,8 +17,8 @@ form on U (K_ff - sigma M_ff)^-1 U^T, so it makes no mass product.
 
 A load vector has one path: ``GaussRule.load_vector`` sums density
 values given at the rule's points against its weights and shape values.
-A caller makes the rule once per mesh; the outer chain keeps one per
-side for the whole build (``outer.GaussSide``).
+A caller makes the rule once per mesh; an ``outer.OuterChain`` keeps one
+per side for the whole build, in its ``outer.GaussSide``.
 
 Both forms are assembled in double precision from fixed Gauss tables:
 per bilinear-form term, the (n_elem, N_GAUSS) coefficient times weight

@@ -7,14 +7,11 @@ that ``inner.boundary_data`` matches to the inner expansion; each
 eigenvalue correction lambda_i is fixed by the Fredholm solvability
 condition at the interface.
 
-What the stages of one build share is made once, in an ``OuterWork``
-that ``harness.build_expansion`` drops on return: the extended-precision
-Taylor tables of the coefficients at x = 0 (read by every endpoint
-table), the SuperLU solve of the (0, b) pencil at lambda0 (the three-point
-right eigensolve's shift-invert, then every correction order), the
-bordered (a, 0) system that ``factor_pencils`` factors, and per side the
-Gauss table that every load vector reads: the rule, p and each outer
-term at its points, a term evaluated once, where it first forces an order.
+One build's outer half is one ``OuterChain``: the pairs (lambda_i, v_i)
+with their endpoint tables, and what the orders share, made once.
+``solve_three_point_eigen`` fills order 0 and ``solve_correction``
+appends each later order; ``harness.build_expansion`` drops the chain on
+return.
 
 Each interval's forms come from ``_interval_assembly``, a private
 extended-precision assembly (``_ExtendedAssembly``: np.longdouble
@@ -37,7 +34,7 @@ import scipy.sparse.linalg as spla
 
 from . import hermite
 from .hermite import Assembly, HermiteFunction
-from .model import CoefficientSet, eval_coefficient
+from .model import eval_coefficient
 
 DATA_ZERO_TOL = 1e-9      # resonant right interval: data this small count as zero
 GAP_MIN_REL = 1e-3        # simplicity threshold on lambda0, relative to lambda0
@@ -247,22 +244,23 @@ def endpoint_derivatives(taylor, lam0, seeds, g_derivs):
     return np.asarray(v, dtype=float)
 
 
-def _endpoint_data(work, asm, dofs, lam0, load, side, V, W, g_derivs):
+def _endpoint_data(chain, asm, dofs, lam0, load, side, V, W, g_derivs):
     """Interface data of one outer term at x = 0 from reaction residuals.
 
     v'' and (k0 v'')' are read off the pencil residual at the interface
-    node: the last node for side "left" on (a, 0), the first for "right"
-    on (0, b).  ``V``, ``W`` are the term's value and slope there.
+    node: the last node for side -1 on (a, 0), the first for +1 on
+    (0, b).  ``V``, ``W`` are the term's value and slope there.
     """
-    coeffs = work.coeffs
+    coeffs = chain.coeffs
     k00 = coeffs.k0_at(0.0)
-    rows = asm.clamped[2:] if side == "left" else asm.clamped[:2]
+    rows = asm.clamped[2:] if side == -1 else asm.clamped[:2]
     R = np.asarray(asm.pencil_apply(dofs, lam0, load=load)[rows], dtype=float)
-    sgn = 1.0 if side == "left" else -1.0
+    sgn = -float(side)
     vpp = float(sgn * R[1] / k00)
     k0vpp_prime = float(-sgn * R[0] + coeffs.k1_at(0.0) * W)
     vppp = (k0vpp_prime - coeffs.k0_at(0.0, 1) * vpp) / k00
-    return endpoint_derivatives(work.taylor, lam0, [V, W, vpp, vppp], g_derivs)
+    return endpoint_derivatives(chain.taylor, lam0, [V, W, vpp, vppp],
+                                g_derivs)
 
 
 class GaussSide:
@@ -288,82 +286,69 @@ class GaussSide:
         return self.rule.load_vector(self.p * g)
 
 
-class OuterWork:
-    """The outer chain's shared work for one build, done once.
+class OuterChain:
+    """The outer half of one build: the terms (lambda_k, v_k) by order.
 
-    Made on the two meshes for a chain to order ``n_max``: ``taylor``
-    (``coefficient_taylor`` to depth n_max + 5) serves every endpoint
-    table, and ``sides`` holds the ``GaussSide`` of (a, 0) (-1) and of
-    (0, b) (+1).  All of these are allocated here, before any solve: made
-    after the bordered LU, these build-long arrays fragmented the heap
-    among the LUs' transient buffers, and the peak RSS of the benchmark's
-    repeated expand builds rose by 2 to 8 MB.  ``right_solve`` factors the (0, b) pencil at
-    lambda0 on its first call, for the three-point right eigensolve, and
-    returns the same solve on every later call (``factor_pencils``
-    stores it with the lambda0 systems, ``left`` and ``right``).  ``harness.build_expansion`` makes it
-    and drops it on return: no mode, term or artifact holds any of it.
+    Per order k: ``lambdas[k]``, ``terms[s][k]`` (v_k as a
+    HermiteFunction on side s, -1 for (a, 0) and +1 for (0, b); None
+    where a resonant (0, b) rules the term out) and ``tables[s][k]``,
+    the endpoint table v_k^(j)(0-) or (0+), j = 0..depth (None with the
+    term), which ``inner.boundary_data`` and ``inner.transport_sigma``
+    read.  ``solve_three_point_eigen`` fills order 0, with ``gap_left``,
+    ``gap_right`` and ``degenerate_right``; ``solve_correction`` appends
+    each later order, its solvability residual to ``residuals`` and any
+    reason it skipped the right term to ``notes``.
+
+    What the orders share is made once: ``taylor``
+    (``coefficient_taylor`` to depth n_max + 5, in extended precision),
+    which every endpoint table reads; ``sides``, the ``GaussSide`` of each
+    side, whose Gauss table every load vector reads; ``asm``, the two
+    interval assemblies; ``right_solve``, the SuperLU solve of the (0, b)
+    pencil at lambda0, made as the three-point right eigensolve's
+    shift-invert and reused by every order; and, at the first correction,
+    the bordered (a, 0) system with its LU (``bordered``) and the (0, b)
+    band pencil (``right_pencil``, None on a resonant (0, b)).  The Gauss
+    sides are allocated here, before any solve: made after the bordered
+    LU, these build-long arrays fragmented the heap among the LUs'
+    transient buffers, and the peak RSS of the benchmark's repeated
+    expand builds rose by 2 to 8 MB.
     """
 
-    def __init__(self, coeffs, meshes, n_max=3):
+    def __init__(self, coeffs, outer_grid, n_max):
         self.coeffs = coeffs
-        self.meshes = meshes
+        self.meshes = interval_nodes(coeffs, outer_grid)
         self.depth = n_max + 5
         self.taylor = coefficient_taylor(coeffs, self.depth)
         self.sides = {side: GaussSide(nodes, coeffs.p, n_max)
-                      for side, nodes in zip((-1, +1), meshes)}
-        self._right_solve = None
-        self.left = self.right = None
-
-    def right_solve(self, asm, lam0):
-        """SuperLU solve of the (0, b) pencil ``asm`` at lambda0."""
-        if self._right_solve is None:
-            self._right_solve = _factor(asm, lam0)
-        return self._right_solve
-
-
-@dataclass
-class OuterMode:
-    """Leading eigenpair of the three-point limit problem."""
-
-    lambda0: float
-    v_left: HermiteFunction
-    v_right: HermiteFunction
-    gap_left: float
-    gap_right: float
-    degenerate_right: bool
-    left_asm: Assembly = field(repr=False)
-    right_asm: Assembly = field(repr=False)
-    coeffs: CoefficientSet = field(repr=False)
-    endpoint_minus: np.ndarray = None     # v0^(j)(0-), j = 0..depth
-    endpoint_plus: np.ndarray = None      # v0^(j)(0+), all zero
+                      for side, nodes in zip((-1, +1), self.meshes)}
+        self.asm = self.right_solve = self.bordered = self.right_pencil = None
+        self.lambdas, self.residuals, self.notes = [], [], {}
+        self.terms, self.tables = {-1: [], +1: []}, {-1: [], +1: []}
 
     @property
     def vpp_minus0(self):
-        return float(self.endpoint_minus[2])
+        return float(self.tables[-1][0][2])
 
     @property
     def vppp_minus0(self):
-        return float(self.endpoint_minus[3])
+        return float(self.tables[-1][0][3])
 
 
-def solve_three_point_eigen(coeffs: CoefficientSet, mode_index: int = 1,
-                            outer_grid: int = 256, work: OuterWork = None):
-    """Solve the limit problem for (lambda0, v0), normalized on the left.
+def solve_three_point_eigen(chain: OuterChain, mode_index: int):
+    """Solve the limit problem for (lambda0, v0) as order 0 of ``chain``,
+    which is returned.
 
     The eigenfunction is supported on (a, 0), pinned to zero value and
     slope at both ends, extended by zero on (0, b), normalized so that
     the p-weighted square integral over (a, 0) is one and v0''(0-) > 0.
 
     A lambda0 within gap_min of the right-interval clamped spectrum (a
-    multiple eigenvalue of the three-point problem) is recorded on the
-    returned mode as ``degenerate_right``.  ``work`` is the build's
-    ``OuterWork``, whose meshes stand in for ``outer_grid`` (when None, a
-    fresh one on ``interval_nodes(coeffs, outer_grid)`` at n_max 3): its
-    tables give the endpoint tables, of its depth, and it keeps the
-    (0, b) LU at lambda0.
+    multiple eigenvalue of the three-point problem) is recorded as
+    ``chain.degenerate_right``.
     """
-    work = work or OuterWork(coeffs, interval_nodes(coeffs, outer_grid))
-    left, right = (_interval_assembly(coeffs, nodes) for nodes in work.meshes)
+    left, right = (_interval_assembly(chain.coeffs, nodes)
+                   for nodes in chain.meshes)
+    chain.asm = {-1: left, +1: right}
 
     k_want = mode_index + 4
     vals_l, vecs_l = _eigs_near(left, 0.0, k_want, _factor(left, 0.0))
@@ -374,7 +359,8 @@ def solve_three_point_eigen(coeffs: CoefficientSet, mode_index: int = 1,
 
     # a mirror-symmetric beam has gap_right ~ 0, below the Ritz error of
     # the right pair, so that pair is polished; gap_left uses Ritz values
-    vals_r, vecs_r = _eigs_near(right, lam0, 6, work.right_solve(right, lam0))
+    chain.right_solve = _factor(right, lam0)
+    vals_r, vecs_r = _eigs_near(right, lam0, 6, chain.right_solve)
     j = int(np.argmin(np.abs(vals_r - lam0)))
     lam_r, _ = hermite.polish(right, vals_r[j], vecs_r[:, j],
                               partial(_factor, right))
@@ -387,137 +373,109 @@ def solve_three_point_eigen(coeffs: CoefficientSet, mode_index: int = 1,
         raise ThreePointMultiplicityError(
             f"lambda0={lam0:.6g} has a left-interval neighbor at distance "
             f"{gap_left:.3g} < gap_min={gap_min:.3g}")
-    degenerate = gap_right < gap_min
+    chain.gap_left, chain.gap_right = gap_left, gap_right
+    chain.degenerate_right = bool(gap_right < gap_min)
 
     # the polish returns v0 with unit p-weighted norm on (a, 0); the sign
     # makes v0''(0-) > 0, and the endpoint table is linear in v0
-    ep_minus = _endpoint_data(work, left, v, lam0, None, "left", 0.0, 0.0, [])
+    ep_minus = _endpoint_data(chain, left, v, lam0, None, -1, 0.0, 0.0, [])
     if ep_minus[2] < 0.0:
         v, ep_minus = -v, -ep_minus
 
-    v_left = HermiteFunction.from_dofs(left.nodes, v)
-    v_right = HermiteFunction.zero(right.nodes)
-    return OuterMode(
-        lambda0=lam0, v_left=v_left, v_right=v_right,
-        gap_left=gap_left, gap_right=gap_right, degenerate_right=bool(degenerate),
-        left_asm=left, right_asm=right, coeffs=coeffs,
-        endpoint_minus=ep_minus,
-        endpoint_plus=np.zeros(work.depth + 1),
-    )
+    chain.lambdas.append(lam0)
+    chain.terms[-1].append(HermiteFunction.from_dofs(left.nodes, v))
+    chain.terms[+1].append(HermiteFunction.zero(right.nodes))
+    chain.tables[-1].append(ep_minus)
+    chain.tables[+1].append(np.zeros(chain.depth + 1))
+    return chain
 
 
-def compute_lambda1(mode: OuterMode):
+def compute_lambda1(chain: OuterChain):
     """lambda1 = k0(0) v0''(0-)^2: solvability of the data (0, v0''(0-))."""
-    return solvability_lambda(mode, 0.0, mode.vpp_minus0)
+    return solvability_lambda(chain, 0.0, chain.vpp_minus0)
 
 
-def solvability_lambda(mode: OuterMode, V_minus: float, W_minus: float):
+def solvability_lambda(chain: OuterChain, V_minus: float, W_minus: float):
     """lambda_i from the interface data via the solvability condition."""
-    k00 = mode.coeffs.k0_at(0.0)
-    k0vpp_prime = k00 * mode.vppp_minus0 + mode.coeffs.k0_at(0.0, 1) * mode.vpp_minus0
-    return float(k00 * mode.vpp_minus0 * W_minus - k0vpp_prime * V_minus)
+    k00 = chain.coeffs.k0_at(0.0)
+    k0vpp_prime = k00 * chain.vppp_minus0 + \
+        chain.coeffs.k0_at(0.0, 1) * chain.vpp_minus0
+    return float(k00 * chain.vpp_minus0 * W_minus - k0vpp_prime * V_minus)
 
 
-@dataclass
-class CorrectionTerm:
-    """Outer correction (lambda_i, v_i) with its interface data."""
-
-    order: int
-    lambda_i: float
-    v_left: HermiteFunction
-    v_right: HermiteFunction            # None when the right problem is resonant
-    endpoint_minus: np.ndarray          # v_i^(j)(0-), j = 0..depth
-    endpoint_plus: np.ndarray           # v_i^(j)(0+); None when v_right is None
-    solvability_residual: float
-    right_skip_reason: str = ""
-
-
-def _forcing(terms, lambdas, i, side, depth):
+def _forcing(chain, lambdas, i, side):
     """Forcing g = sum_{j=1..i} lambda_j v_{i-j} of the order-i problem on one side.
 
-    ``terms`` holds orders 0..i-1 (the mode, then the corrections).  One
-    walk gives the (lambda_j, i - j, v_{i-j}) triples with lambda_j != 0
-    and the table of g^(r)(0), r <= depth, or None when a lower-order term
-    is unavailable on that side.
+    One walk over the chain's orders 0..i-1 gives the (lambda_j, i - j,
+    v_{i-j}) triples with lambda_j != 0 and the table of g^(r)(0),
+    r <= depth, or None when a lower-order term is unavailable on that
+    side.
     """
     pairs = []
-    derivs = np.zeros(depth + 1)
+    derivs = np.zeros(chain.depth + 1)
     for j in range(1, i + 1):
-        term = terms[i - j]
-        fn, tab = (term.v_left, term.endpoint_minus) if side == -1 else \
-            (term.v_right, term.endpoint_plus)
+        fn, tab = chain.terms[side][i - j], chain.tables[side][i - j]
         if fn is None:
             return None
         if lambdas[j] != 0.0:
             pairs.append((lambdas[j], i - j, fn))
-            take = min(depth + 1, tab.size)
+            take = min(chain.depth + 1, tab.size)
             derivs[:take] += lambdas[j] * tab[:take]
     return pairs, derivs
 
 
-def factor_pencils(mode: OuterMode, work: OuterWork = None):
-    """The lambda0-pencil factorizations that every correction order
-    shares, added to ``work`` (when None, a fresh ``OuterWork`` on the
-    mode's meshes at n_max 3), which is returned.
-
-    ``left``: on (a, 0) K - lambda0 M in band storage, M v0 (the
-    p-weighted projection onto v0), border scale s, s c and the bordered
-    LU.  ``right``: on (0, b) the band pencil and ``work.right_solve``, or
-    None when the right interval is resonant (``mode.degenerate_right``).
-    """
-    work = work or OuterWork(mode.coeffs, (mode.left_asm.nodes,
-                                           mode.right_asm.nodes))
-    left, right = mode.left_asm, mode.right_asm
-    A = _pencil_csc(left, mode.lambda0)
-    c_full = left.product(left.bands[1], mode.v_left.dofs())
+def _factor_at_lambda0(chain):
+    """Fill ``chain.bordered``: on (a, 0) K - lambda0 M in band storage,
+    M v0 (the p-weighted projection onto v0), border scale s, s c and the
+    bordered LU; and ``chain.right_pencil``: the (0, b) band pencil,
+    beside ``chain.right_solve``, or None when (0, b) is resonant."""
+    left, right, lam0 = chain.asm[-1], chain.asm[+1], chain.lambdas[0]
+    A = _pencil_csc(left, lam0)
+    c_full = left.product(left.bands[1], chain.terms[-1][0].dofs())
     c = c_full[left.free]
     # scale the border to the stiffness magnitude so the factorization is balanced
     s = max(abs(A).max(), 1.0) / max(np.max(np.abs(c)), 1e-30)
     sc = s * c
     B = sp.bmat([[A, sc[:, None]], [sp.csr_matrix(sc[None, :]), None]],
                 format="csc")
-    work.left = (left.pencil(mode.lambda0), c_full, s, sc, spla.splu(B))
-    work.right = None if mode.degenerate_right else (
-        right.pencil(mode.lambda0), work.right_solve(right, mode.lambda0))
-    return work
+    chain.bordered = (left.pencil(lam0), c_full, s, sc, spla.splu(B))
+    chain.right_pencil = None if chain.degenerate_right else \
+        right.pencil(lam0)
 
 
-def solve_correction(mode: OuterMode, work: OuterWork, i: int, lambdas,
-                     prev_terms, V_minus, V_plus, W_minus, W_plus):
-    """Solve the order-i three-point correction problem.
-
-    ``work`` is the ``OuterWork`` that ``factor_pencils(mode)`` filled;
-    the endpoint tables run to its depth.  ``lambdas`` holds
-    lambda_0..lambda_{i-1} and is extended here with the solvability
-    value lambda_i.  ``prev_terms`` are CorrectionTerm objects for orders
-    1..i-1 (order 0 data comes from ``mode``).
+def solve_correction(chain: OuterChain, i: int, V_minus, V_plus, W_minus,
+                     W_plus):
+    """Solve the order-i three-point correction problem and append its
+    lambda_i and v_i to ``chain``, which holds orders 0..i-1.
 
     On (a, 0) the rank-one-deficient system is solved in bordered form with
     the p-weighted orthogonality to v0; the multiplier of the border is the
     solvability residual and must vanish for consistent data.  On (0, b)
     the problem is regular unless lambda0 resonates with the right clamped
-    spectrum, in which case only zero data admits the zero solution.
+    spectrum, in which case only zero data admits the zero solution.  The
+    first call factors the lambda0 pencils that every order shares.
     """
-    lam0 = mode.lambda0
-    lam_i = solvability_lambda(mode, V_minus, W_minus)
-    lambdas = list(lambdas[:i]) + [lam_i]
-    terms = [mode] + list(prev_terms)
+    lam0 = chain.lambdas[0]
+    lam_i = solvability_lambda(chain, V_minus, W_minus)
+    lambdas = chain.lambdas[:i] + [lam_i]
+    left, right = chain.asm[-1], chain.asm[+1]
+    if chain.bordered is None:
+        _factor_at_lambda0(chain)
 
     # ---- left interval: bordered singular solve -------------------------
-    left = mode.left_asm
-    forcing = _forcing(terms, lambdas, i, -1, work.depth)
+    forcing = _forcing(chain, lambdas, i, -1)
     if forcing is None:
         raise SolvabilityError(f"missing lower-order left term below order {i}")
     pairs, g_derivs = forcing
-    F = work.sides[-1].load(pairs)
+    F = chain.sides[-1].load(pairs)
 
     fixed, free = left.clamped, left.free
     fixed_vals = np.array([0.0, 0.0, V_minus, W_minus])
-    A, c_full, s, sc, lu = work.left
+    A, c_full, s, sc, lu = chain.bordered
     v_dofs = np.zeros(left.ndof)
     v_dofs[fixed] = fixed_vals
     rhs = F[free] - left.product(A, v_dofs)[free]
-    v0_dofs = mode.v_left.dofs()
+    v0_dofs = chain.terms[-1][0].dofs()
     d = -float(c_full[fixed] @ fixed_vals)
     sol = lu.solve(np.concatenate([rhs, [s * d]]))
     # mixed-precision refinement: residuals against the extended-precision
@@ -538,36 +496,35 @@ def solve_correction(mode: OuterMode, work: OuterWork, i: int, lambdas,
         raise SolvabilityError(
             f"left singular system inconsistent at order {i}: multiplier {mu:.3e}")
 
-    ep_minus = _endpoint_data(work, left, v_dofs, lam0, F, "left", V_minus,
+    ep_minus = _endpoint_data(chain, left, v_dofs, lam0, F, -1, V_minus,
                               W_minus, g_derivs)
 
     # ---- right interval: regular (or resonant) solve --------------------
-    right = mode.right_asm
-    resonant = mode.degenerate_right
-    forcing = _forcing(terms, lambdas, i, +1, work.depth)
+    resonant = chain.degenerate_right
+    forcing = _forcing(chain, lambdas, i, +1)
     data_scale = abs(V_plus) + abs(W_plus)
 
     v_right_fn = None
     ep_plus = None
-    skip_reason = ""
     if forcing is None:
-        skip_reason = f"missing lower-order right term below order {i}"
+        chain.notes[f"right_order_{i}"] = \
+            f"missing lower-order right term below order {i}"
     elif resonant and not (
             all(np.all(vf.values == 0.0) and np.all(vf.slopes == 0.0)
                 for *_, vf in forcing[0]) and
-            data_scale < DATA_ZERO_TOL * (abs(mode.vpp_minus0) + 1.0)):
-        skip_reason = (
+            data_scale < DATA_ZERO_TOL * (abs(chain.vpp_minus0) + 1.0)):
+        chain.notes[f"right_order_{i}"] = (
             "right interval resonant: lambda0 within "
-            f"{mode.gap_right:.3g} of the clamped spectrum on (0, b) and the "
+            f"{chain.gap_right:.3g} of the clamped spectrum on (0, b) and the "
             f"order-{i} interface data do not vanish")
     elif resonant:
         v_right_fn = HermiteFunction.zero(right.nodes)
-        ep_plus = np.zeros(work.depth + 1)
+        ep_plus = np.zeros(chain.depth + 1)
     else:
         pairs, g_derivs = forcing
-        Fr = work.sides[+1].load(pairs)
+        Fr = chain.sides[+1].load(pairs)
         fixed_r, free_r = right.clamped, right.free
-        A_r, solve_r = work.right
+        A_r, solve_r = chain.right_pencil, chain.right_solve
         v_dofs_r = np.zeros(right.ndof)
         v_dofs_r[fixed_r] = [V_plus, W_plus, 0.0, 0.0]
         w = solve_r(Fr[free_r] - right.product(A_r, v_dofs_r)[free_r])
@@ -577,11 +534,12 @@ def solve_correction(mode: OuterMode, work: OuterWork, i: int, lambdas,
             w = w + solve_r(Fr[free_r] - np.asarray(pen_r[free_r], float))
         v_dofs_r[free_r] = w
         v_right_fn = HermiteFunction.from_dofs(right.nodes, v_dofs_r)
-        ep_plus = _endpoint_data(work, right, v_dofs_r, lam0, Fr, "right",
+        ep_plus = _endpoint_data(chain, right, v_dofs_r, lam0, Fr, +1,
                                  V_plus, W_plus, g_derivs)
 
-    return CorrectionTerm(
-        order=i, lambda_i=lam_i, v_left=v_left_fn, v_right=v_right_fn,
-        endpoint_minus=ep_minus, endpoint_plus=ep_plus,
-        solvability_residual=mu, right_skip_reason=skip_reason,
-    )
+    chain.lambdas.append(lam_i)
+    chain.terms[-1].append(v_left_fn)
+    chain.terms[+1].append(v_right_fn)
+    chain.tables[-1].append(ep_minus)
+    chain.tables[+1].append(ep_plus)
+    chain.residuals.append(mu)

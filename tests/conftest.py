@@ -10,6 +10,7 @@ from scipy.optimize import brentq
 from beamwkb.harness import ExpansionArtifact
 from beamwkb.model import CoefficientSet, RunSpec
 from beamwkb import build_expansion, inner, outer
+from dense_forms import three_point
 
 
 @dataclass
@@ -17,8 +18,7 @@ class RecordedBuild:
     """One ``build_expansion`` call and the stage objects it made."""
 
     art: ExpansionArtifact
-    mode: outer.OuterMode           # the three-point pair (lambda0, v0)
-    corrections: list               # CorrectionTerm per order 1..n_max
+    chain: outer.OuterChain         # the outer terms (lambda_i, v_i) by order
     f_terms: list                   # InnerCoefficient f_0, f_1, ...
 
 
@@ -40,14 +40,12 @@ def record_build(coeffs, run):
 
     with pytest.MonkeyPatch.context() as mp:
         for module, name in ((outer, "solve_three_point_eigen"),
-                             (outer, "solve_correction"),
                              (inner, "transport_solve")):
             made[name] = []
             mp.setattr(module, name, recording(name, getattr(module, name)))
         art = build_expansion(coeffs, run)
-    (mode,) = made["solve_three_point_eigen"]
-    return RecordedBuild(art, mode, made["solve_correction"],
-                         made["transport_solve"])
+    (chain,) = made["solve_three_point_eigen"]
+    return RecordedBuild(art, chain, made["transport_solve"])
 
 
 @pytest.fixture(scope="session")
@@ -113,7 +111,7 @@ def variable_coeffs():
 
 @pytest.fixture(scope="session")
 def uniform_mode(uniform_coeffs):
-    return outer.solve_three_point_eigen(uniform_coeffs, 1, outer_grid=256)
+    return three_point(uniform_coeffs)
 
 
 @pytest.fixture(scope="session")

@@ -29,7 +29,7 @@ import scipy.sparse as sp
 from numpy.polynomial import polynomial as P
 from scipy.optimize import brentq
 
-from beamwkb import harness, hermite, inner
+from beamwkb import harness, hermite, inner, outer
 from beamwkb.inner import T_POWERS
 from beamwkb.model import config_to_dict
 
@@ -178,11 +178,15 @@ def N_of_S(phase, eps, xs=None):
                      np.exp(-tau), np.exp(tau - phase.S1 / eps)])
 
 
-def interface_tables(chain):
+def three_point(coeffs, mode_index=1, outer_grid=256):
+    """An ``outer.OuterChain`` of order 0 only: the limit pair (lambda0, v0)."""
+    return outer.solve_three_point_eigen(
+        outer.OuterChain(coeffs, outer_grid, 0), mode_index)
+
+
+def interface_tables(recorded):
     """Endpoint tables of a recorded build's outer terms, by side."""
-    mode, corr = chain.mode, chain.corrections
-    return {-1: [mode.endpoint_minus] + [t.endpoint_minus for t in corr],
-            +1: [mode.endpoint_plus] + [t.endpoint_plus for t in corr]}
+    return recorded.chain.tables
 
 
 def interface_quantities(phase, i, f_terms, tables):
@@ -305,20 +309,18 @@ def inner_product(nodes, f, g, weight_fn=None, lo=None, hi=None):
     return float(np.sum(vals * wg))
 
 
-def correction_residual(mode, prev_terms, term, lambdas):
+def correction_residual(chain, i):
     """Relative discrete-L2 residual of the order-i equation on (a, 0).
 
     Evaluates (K - lambda0 M) v_i - sum_{j>=1} lambda_j M v_{i-j} over the
     free dofs in extended precision and measures it in the mass-inverse
     norm, relative to the forcing magnitude.
     """
-    i = term.order
-    left = mode.left_asm
-    funcs = [mode.v_left] + [t.v_left for t in prev_terms] + [term.v_left]
+    left, funcs = chain.asm[-1], chain.terms[-1]
     forcing_dofs = np.zeros(left.ndof)
     for j in range(1, i + 1):
-        forcing_dofs += lambdas[j] * funcs[i - j].dofs()
-    r = pencil_apply_add_at(left, term.v_left.dofs(), mode.lambda0,
+        forcing_dofs += chain.lambdas[j] * funcs[i - j].dofs()
+    r = pencil_apply_add_at(left, funcs[i].dofs(), chain.lambdas[0],
                             mass_vec=forcing_dofs)
     scale = math.sqrt(max(float(left._quad_form(left.Me, forcing_dofs,
                                                 forcing_dofs)), 1e-300))

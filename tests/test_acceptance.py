@@ -18,10 +18,10 @@ import numpy as np
 import pytest
 
 from beamwkb import (build_expansion, fit_rate, hermite, inner, oracle,
-                     outer, run_convergence)
+                     run_convergence)
 from beamwkb.model import CoefficientSet, RunSpec
 from dense_forms import (A_matrices, cheb_diff_matrix, det_g_closed_form,
-                         g_matrix, log_linear_correlation,
+                         g_matrix, log_linear_correlation, three_point,
                          transport_solve_full, window_fe_errors, window_rows)
 
 
@@ -55,12 +55,12 @@ def rep_n2_doubled(art):
 
 def test_criterion_1_limit_eigenvalue(uniform_coeffs, beam_root):
     t0 = time.perf_counter()
-    coarse = outer.solve_three_point_eigen(uniform_coeffs, 1, outer_grid=256)
-    fine = outer.solve_three_point_eigen(uniform_coeffs, 1, outer_grid=512)
+    coarse = three_point(uniform_coeffs, 1, 256).lambdas[0]
+    fine = three_point(uniform_coeffs, 1, 512).lambdas[0]
     elapsed = time.perf_counter() - t0
     exact = beam_root ** 4
-    rel = abs(fine.lambda0 - exact) / exact
-    drift = abs(fine.lambda0 - coarse.lambda0) / exact
+    rel = abs(fine - exact) / exact
+    drift = abs(fine - coarse) / exact
     ok = rel <= 1e-8 and drift <= 1e-8 and elapsed < 1.0
     announce("1", ok, f"lambda0 rel err {rel:.2e}, refinement drift "
                       f"{drift:.2e}, runtime {elapsed:.2f}s "

@@ -11,7 +11,7 @@ from beamwkb import (CSV_HEADER, build_expansion, cli, emit_report, fit_rate,
                      harness, hermite, inner, load_artifact, model, oracle,
                      run_convergence, save_artifact)
 from beamwkb.harness import artifact_to_dict, drop_one_spread
-from beamwkb.model import RunSpec, config_from_dict, load_config
+from beamwkb.model import CoefficientSet, RunSpec, config_from_dict, load_config
 from dense_forms import (drop_one_spread_loop, outer_value_per_order,
                          save_artifact_streaming, save_config)
 
@@ -163,7 +163,7 @@ def test_lambda2_delta_dependence_closed_form(uniform_coeffs, recorded_build):
         delta=d, n_max=2, l_range=(6, 12), outer_grid=128, inner_grid=64))
         for d in (0.0, 0.5, 1.0, 2.0)}
     base = chains[0.0]
-    s = base.mode.vpp_minus0
+    s = base.chain.vpp_minus0
     mu = base.art.lambdas[0] ** 0.25
     for d, chain in chains.items():
         expect = base.art.lambdas[2] - s ** 2 / mu * np.tan(d)
@@ -271,6 +271,17 @@ def test_chain_raises_with_stage_index(uniform_coeffs):
                   inner_grid=64)
     with pytest.raises(harness.ExpansionError, match="stage 3"):
         build_expansion(uniform_coeffs, run)
+
+
+def test_negative_limit_eigenvalue_fails_before_the_phase():
+    # a compressive axial load (k1 = -100) drives lambda0 to about -941:
+    # the build names it before the phase, which needs lambda0 > 0
+    coeffs = CoefficientSet(a=-1.0, b=0.7, k1=(-100.0,))
+    run = RunSpec(delta=0.0, n_max=2, l_range=(6, 12), outer_grid=128,
+                  inner_grid=64)
+    with pytest.raises(harness.ExpansionError,
+                       match=r"limit eigenvalue -941\.07\d* is not positive"):
+        build_expansion(coeffs, run)
 
 
 # asym geometry with q(-1) = 0.01: alpha's series needs more than 128 nodes

@@ -12,7 +12,8 @@ from beamwkb.model import CoefficientSet
 from dense_forms import (band_of, csr_forms, element_blocks, extended_tables,
                          free_blocks, hermite_call_all_stacks,
                          load_vector_add_at, oracle_tables,
-                         pencil_apply_add_at, quotient_extended)
+                         pencil_apply_add_at, quotient_extended,
+                         three_point)
 
 FIXTURE_FNS = (lambda x: 1.0 + 0.3 * x, None, lambda x: 0.2 + 0.0 * x,
                lambda x: 1.0 + x ** 2)
@@ -181,8 +182,8 @@ def test_three_point_solve_forms_the_mass_norm_only_in_the_polish(
     # the polished left pair (v0) and right pair (gap_right), and no
     # second mass form to normalize v0
     forms = _quadratic_forms(monkeypatch)
-    mode = outer.solve_three_point_eigen(asym_coeffs, 1, outer_grid=128)
-    for asm in (mode.left_asm, mode.right_asm):
+    chain = three_point(asym_coeffs, 1, 128)
+    for asm in chain.asm.values():
         assert sum(A is asm.Me for A in forms) == hermite.POLISH_STEPS
     assert len(forms) == 4 * hermite.POLISH_STEPS
 
@@ -289,14 +290,16 @@ def _chain(request, name):
 
 @pytest.mark.parametrize("name", ["asym_artifact", "variable_artifact"])
 def test_pencil_apply_and_load_vector_match_add_at_scatter(name, request):
-    mode = _chain(request, name).mode
+    chain = _chain(request, name).chain
+    lam0 = chain.lambdas[0]
     rng = np.random.default_rng(3)
-    for asm, fn in ((mode.left_asm, mode.v_left), (mode.right_asm, mode.v_right)):
+    for side in (-1, +1):
+        asm, fn = chain.asm[side], chain.terms[side][0]
         v = fn.dofs()
         load = rng.standard_normal(asm.ndof)
         for kwargs in ({}, {"load": load}):
-            got = asm.pencil_apply(v, mode.lambda0, **kwargs)
-            ref = pencil_apply_add_at(asm, v, mode.lambda0, **kwargs)
+            got = asm.pencil_apply(v, lam0, **kwargs)
+            ref = pencil_apply_add_at(asm, v, lam0, **kwargs)
             assert got.dtype == ref.dtype
             assert np.array_equal(got, ref)
         rhs = lambda x: (1.0 + x ** 2) * fn(x)
@@ -330,7 +333,7 @@ def test_ritz_values_at_ritz_tol_match_machine_precision(asym_chain,
         mp.setattr(hermite, "RITZ_TOL", 0)
         ref = hermite.eigs_near(prob.asm, sigma, k=6)[0]
     np.testing.assert_allclose(vals, ref, rtol=1e-12, atol=0)
-    left, right = asym_chain.mode.left_asm, asym_chain.mode.right_asm
+    left, right = asym_chain.chain.asm[-1], asym_chain.chain.asm[+1]
     for asm, sigma in ((left, 0.0), (right, art.lambdas[0])):
         vals, _ = outer._eigs_near(asm, sigma, 6, outer._factor(asm, sigma))
         Kff, Mff = free_blocks(asm)
@@ -346,8 +349,7 @@ def test_ritz_values_at_ritz_tol_match_machine_precision(asym_chain,
 def _assemblies(chain):
     # the outer interval assemblies and the oracle's at l = 8 and 40
     art = chain.art
-    yield chain.mode.left_asm
-    yield chain.mode.right_asm
+    yield from chain.chain.asm.values()
     for l in (8, 40):
         yield oracle.assemble(art.coeffs, art.epsilon(l), art.S1).asm
 

@@ -173,7 +173,7 @@ def test_epsilon_l_denominator(uniform_artifact):
 @pytest.mark.parametrize("delta", [0.0, 0.3, 1.0, 2.0])
 def test_beta0_closed_form(uniform_chain, delta):
     ph = uniform_chain.art.phase
-    s = uniform_chain.mode.vpp_minus0
+    s = uniform_chain.chain.vpp_minus0
     f0 = inner.solve_f0(ph, delta, s)
     np.testing.assert_allclose(f0.beta, inner.beta0_closed_form(ph, delta, s),
                                atol=1e-12 * abs(s))
@@ -181,7 +181,7 @@ def test_beta0_closed_form(uniform_chain, delta):
 
 def test_beta0_delta_zero_pattern(uniform_chain):
     ph = uniform_chain.art.phase
-    s = uniform_chain.mode.vpp_minus0
+    s = uniform_chain.chain.vpp_minus0
     f0 = inner.solve_f0(ph, 0.0, s)
     c = 0.5 * ph.at(ph.q_38, -1) * ph.at(ph.Sp, -1) ** -2 * s
     np.testing.assert_allclose(f0.beta, c * np.array([-1.0, -1.0, 1.0, -1.0]),
@@ -195,7 +195,7 @@ def test_f0_zero_for_zero_kink(uniform_artifact):
 
 def test_f0_boundary_system_residual(uniform_chain):
     ph = uniform_chain.art.phase
-    s = uniform_chain.mode.vpp_minus0
+    s = uniform_chain.chain.vpp_minus0
     f0 = inner.solve_f0(ph, 0.3, s)
     g = np.array([ph.at(ph.q_38, -1) * ph.at(ph.Sp, -1) ** -2 * s, 0.0, 0.0, 0.0])
     res = inner.g_delta_matrix(0.3) @ f0.beta - g
@@ -225,7 +225,7 @@ def test_derivative_stacks_match_spectral(variable_chain):
 
 def test_transport_general_path_reproduces_f0(uniform_chain):
     ph = uniform_chain.art.phase
-    s = uniform_chain.mode.vpp_minus0
+    s = uniform_chain.chain.vpp_minus0
     f0 = inner.solve_f0(ph, 0.0, s)
     sigma = np.array([ph.at(ph.Sp, -1) ** -2 * s, 0.0, 0.0, 0.0])
     y = inner.transport_solve(ph, 0.0, sigma, w_stack=None)
@@ -505,7 +505,7 @@ def test_f2_interface_is_third_derivative(uniform_chain):
     chain = uniform_chain
     iq2 = interface_quantities(chain.art.phase, 2, chain.f_terms,
                                interface_tables(chain))
-    assert iq2["F_minus"] == pytest.approx(chain.mode.vppp_minus0, rel=1e-12)
+    assert iq2["F_minus"] == pytest.approx(chain.chain.vppp_minus0, rel=1e-12)
 
 
 def test_phi_coords_of_f0_is_beta(variable_chain):

@@ -1,4 +1,5 @@
 import collections
+import copy
 import dataclasses
 
 import numpy as np
@@ -12,11 +13,11 @@ from beamwkb import hermite, inner, outer
 from beamwkb.model import CoefficientSet
 from dense_forms import (correction_residual, csr_forms, forcing_density,
                          hermite_call_all_stacks, inner_product,
-                         load_vector_add_at)
+                         load_vector_add_at, three_point)
 
 
 def test_lambda0_matches_characteristic_root(uniform_mode, beam_root):
-    assert uniform_mode.lambda0 == pytest.approx(beam_root ** 4, rel=5e-9)
+    assert uniform_mode.lambdas[0] == pytest.approx(beam_root ** 4, rel=5e-9)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -33,36 +34,36 @@ def test_limit_pair_matches_closed_form(asym_coeffs, k):
                                   10.995607838002, 14.137165491257)[k - 1],
                                  rel=1e-12)
     length = -asym_coeffs.a
-    mode = outer.solve_three_point_eigen(asym_coeffs, k, outer_grid=256)
+    mode = three_point(asym_coeffs, k)
     lam0 = (beta / length) ** 4
-    assert mode.lambda0 == pytest.approx(lam0, rel=1e-7, abs=0)
+    assert mode.lambdas[0] == pytest.approx(lam0, rel=1e-7, abs=0)
     assert outer.compute_lambda1(mode) == pytest.approx(4.0 * lam0 / length,
                                                         rel=1e-7, abs=0)
 
 
 def test_lambda0_mesh_refinement(uniform_coeffs, uniform_mode):
-    fine = outer.solve_three_point_eigen(uniform_coeffs, 1, outer_grid=512)
-    assert abs(fine.lambda0 - uniform_mode.lambda0) < 1e-9 * uniform_mode.lambda0
+    fine = three_point(uniform_coeffs, 1, 512)
+    lam0 = uniform_mode.lambdas[0]
+    assert abs(fine.lambdas[0] - lam0) < 1e-9 * lam0
 
 
 def test_lambda0_convergence_order(uniform_coeffs, beam_root):
     exact = beam_root ** 4
     grids = [32, 64, 128]
-    errs = [abs(outer.solve_three_point_eigen(uniform_coeffs, 1,
-                                              outer_grid=g).lambda0 - exact)
+    errs = [abs(three_point(uniform_coeffs, 1, g).lambdas[0] - exact)
             for g in grids]
     rate = np.polyfit(np.log(grids), np.log(errs), 1)[0]
     assert -4.6 < rate < -3.5
 
 
 def test_v0_boundary_and_normalization(uniform_mode):
-    v = uniform_mode.v_left
+    v = uniform_mode.terms[-1][0]
     assert abs(v.values[0]) < 1e-12 and abs(v.slopes[0]) < 1e-12
     assert abs(v.values[-1]) < 1e-12 and abs(v.slopes[-1]) < 1e-12
     nrm = inner_product(v.nodes, v, v, weight_fn=lambda x: np.ones_like(x))
     assert nrm == pytest.approx(1.0, abs=1e-12)
     assert uniform_mode.vpp_minus0 > 0
-    assert np.all(uniform_mode.v_right.values == 0.0)
+    assert np.all(uniform_mode.terms[+1][0].values == 0.0)
 
 
 def test_flux_extraction_against_closed_form(uniform_mode, closed_form_mode):
@@ -75,13 +76,14 @@ def test_flux_extraction_against_closed_form(uniform_mode, closed_form_mode):
 def test_reaction_pairing_identity(uniform_mode):
     # v0-tested form of L z - lam0 p z for a synthetic z reproduces the
     # interface pairing k0 v0'' z'(0) - (k0 v0'')' z(0)
-    left = uniform_mode.left_asm
+    left = uniform_mode.asm[-1]
     nodes = left.nodes
     z = hermite.HermiteFunction(
         nodes, (nodes + 1.0) ** 2 * (1.0 + nodes),
         2.0 * (nodes + 1.0) * (1.0 + nodes) + (nodes + 1.0) ** 2)
     lhs = float(np.longdouble(0))
-    pen = left.pencil_apply(uniform_mode.v_left.dofs(), uniform_mode.lambda0)
+    pen = left.pencil_apply(uniform_mode.terms[-1][0].dofs(),
+                            uniform_mode.lambdas[0])
     lhs = float(np.asarray(pen, float) @ z.dofs())
     k00 = uniform_mode.coeffs.k0_at(0.0)
     rhs = k00 * uniform_mode.vpp_minus0 * hermite_call_all_stacks(z, 0.0, 1) - \
@@ -94,20 +96,22 @@ def test_gap_and_degeneracy_flags(uniform_mode, asym_coeffs):
     assert uniform_mode.degenerate_right
     assert uniform_mode.gap_right < 1e-6
     assert uniform_mode.gap_left > 1e3
-    asym = outer.solve_three_point_eigen(asym_coeffs, 1, outer_grid=128)
+    asym = three_point(asym_coeffs, 1, 128)
     assert not asym.degenerate_right
     assert asym.gap_right > 500
 
 
 def test_compute_lambda1_examples(uniform_mode, closed_form_mode):
-    def with_kink(vpp, **changes):
-        tab = np.array([0.0, 0.0, vpp, 0.0])
-        return dataclasses.replace(uniform_mode, endpoint_minus=tab, **changes)
+    def with_kink(vpp, coeffs=uniform_mode.coeffs):
+        chain = copy.copy(uniform_mode)
+        chain.coeffs = coeffs
+        chain.tables = {-1: [np.array([0.0, 0.0, vpp, 0.0])]}
+        return chain
 
     assert outer.compute_lambda1(with_kink(2.0)) == pytest.approx(4.0)
     k3 = CoefficientSet(a=-1.0, b=1.0, k0=(3.0,))
-    assert outer.compute_lambda1(with_kink(2.0, coeffs=k3)) == pytest.approx(12.0)
-    assert outer.compute_lambda1(with_kink(0.0, coeffs=k3)) == 0.0
+    assert outer.compute_lambda1(with_kink(2.0, k3)) == pytest.approx(12.0)
+    assert outer.compute_lambda1(with_kink(0.0, k3)) == 0.0
     lam1 = outer.compute_lambda1(uniform_mode)
     assert lam1 == pytest.approx(closed_form_mode["vpp"] ** 2, rel=2e-7)
 
@@ -119,18 +123,17 @@ def test_first_order_term_contract(uniform_coeffs, uniform_artifact,
     # Grid 128: the discrete residual floor scales with the stiffness
     # norm, and at this resolution it sits well below the contract tolerance
     chain = recorded_build(uniform_coeffs, dataclasses.replace(
-        uniform_artifact.run, n_max=1, outer_grid=128))
-    mode, t1 = chain.mode, chain.corrections[0]
-    assert t1.order == 1
-    assert hermite_call_all_stacks(t1.v_left, 0.0, 1) - mode.vpp_minus0 == \
+        uniform_artifact.run, n_max=1, outer_grid=128)).chain
+    (v0, v1), (_, v1_right) = chain.terms[-1], chain.terms[+1]
+    assert len(chain.lambdas) == 2
+    assert hermite_call_all_stacks(v1, 0.0, 1) - chain.vpp_minus0 == \
         pytest.approx(0.0, abs=1e-10)
-    assert abs(t1.v_left(0.0)) < 1e-12
-    orth = inner_product(mode.left_asm.nodes, t1.v_left, mode.v_left,
-                         weight_fn=lambda x: np.ones_like(x))
+    assert abs(v1(0.0)) < 1e-12
+    orth = inner_product(v0.nodes, v1, v0, weight_fn=lambda x: np.ones_like(x))
     assert abs(orth) < 1e-12
-    res = correction_residual(mode, [], t1, [mode.lambda0, t1.lambda_i])
+    res = correction_residual(chain, 1)
     assert res < 1e-8
-    assert np.all(t1.v_right.values == 0.0)
+    assert np.all(v1_right.values == 0.0)
 
 
 def test_lambda1_has_one_value(uniform_artifact, recorded_build):
@@ -139,19 +142,19 @@ def test_lambda1_has_one_value(uniform_artifact, recorded_build):
     run = dataclasses.replace(uniform_artifact.run, n_max=1)
     chain = recorded_build(CoefficientSet(a=-1.0, b=0.8, k0=(1.5,)), run)
     art = chain.art
-    lam1 = outer.compute_lambda1(chain.mode)
-    assert art.lambdas[1] == chain.corrections[0].lambda_i == lam1
+    lam1 = outer.compute_lambda1(chain.chain)
+    assert art.lambdas[1] == lam1
     assert art.diagnostics["lambda1"] == lam1
 
 
-# what a build makes for its own stages: LUs, the OuterWork and its Gauss
+# what a build makes for its own stages: LUs, the OuterChain and its Gauss
 # and extended-precision Taylor tables
-BUILD_SCOPED = (SuperLU, outer.OuterWork, outer.GaussSide, hermite.GaussRule,
+BUILD_SCOPED = (SuperLU, outer.OuterChain, outer.GaussSide, hermite.GaussRule,
                 np.longdouble)
 
 
 def _holds_build_store(obj, seen):
-    """Whether a SuperLU (or its solve), an OuterWork or one of its tables
+    """Whether a SuperLU (or its solve), an OuterChain or one of its tables
     is reachable from obj through containers and instance attributes."""
     if id(obj) in seen:
         return False
@@ -177,11 +180,11 @@ def test_correction_chain_factors_each_pencil_once(asym_coeffs,
                                                    recorded_build,
                                                    monkeypatch):
     # per build: on each interval one LU for ARPACK's shift-invert and two
-    # polish LUs for the three-point pair, then one bordered LU on (a, 0);
-    # every order solves on (0, b) with the right eigensolve's LU at
-    # lambda0 (the resonant uniform beam never does).  The LUs and the
-    # Gauss and Taylor tables live only in the build: the artifact, the
-    # three-point mode and the outer terms hold none.
+    # polish LUs for the three-point pair, then, at the first correction,
+    # one bordered LU on (a, 0); every order solves on (0, b) with the
+    # right eigensolve's LU at lambda0 (the resonant uniform beam never
+    # does).  The LUs, the chain and its Gauss and Taylor tables live only
+    # in the build: the artifact holds none of them.
     splu = scipy.sparse.linalg.splu
     calls = []
 
@@ -191,6 +194,7 @@ def test_correction_chain_factors_each_pencil_once(asym_coeffs,
 
     monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
     for coeffs, run, n_max, want in (
+            (asym_coeffs, asym_artifact.run, 0, 6),
             (asym_coeffs, asym_artifact.run, 1, 7),
             (asym_coeffs, asym_artifact.run, 2, 7),
             (asym_coeffs, asym_artifact.run, 3, 7),
@@ -198,10 +202,9 @@ def test_correction_chain_factors_each_pencil_once(asym_coeffs,
         calls.clear()
         chain = recorded_build(coeffs, dataclasses.replace(run, n_max=n_max))
         assert len(calls) == want, (n_max, calls)
+        bordered = (chain.chain.asm[-1].ndof - 3,) * 2    # free dofs + 1
+        assert calls.count(bordered) == min(n_max, 1), (n_max, calls)
         assert not _holds_build_store(vars(chain.art), set())
-        assert not _holds_build_store(vars(chain.mode), set())
-        for term in chain.corrections:
-            assert not _holds_build_store(vars(term), set())
 
 
 @pytest.mark.parametrize("name", ["uniform", "asym", "variable"])
@@ -221,13 +224,12 @@ def test_load_vectors_match_the_per_order_density(name, request,
         return F
 
     monkeypatch.setattr(outer.GaussSide, "load", recording)
-    chain = recorded_build(coeffs, run)
-    terms = [chain.mode] + chain.corrections
+    terms = recorded_build(coeffs, run).chain.terms
     p_fn = hermite.poly_fn(coeffs.p)
     assert len(loads) >= run.n_max
     for nodes, pairs, F in loads:
-        side = "v_left" if nodes[0] < 0.0 else "v_right"
-        assert all(fn is getattr(terms[k], side) for _, k, fn in pairs)
+        side = -1 if nodes[0] < 0.0 else +1
+        assert all(fn is terms[side][k] for _, k, fn in pairs)
         density = forcing_density(p_fn, [(lam, fn) for lam, _, fn in pairs])
         assert np.array_equal(F, load_vector_add_at(nodes, density))
 
@@ -247,9 +249,8 @@ def test_outer_terms_evaluated_once_per_build(variable_coeffs,
 
     monkeypatch.setattr(hermite.HermiteFunction, "__call__", counting_call)
     run = dataclasses.replace(variable_artifact.run, n_max=6)
-    chain = recorded_build(variable_coeffs, run)
-    terms = [chain.mode] + chain.corrections
-    forcing = [fn for t in terms[:-1] for fn in (t.v_left, t.v_right)]
+    terms = recorded_build(variable_coeffs, run).chain.terms
+    forcing = [fn for side in (-1, +1) for fn in terms[side][:-1]]
     counts = collections.Counter(id(fn) for fn in calls)
     assert len(calls) == 2 * run.n_max
     assert sorted(counts) == sorted(id(fn) for fn in forcing)
@@ -280,92 +281,84 @@ def test_endpoint_recurrence_manufactured():
 
 
 def test_boundary_data_low_orders(uniform_chain):
-    mode, phase = uniform_chain.mode, uniform_chain.art.phase
+    chain, phase = uniform_chain.chain, uniform_chain.art.phase
     delta = uniform_chain.art.run.delta
-    tables = {-1: [mode.endpoint_minus], +1: [mode.endpoint_plus]}
+    tables = {side: chain.tables[side][:1] for side in (-1, +1)}
     bd0 = inner.boundary_data(0, tables, phase, [], delta)
     assert bd0 == {"V_minus": 0.0, "W_minus": 0.0, "V_plus": 0.0, "W_plus": 0.0}
     # the chain's order-1 step relies on these being exact
     bd1 = inner.boundary_data(1, tables, phase, [], delta)
-    assert bd1 == {"V_minus": 0.0, "W_minus": mode.vpp_minus0,
+    assert bd1 == {"V_minus": 0.0, "W_minus": chain.vpp_minus0,
                    "V_plus": 0.0, "W_plus": 0.0}
 
 
 def test_boundary_data_pure_outer_sums(uniform_chain):
     # the outer part of V2, W2 at x = 0-: the Taylor shift of v0, v1
-    chain = uniform_chain
-    t0, t1 = chain.mode.endpoint_minus, chain.corrections[0].endpoint_minus
-    tables = [t0, t1]
+    t0, t1 = tables = uniform_chain.chain.tables[-1][:2]
     assert inner.taylor_shift(tables, -1, 2, 1, 0) == pytest.approx(
         -t1[1] + 0.5 * t0[2], rel=1e-12)
     assert inner.taylor_shift(tables, -1, 2, 1, 1) == pytest.approx(
         -t1[2] + 0.5 * t0[3], rel=1e-12)
 
 
-def test_solve_correction_homogeneous_is_zero(uniform_mode):
-    zero_l = hermite.HermiteFunction.zero(uniform_mode.left_asm.nodes)
-    zero_r = hermite.HermiteFunction.zero(uniform_mode.right_asm.nodes)
-    tab = np.zeros(10)
-    fake_v1 = outer.CorrectionTerm(
-        order=1, lambda_i=0.0, v_left=zero_l, v_right=zero_r,
-        endpoint_minus=tab, endpoint_plus=tab, solvability_residual=0.0)
-    term = outer.solve_correction(uniform_mode,
-                                  outer.factor_pencils(uniform_mode), 2,
-                                  [uniform_mode.lambda0, 0.0],
-                                  [fake_v1], 0.0, 0.0, 0.0, 0.0)
-    assert term.lambda_i == 0.0
-    assert np.max(np.abs(term.v_left.values)) < 1e-10
-    assert np.max(np.abs(term.v_left.slopes)) < 1e-9
+def test_solve_correction_homogeneous_is_zero(uniform_coeffs):
+    chain = outer.solve_three_point_eigen(
+        outer.OuterChain(uniform_coeffs, 256, 2), 1)
+    chain.lambdas.append(0.0)                 # a zero order-1 term
+    for side, nodes in zip((-1, +1), chain.meshes):
+        chain.terms[side].append(hermite.HermiteFunction.zero(nodes))
+        chain.tables[side].append(np.zeros(10))
+    outer.solve_correction(chain, 2, 0.0, 0.0, 0.0, 0.0)
+    v2 = chain.terms[-1][2]
+    assert chain.lambdas[2] == 0.0
+    assert np.max(np.abs(v2.values)) < 1e-10
+    assert np.max(np.abs(v2.slopes)) < 1e-9
 
 
 def test_correction_interface_values_imposed(asym_chain):
-    for term in asym_chain.corrections:
-        tab = term.endpoint_minus
-        assert term.v_left(0.0) == pytest.approx(tab[0], abs=1e-10)
-        assert hermite_call_all_stacks(term.v_left, 0.0, 1) == \
-            pytest.approx(tab[1], abs=1e-10)
-        if term.v_right is not None:
-            tab = term.endpoint_plus
-            assert term.v_right(0.0) == pytest.approx(tab[0], abs=1e-10)
-            assert hermite_call_all_stacks(term.v_right, 0.0, 1) == \
+    chain = asym_chain.chain
+    for side in (-1, +1):
+        for fn, tab in zip(chain.terms[side][1:], chain.tables[side][1:]):
+            if fn is None:
+                continue
+            assert fn(0.0) == pytest.approx(tab[0], abs=1e-10)
+            assert hermite_call_all_stacks(fn, 0.0, 1) == \
                 pytest.approx(tab[1], abs=1e-10)
-            b = asym_chain.art.coeffs.b
-            assert abs(term.v_right(b)) < 1e-10
-            assert abs(hermite_call_all_stacks(term.v_right, b, 1)) < 1e-10
+            if side == +1:
+                b = asym_chain.art.coeffs.b
+                assert abs(fn(b)) < 1e-10
+                assert abs(hermite_call_all_stacks(fn, b, 1)) < 1e-10
 
 
 def test_correction_orthogonality_and_residual(asym_chain):
-    mode, corrections = asym_chain.mode, asym_chain.corrections
+    chain = asym_chain.chain
+    v0 = chain.terms[-1][0]
     one = lambda x: np.ones_like(x)
-    for i, term in enumerate(corrections):
-        orth = inner_product(mode.left_asm.nodes, term.v_left,
-                             mode.v_left, weight_fn=one)
+    for i in range(1, len(chain.lambdas)):
+        orth = inner_product(v0.nodes, chain.terms[-1][i], v0, weight_fn=one)
         assert abs(orth) < 1e-10
-        res = correction_residual(mode, corrections[:i], term,
-                                  asym_chain.art.lambdas)
-        assert res < 2e-7
-        assert abs(term.solvability_residual) < 1e-4
+        assert correction_residual(chain, i) < 2e-7
+        assert abs(chain.residuals[i - 1]) < 1e-4
 
 
 def test_uniform_right_resonance_skip(uniform_chain):
     # order 2 carries nonzero slope data into the resonant right interval
-    t2 = uniform_chain.corrections[1]
-    assert uniform_chain.mode.degenerate_right
-    assert t2.v_right is None
-    assert "resonant" in t2.right_skip_reason
+    chain = uniform_chain.chain
+    assert chain.degenerate_right
+    assert chain.terms[+1][2] is None
+    assert "resonant" in chain.notes["right_order_2"]
     # while order 1 has zero data and the zero solution
-    t1 = uniform_chain.corrections[0]
-    assert t1.v_right is not None
-    assert np.all(t1.v_right.values == 0.0)
+    assert chain.terms[+1][1] is not None
+    assert np.all(chain.terms[+1][1].values == 0.0)
 
 
 def test_lambda2_closed_form_uniform(uniform_chain):
     # hand-reduced order-2 solvability data for constant coefficients:
     # V2(-0) = s/2, W2(-0) = -s/mu (1 + tan delta) + v1''(-0) - t/2
     art = uniform_chain.art
-    s = uniform_chain.mode.vpp_minus0
-    t = uniform_chain.mode.vppp_minus0
-    w = float(uniform_chain.corrections[0].endpoint_minus[2])
+    chain = uniform_chain.chain
+    s, t = chain.vpp_minus0, chain.vppp_minus0
+    w = float(chain.tables[-1][1][2])
     mu = art.lambdas[0] ** 0.25
     lam2_hand = s * (-(s / mu) + w - 0.5 * t) - t * (s / 2.0)
     assert art.lambdas[2] == pytest.approx(lam2_hand, rel=1e-12)
